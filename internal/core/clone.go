@@ -9,13 +9,14 @@ import "fpga3d/internal/graph"
 //
 // Copied (trail-mutated) state: edge states, orientations, the
 // per-dimension overlap/disjoint adjacency bitsets, unknown counts,
-// per-pair undecided counts, and the clique-force memo with its version
-// counters — the memo does not change which rules fire, but copying it
-// keeps the clone's work profile identical to what the donor would have
-// done in place. Shared (immutable after construction): the problem,
-// options, pair index tables, volumes, co-areas and the symmetry marks.
-// Fresh: trail, queue, statistics and all scratch buffers — a clone
-// never undoes past its own root, and scratch is strictly per-worker.
+// per-pair undecided counts, the adjacency versions and the
+// version-keyed skips (clique-force snapshots, hole-check memos) — the
+// skips do not change which rules fire, but copying them keeps the
+// clone's work profile identical to what the donor would have done in
+// place. Shared (immutable after construction): the problem, options,
+// pair index tables, volumes, co-areas and the symmetry marks. Fresh:
+// trail, queue, statistics and all scratch buffers — a clone never
+// undoes past its own root, and scratch is strictly per-worker.
 func (e *engine) cloneForWorker() *engine {
 	n, nd, np := e.n, e.nd, e.npairs
 	c := &engine{
@@ -35,10 +36,12 @@ func (e *engine) cloneForWorker() *engine {
 	c.pairUndecided = append([]int32(nil), e.pairUndecided...)
 	c.verDis = append([]int64(nil), e.verDis...)
 	c.verOv = append([]int64(nil), e.verOv...)
+	c.cfSnapDis = append([]int64(nil), e.cfSnapDis...)
+	c.cfSnapOv = append([]int64(nil), e.cfSnapOv...)
+	c.holeSeen = append([]holeMemo(nil), e.holeSeen...)
 	c.rowVerDis = make([][]int64, nd)
 	c.rowVerOv = make([][]int64, nd)
-	c.cfDisSeen = make([][]int64, nd)
-	c.cfAreaSeen = make([][]int64, nd)
+	c.pairVer = make([][]int64, nd)
 	for d := 0; d < nd; d++ {
 		c.state[d] = append([]EdgeState(nil), e.state[d]...)
 		if e.orient[d] != nil {
@@ -52,18 +55,8 @@ func (e *engine) cloneForWorker() *engine {
 		}
 		c.rowVerDis[d] = append([]int64(nil), e.rowVerDis[d]...)
 		c.rowVerOv[d] = append([]int64(nil), e.rowVerOv[d]...)
-		c.cfDisSeen[d] = append([]int64(nil), e.cfDisSeen[d]...)
-		c.cfAreaSeen[d] = append([]int64(nil), e.cfAreaSeen[d]...)
+		c.pairVer[d] = append([]int64(nil), e.pairVer[d]...)
 	}
-	c.scratchSet = graph.NewSet(n)
-	c.holeWeight = make([]int, n)
-	c.holeVisited = make([]bool, n)
-	c.holeMCS = make([]int, 0, n)
-	c.holePos = make([]int, n)
-	c.holePrev = make([]int, n)
-	c.holeQueue = make([]int, 0, n)
-	c.holeLater = graph.NewSet(n)
-	c.holeBad = graph.NewSet(n)
-	c.holeBanned = graph.NewSet(n)
+	c.initScratch()
 	return c
 }

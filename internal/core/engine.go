@@ -50,6 +50,12 @@ const (
 	confOrient
 )
 
+// skipCounts tallies skipped clique-force sweeps of a whole dimension,
+// skipped single clique bounds and skipped hole checks of a dimension.
+type skipCounts struct {
+	cliqueDims, cliqueBounds, holeDims int64
+}
+
 // engine holds the mutable search state for one Solve call.
 type engine struct {
 	p      *Problem
@@ -75,23 +81,36 @@ type engine struct {
 	// inner dimension loop at every node. Maintained by setState/undoTo.
 	pairUndecided []int32
 
-	// Versioned dirtiness tracking for the clique-force memo. verDis[d]
-	// (verOv[d]) counts every edge insertion or removal in the disjoint
-	// (overlap) adjacency of dimension d; rowVerDis[d][v] (rowVerOv) is
-	// the version at which vertex v's row last changed. A clique bound
-	// computed for pair p at version s stays valid while no row it read
-	// has moved past s, so cliqueForcePass recomputes only pairs whose
-	// candidate sets were actually dirtied. Versions only grow (undo
-	// bumps them too), so stale memo entries can never false-match.
+	// Adjacency versions, the key of every incremental skip in the
+	// production rule path. verDis[d] (verOv[d]) counts every edge
+	// insertion or removal in the disjoint (overlap) adjacency of
+	// dimension d; rowVerDis[d][v] (rowVerOv) is the version at which
+	// vertex v's row last changed. Versions only grow — undo bumps them
+	// too — so an equal version means identical adjacency (and, with
+	// both versions equal, identical edge states) in that dimension, and
+	// a row at or below version s has not changed since s.
 	verDis    []int64
 	verOv     []int64
 	rowVerDis [][]int64
 	rowVerOv  [][]int64
-	// cfDisSeen[d][p] (cfAreaSeen) is the verDis[d] (verOv[d]) value at
-	// which the disjoint-clique (area-clique) force check for pair p
-	// last computed "no forcing", or -1 if never computed.
-	cfDisSeen  [][]int64
-	cfAreaSeen [][]int64
+	// pairVer[d][p] is verDis[d]+verOv[d] — which grows with every change
+	// in dimension d — right after pair p's state last changed there.
+	pairVer [][]int64
+	// cfSnapDis[d] and cfSnapOv[d] are the versions of dimension d at the
+	// last clique-force sweep over d that forced nothing (-1 before the
+	// first): a clean point at which no Unknown pair of d could be
+	// forced. A pair can only become forcible once it or a row its clique
+	// bound reads moves past the snapshot (see cliqueForceDim).
+	cfSnapDis []int64
+	cfSnapOv  []int64
+	// skips counts the rule work the version-keyed skips saved, for
+	// tests and profiling. It is not part of Stats, which the reference
+	// path (it never skips) must reproduce exactly.
+	skips skipCounts
+	// holeSeen[2d+k] remembers the versions at which holeCheckDim on
+	// dimension d (k 0: holes of the overlap graph, 1: antiholes of the
+	// disjoint graph) last ended without firing.
+	holeSeen []holeMemo
 
 	trail    []change
 	queue    []event
@@ -130,21 +149,31 @@ type engine struct {
 	// higher-index box before the lower one is pruned as symmetric.
 	sym []bool
 
-	// scratch buffers
-	scratchSet graph.Set
+	// Scratch buffers: strictly per engine (a worker clone gets its own
+	// from initScratch) and never part of the search state.
+	//
+	// cfDirtyDis and cfDirtyOv hold the rows dirtied since the clique-force
+	// snapshot of the dimension being swept.
+	cfDirtyDis graph.Set
+	cfDirtyOv  graph.Set
+	// c4Cand holds the b vertices c4Scan still has to visit for one a.
+	c4Cand graph.Set
 	// cliqueStack holds one scratch set per recursion depth of the
 	// weighted-clique bound, so the branch-and-bound inside
 	// cliqueExceedsFast allocates nothing. Grown on demand.
 	cliqueStack []graph.Set
-	// Hole-detection scratch (findHoleInFast / shortestAvoidingFast):
-	// reused across the per-node chordality sweeps.
+	// Hole-detection scratch (findHoleIn / closeHole), reused across the
+	// per-node chordality sweeps: MCS weight buckets, each vertex's
+	// earlier-visited neighbours and the latest of them, the BFS parent
+	// array and queue, and the buffer the returned hole lives in.
+	holeBucket  []graph.Set
+	holeUnseen  graph.Set
 	holeWeight  []int
-	holeVisited []bool
-	holeMCS     []int
-	holePos     []int
+	holeEarlier []graph.Set
+	holeLatest  []int
 	holePrev    []int
 	holeQueue   []int
-	holeLater   graph.Set
+	holeCycle   []int
 	holeBad     graph.Set
 	holeBanned  graph.Set
 }
@@ -186,8 +215,6 @@ func newEngine(p *Problem, opt Options) *engine {
 		}
 		e.unknown[d] = idx
 	}
-	e.scratchSet = graph.NewSet(n)
-
 	e.pairUndecided = make([]int32, idx)
 	for pr := range e.pairUndecided {
 		e.pairUndecided[pr] = int32(nd)
@@ -196,27 +223,20 @@ func newEngine(p *Problem, opt Options) *engine {
 	e.verOv = make([]int64, nd)
 	e.rowVerDis = make([][]int64, nd)
 	e.rowVerOv = make([][]int64, nd)
-	e.cfDisSeen = make([][]int64, nd)
-	e.cfAreaSeen = make([][]int64, nd)
+	e.pairVer = make([][]int64, nd)
+	e.cfSnapDis = make([]int64, nd)
+	e.cfSnapOv = make([]int64, nd)
 	for d := 0; d < nd; d++ {
 		e.rowVerDis[d] = make([]int64, n)
 		e.rowVerOv[d] = make([]int64, n)
-		e.cfDisSeen[d] = make([]int64, idx)
-		e.cfAreaSeen[d] = make([]int64, idx)
-		for pr := 0; pr < idx; pr++ {
-			e.cfDisSeen[d][pr] = -1
-			e.cfAreaSeen[d][pr] = -1
-		}
+		e.pairVer[d] = make([]int64, idx)
+		e.cfSnapDis[d], e.cfSnapOv[d] = -1, -1
 	}
-	e.holeWeight = make([]int, n)
-	e.holeVisited = make([]bool, n)
-	e.holeMCS = make([]int, 0, n)
-	e.holePos = make([]int, n)
-	e.holePrev = make([]int, n)
-	e.holeQueue = make([]int, 0, n)
-	e.holeLater = graph.NewSet(n)
-	e.holeBad = graph.NewSet(n)
-	e.holeBanned = graph.NewSet(n)
+	e.holeSeen = make([]holeMemo, 2*nd)
+	for i := range e.holeSeen {
+		e.holeSeen[i] = holeMemo{own: -1, other: -1}
+	}
+	e.initScratch()
 
 	e.vol = make([]int, n)
 	for b := 0; b < n; b++ {
@@ -251,6 +271,28 @@ func newEngine(p *Problem, opt Options) *engine {
 	}
 	e.computeSymmetry()
 	return e
+}
+
+// initScratch allocates the engine's scratch buffers.
+func (e *engine) initScratch() {
+	n := e.n
+	e.cfDirtyDis = graph.NewSet(n)
+	e.cfDirtyOv = graph.NewSet(n)
+	e.c4Cand = graph.NewSet(n)
+	e.holeBucket = make([]graph.Set, n)
+	e.holeEarlier = make([]graph.Set, n)
+	for v := 0; v < n; v++ {
+		e.holeBucket[v] = graph.NewSet(n)
+		e.holeEarlier[v] = graph.NewSet(n)
+	}
+	e.holeUnseen = graph.NewSet(n)
+	e.holeWeight = make([]int, n)
+	e.holeLatest = make([]int, n)
+	e.holePrev = make([]int, n)
+	e.holeQueue = make([]int, 0, n)
+	e.holeCycle = make([]int, 0, n)
+	e.holeBad = graph.NewSet(n)
+	e.holeBanned = graph.NewSet(n)
 }
 
 // computeSymmetry marks pairs of boxes that are interchangeable: equal
@@ -366,6 +408,7 @@ func (e *engine) setState(d int, p int, s EdgeState, r conflictRule) {
 		e.disAdj[d][v].Add(u)
 		e.touchDis(d, u, v)
 	}
+	e.pairVer[d][p] = e.verDis[d] + e.verOv[d]
 	e.unknown[d]--
 	e.pairUndecided[p]--
 	e.queue = append(e.queue, event{kind: evState, dim: int16(d), pair: int32(p)})
@@ -412,8 +455,8 @@ func (e *engine) setBefore(d, u, v int, r conflictRule) {
 }
 
 // touchDis records a change (insertion or removal) of the disjoint
-// edge {u,v} in dimension d for the clique-force memo: the dimension
-// version advances and both endpoint rows move to it.
+// edge {u,v} in dimension d: the dimension version advances and both
+// endpoint rows move to it.
 func (e *engine) touchDis(d, u, v int) {
 	e.verDis[d]++
 	ver := e.verDis[d]
@@ -460,6 +503,7 @@ func (e *engine) undoTo(m int) {
 				e.disAdj[d][v].Remove(u)
 				e.touchDis(d, u, v)
 			}
+			e.pairVer[d][p] = e.verDis[d] + e.verOv[d]
 			e.state[d][p] = EdgeState(c.old)
 			e.unknown[d]++
 			e.pairUndecided[p]++

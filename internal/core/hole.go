@@ -35,30 +35,53 @@ func (e *engine) holeCheck() {
 	for d := 0; d < e.nd && e.conflict == noConflict; d++ {
 		// Chordality holes in the overlap graph: break by making an
 		// open chord Overlap.
-		e.holeCheckDim(d, e.ovAdj[d], Overlap, false)
+		e.holeCheckDim(d, false)
 		if e.conflict != noConflict {
 			return
 		}
 		// Odd antiholes in the disjoint graph: break by making an open
 		// chord Disjoint.
-		e.holeCheckDim(d, e.disAdj[d], Disjoint, true)
+		e.holeCheckDim(d, true)
 	}
 }
 
-// holeCheckDim repeatedly extracts holes of the given adjacency
-// structure. A hole is conclusive when all of its chords are decided to
-// the opposite state (the breaking value cannot appear anymore):
-// conflict with zero open chords, forcing with exactly one. When oddOnly
-// is set, even-length holes are ignored (even antiholes are harmless:
-// even cycles are comparability graphs).
-func (e *engine) holeCheckDim(d int, adj []graph.Set, breaking EdgeState, oddOnly bool) {
+// holeMemo keys a holeCheckDim verdict that fired nothing: own is the
+// version of the adjacency searched for holes, other the version of the
+// opposite adjacency, or -1 when the verdict read no edge states.
+type holeMemo struct{ own, other int64 }
+
+// holeCheckDim repeatedly extracts holes of dimension d's overlap graph
+// or, with anti set, odd holes of its disjoint graph (antiholes). A hole
+// is conclusive when all of its chords are decided to the opposite
+// state (the breaking value cannot appear anymore): conflict with zero
+// open chords, forcing with exactly one. Even antiholes are ignored:
+// even cycles are comparability graphs.
+//
+// The production path skips a dimension whose last verdict fired
+// nothing and whose inputs have not moved since (equal versions mean
+// identical adjacency): a chordal graph or an even antihole depends on
+// the searched adjacency alone; a hole with two or more open chords
+// also on the chord states, so on both adjacencies.
+func (e *engine) holeCheckDim(d int, anti bool) {
+	adj, breaking, memo := e.ovAdj[d], Overlap, &e.holeSeen[2*d]
+	if anti {
+		adj, breaking, memo = e.disAdj[d], Disjoint, &e.holeSeen[2*d+1]
+	}
+	ref := e.opt.ReferenceRules
+	if own, other := e.holeVersions(d, anti); !ref && memo.own == own && (memo.other < 0 || memo.other == other) {
+		e.skips.holeDims++
+		return
+	}
 	for e.conflict == noConflict {
 		hole := e.findHoleIn(adj)
-		if hole == nil {
+		if hole == nil || anti && len(hole)%2 == 0 {
+			// Chordal, or an inconclusive certificate; deeper search
+			// decides.
+			if !ref {
+				own, _ := e.holeVersions(d, anti)
+				*memo = holeMemo{own: own, other: -1}
+			}
 			return
-		}
-		if oddOnly && len(hole)%2 == 0 {
-			return // inconclusive certificate; deeper search decides
 		}
 		unknownPair, unknowns := -1, 0
 		k := len(hole)
@@ -86,93 +109,104 @@ func (e *engine) holeCheckDim(d int, adj []graph.Set, breaking EdgeState, oddOnl
 			e.propagate()
 		default:
 			// Two or more open chords: no implication from this hole.
+			if !ref {
+				memo.own, memo.other = e.holeVersions(d, anti)
+			}
 			return
 		}
 	}
 }
 
+// holeVersions returns the current versions of the adjacency that
+// holeCheckDim(d, anti) searches and of the opposite one.
+func (e *engine) holeVersions(d int, anti bool) (own, other int64) {
+	if anti {
+		return e.verDis[d], e.verOv[d]
+	}
+	return e.verOv[d], e.verDis[d]
+}
+
 // findHoleIn returns the vertices of an induced cycle of length ≥ 4 in
 // the graph given by the adjacency rows, or nil if it is chordal (or no
-// certificate could be extracted). The production path reuses the
-// engine's hole scratch buffers (this runs once per dimension per
-// search node); findHoleInRef is the allocating reference twin.
+// certificate could be extracted). The production path runs on the
+// engine's hole scratch (this runs once per dimension per search node
+// whose versions moved), and the returned hole aliases it: it is valid
+// until the next call. findHoleInRef is the allocating reference twin.
+//
+// Maximum cardinality search visits, at each step, the smallest
+// unvisited vertex with the most visited neighbours; the reverse visit
+// order is a perfect elimination order iff the graph is chordal. Here
+// the vertices wait in buckets by visited-neighbour count, and each
+// vertex records the neighbours visited before it (its later neighbours
+// in elimination order) and the latest of them, p. The check then runs
+// over the vertices in index order, as the reference does: a vertex
+// whose earlier-visited neighbours other than p are not all adjacent to
+// p fails it.
 func (e *engine) findHoleIn(adj []graph.Set) []int {
 	if e.opt.ReferenceRules {
 		return e.findHoleInRef(adj)
 	}
 	n := e.n
-
-	// Maximum cardinality search.
-	weight := e.holeWeight
-	visited := e.holeVisited
+	bucket, unseen, weight := e.holeBucket, e.holeUnseen, e.holeWeight
+	earlier, latest := e.holeEarlier, e.holeLatest
 	for v := 0; v < n; v++ {
+		bucket[v].Clear()
+		earlier[v].Clear()
 		weight[v] = 0
-		visited[v] = false
+		latest[v] = -1
 	}
-	mcs := e.holeMCS[:0]
-	for len(mcs) < n {
-		best, bestW := -1, -1
-		for v := 0; v < n; v++ {
-			if !visited[v] && weight[v] > bestW {
-				best, bestW = v, weight[v]
-			}
+	for v := 0; v < n; v++ {
+		bucket[0].Add(v)
+		unseen.Add(v)
+	}
+	top := 0
+	nbrs := e.holeBad // best's unvisited neighbours; scratch until the check below
+	for i := 0; i < n; i++ {
+		for bucket[top].Empty() {
+			top--
 		}
-		visited[best] = true
-		mcs = append(mcs, best)
-		adj[best].ForEach(func(u int) {
-			if !visited[u] {
-				weight[u]++
+		best := bucket[top].Min()
+		bucket[top].Remove(best)
+		unseen.Remove(best)
+		nbrs.IntersectOf(adj[best], unseen)
+		for u := nbrs.Min(); u >= 0; u = nbrs.Min() {
+			nbrs.Remove(u)
+			bucket[weight[u]].Remove(u)
+			weight[u]++
+			bucket[weight[u]].Add(u)
+			if weight[u] > top {
+				top = weight[u]
 			}
-		})
-	}
-	pos := e.holePos // position in elimination order = reverse MCS
-	for i, v := range mcs {
-		pos[v] = n - 1 - i
+			earlier[u].Add(best)
+			latest[u] = best
+		}
 	}
 
-	later := e.holeLater
+	bad := e.holeBad
 	for v := 0; v < n; v++ {
-		later.Clear()
-		p, pPos := -1, n
-		adj[v].ForEach(func(u int) {
-			if pos[u] > pos[v] {
-				later.Add(u)
-				if pos[u] < pPos {
-					p, pPos = u, pos[u]
-				}
-			}
-		})
+		p := latest[v]
 		if p < 0 {
 			continue
 		}
-		later.Remove(p)
-		bad := e.holeBad
-		bad.CopyFrom(later)
+		bad.CopyFrom(earlier[v])
+		bad.Remove(p)
 		bad.SubtractWith(adj[p])
-		if bad.Empty() {
-			continue
-		}
 		// v has later non-adjacent neighbors p and w: close a hole
 		// through v.
-		var hole []int
-		bad.Some(func(w int) bool {
-			if path := e.shortestAvoidingFast(adj, p, w, v); path != nil {
-				hole = append([]int{v}, path...)
-				return true
+		for w := bad.Min(); w >= 0; w = bad.Min() {
+			if hole := e.closeHole(adj, v, p, w); hole != nil {
+				return hole
 			}
-			return false
-		})
-		if hole != nil {
-			return hole
+			bad.Remove(w)
 		}
 	}
 	return nil
 }
 
-// shortestAvoidingFast is shortestAvoiding on the engine's scratch
-// buffers: a BFS whose banned set, parent array and queue are reused
-// across calls. Only the returned path is allocated.
-func (e *engine) shortestAvoidingFast(adj []graph.Set, p, w, v int) []int {
+// closeHole is shortestAvoiding on the engine's scratch buffers: a BFS
+// for a shortest p–w path outside N[v] (p and w excepted), returned
+// with v in front — the hole v, p, …, w — in the hole buffer, or nil.
+func (e *engine) closeHole(adj []graph.Set, v, p, w int) []int {
 	banned := e.holeBanned
 	banned.CopyFrom(adj[v])
 	banned.Add(v)
@@ -188,16 +222,17 @@ func (e *engine) shortestAvoidingFast(adj []graph.Set, p, w, v int) []int {
 	for head := 0; head < len(queue); head++ {
 		x := queue[head]
 		if x == w {
-			// Reconstruct path p..w.
-			var rev []int
+			// The path p..w, written back to front behind v.
+			k := 2
 			for c := w; c != p; c = prev[c] {
-				rev = append(rev, c)
+				k++
 			}
-			rev = append(rev, p)
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
+			hole := e.holeCycle[:k]
+			hole[0] = v
+			for c, i := w, k-1; i >= 1; c, i = prev[c], i-1 {
+				hole[i] = c
 			}
-			return rev
+			return hole
 		}
 		adj[x].ForEach(func(y int) {
 			if prev[y] < 0 && !banned.Has(y) {
@@ -206,6 +241,5 @@ func (e *engine) shortestAvoidingFast(adj []graph.Set, p, w, v int) []int {
 			}
 		})
 	}
-	e.holeQueue = queue[:0]
 	return nil
 }

@@ -241,13 +241,13 @@ type Options struct {
 	TimeOverlapFirst bool
 
 	// ReferenceRules selects the pre-optimization straight-line rule
-	// implementations (per-call allocation, no clique-force memo, no C4
-	// viability filter, recomputed branch scores) in place of the
-	// incremental fast paths. Both paths are bit-identical by contract:
-	// same Status, same witness placement, and the same Stats — node
-	// counts included. The knob exists for the differential tests and
-	// for cmd/fpgabench's -compare-ref speedup measurement; production
-	// callers leave it false.
+	// implementations (per-call allocation, no version-keyed skips, no
+	// C4 viability or candidate filter, recomputed branch scores) in
+	// place of the incremental fast paths. Both paths are bit-identical
+	// by contract: same Status, same witness placement, and the same
+	// Stats — node counts included. The knob exists for the differential
+	// tests and for cmd/fpgabench's -compare-ref speedup measurement;
+	// production callers leave it false.
 	ReferenceRules bool
 
 	// Workers, when greater than 1, explores the branch-and-bound tree

@@ -307,37 +307,12 @@ func (e *engine) cliqueExceedsFast(adj []graph.Set, w []int, cand graph.Set, bud
 // Overlap), and every pair whose Overlap decision would complete an
 // overweight area clique of overlap edges (so it must be Disjoint).
 // Runs to a fixpoint together with propagation.
-//
-// The production path memoizes "no forcing" answers against the
-// per-dimension adjacency versions (see disCliqueForces), so the
-// repeated fixpoint passes — and the per-node re-runs along a search
-// branch — recompute the exponential clique bound only for pairs whose
-// candidate neighborhoods were actually dirtied since the last check.
 func (e *engine) cliqueForcePass() {
 	for e.conflict == noConflict {
 		changed := false
 		for d := 0; d < e.nd && e.conflict == noConflict; d++ {
-			if e.unknown[d] == 0 {
-				continue
-			}
-			w := e.p.Dims[d].Sizes
-			cap := e.p.Dims[d].Cap
-			for p := 0; p < e.npairs && e.conflict == noConflict; p++ {
-				if e.state[d][p] != Unknown {
-					continue
-				}
-				u, v := int(e.pairU[p]), int(e.pairV[p])
-				if e.disCliqueForces(d, p, u, v, w, cap) {
-					e.stats.ForcedClique++
-					e.setState(d, p, Overlap, confClique)
-					changed = true
-					continue
-				}
-				if e.areaCliqueForces(d, p, u, v) {
-					e.stats.ForcedArea++
-					e.setState(d, p, Disjoint, confArea)
-					changed = true
-				}
+			if e.unknown[d] != 0 && e.cliqueForceDim(d) {
+				changed = true
 			}
 		}
 		e.propagate()
@@ -347,13 +322,84 @@ func (e *engine) cliqueForcePass() {
 	}
 }
 
-// disCliqueForces reports whether deciding pair p Disjoint in dimension
-// d would complete an overweight clique of disjoint edges. A negative
-// answer computed at disjoint-adjacency version s stays valid while the
-// rows of u, v and of every candidate vertex are still at version <= s
-// (the bound only reads those rows, and unchanged u/v rows pin the
-// candidate set itself), so it is memoized and skipped until dirtied.
-func (e *engine) disCliqueForces(d, p, u, v int, w []int, cap int) bool {
+// cliqueForceDim runs one clique-force sweep over the Unknown pairs of
+// dimension d, in pair order, and reports whether it forced any.
+//
+// The production path skips every check whose answer is already known
+// to be "no forcing", keyed to the adjacency versions. The sweep reads
+// dimension d only, and its snapshot (cfSnapDis/cfSnapOv) is taken only
+// at a clean point: a sweep that forced nothing, so every Unknown pair
+// answered "no" at those versions. Then:
+//
+//   - both versions still at the snapshot means identical state, so the
+//     whole dimension is skipped;
+//   - otherwise a bound is rechecked only if the pair itself changed
+//     since the snapshot (it may have been decided there, and never
+//     checked), or row u, row v or a common neighbour's row moved in the
+//     adjacency the bound reads. The clique bound of pair {u,v} reads
+//     exactly rows u and v, which pin the candidate set, and the
+//     candidates' rows; so with none of them moved its answer is still
+//     the snapshot's "no".
+//
+// A pair the sweep forces dirties its own rows for the pairs after it.
+// The reference path (Options.ReferenceRules) checks every pair.
+func (e *engine) cliqueForceDim(d int) bool {
+	ref := e.opt.ReferenceRules
+	snapDis, snapOv := e.cfSnapDis[d], e.cfSnapOv[d]
+	if !ref && snapDis == e.verDis[d] && snapOv == e.verOv[d] {
+		e.skips.cliqueDims++
+		return false
+	}
+	dirtyDis, dirtyOv := e.cfDirtyDis, e.cfDirtyOv
+	dirtyDis.Clear()
+	dirtyOv.Clear()
+	for x := 0; x < e.n; x++ {
+		if e.rowVerDis[d][x] > snapDis {
+			dirtyDis.Add(x)
+		}
+		if e.rowVerOv[d][x] > snapOv {
+			dirtyOv.Add(x)
+		}
+	}
+	disAdj, ovAdj := e.disAdj[d], e.ovAdj[d]
+	w := e.p.Dims[d].Sizes
+	cap := e.p.Dims[d].Cap
+	forced := false
+	for p := 0; p < e.npairs && e.conflict == noConflict; p++ {
+		if e.state[d][p] != Unknown {
+			continue
+		}
+		u, v := int(e.pairU[p]), int(e.pairV[p])
+		fresh := ref || e.pairVer[d][p] > snapDis+snapOv
+		if !fresh && !dirtyDis.Has(u) && !dirtyDis.Has(v) && !dirtyDis.IntersectsBoth(disAdj[u], disAdj[v]) {
+			e.skips.cliqueBounds++
+		} else if e.disCliqueForces(d, u, v, w, cap) {
+			e.stats.ForcedClique++
+			e.setState(d, p, Overlap, confClique)
+			dirtyOv.Add(u)
+			dirtyOv.Add(v)
+			forced = true
+			continue
+		}
+		if !fresh && !dirtyOv.Has(u) && !dirtyOv.Has(v) && !dirtyOv.IntersectsBoth(ovAdj[u], ovAdj[v]) {
+			e.skips.cliqueBounds++
+		} else if e.areaCliqueForces(d, u, v) {
+			e.stats.ForcedArea++
+			e.setState(d, p, Disjoint, confArea)
+			dirtyDis.Add(u)
+			dirtyDis.Add(v)
+			forced = true
+		}
+	}
+	if !forced && !ref {
+		e.cfSnapDis[d], e.cfSnapOv[d] = e.verDis[d], e.verOv[d]
+	}
+	return forced
+}
+
+// disCliqueForces reports whether deciding pair {u,v} Disjoint in
+// dimension d would complete an overweight clique of disjoint edges.
+func (e *engine) disCliqueForces(d, u, v int, w []int, cap int) bool {
 	budget := cap - w[u] - w[v]
 	if budget < 0 {
 		return true
@@ -365,22 +411,13 @@ func (e *engine) disCliqueForces(d, p, u, v int, w []int, cap int) bool {
 	}
 	cand := e.cliqueScratch(0)
 	cand.IntersectOf(e.disAdj[d][u], e.disAdj[d][v])
-	rowVer := e.rowVerDis[d]
-	if snap := e.cfDisSeen[d][p]; snap >= 0 && rowVer[u] <= snap && rowVer[v] <= snap &&
-		!cand.Some(func(x int) bool { return rowVer[x] > snap }) {
-		return false
-	}
-	if e.cliqueExceedsFast(e.disAdj[d], w, cand, budget, 1) {
-		return true
-	}
-	e.cfDisSeen[d][p] = e.verDis[d]
-	return false
+	return e.cliqueExceedsFast(e.disAdj[d], w, cand, budget, 1)
 }
 
 // areaCliqueForces is disCliqueForces for the Helly area rule: would
-// deciding pair p Overlap in dimension d complete an overlap clique
+// deciding pair {u,v} Overlap in dimension d complete an overlap clique
 // whose cross-sections exceed the perpendicular capacity?
-func (e *engine) areaCliqueForces(d, p, u, v int) bool {
+func (e *engine) areaCliqueForces(d, u, v int) bool {
 	budget := e.coCap[d] - e.coArea[d][u] - e.coArea[d][v]
 	if budget < 0 {
 		return true
@@ -392,16 +429,7 @@ func (e *engine) areaCliqueForces(d, p, u, v int) bool {
 	}
 	cand := e.cliqueScratch(0)
 	cand.IntersectOf(e.ovAdj[d][u], e.ovAdj[d][v])
-	rowVer := e.rowVerOv[d]
-	if snap := e.cfAreaSeen[d][p]; snap >= 0 && rowVer[u] <= snap && rowVer[v] <= snap &&
-		!cand.Some(func(x int) bool { return rowVer[x] > snap }) {
-		return false
-	}
-	if e.cliqueExceedsFast(e.ovAdj[d], e.coArea[d], cand, budget, 1) {
-		return true
-	}
-	e.cfAreaSeen[d][p] = e.verOv[d]
-	return false
+	return e.cliqueExceedsFast(e.ovAdj[d], e.coArea[d], cand, budget, 1)
 }
 
 // c4Scan enforces C1's forbidden configuration: an induced chordless
@@ -414,9 +442,16 @@ func (e *engine) areaCliqueForces(d, p, u, v int) bool {
 // The production path prunes each configuration on the three slots
 // that do not involve b: a configuration with a decided-wrong slot, or
 // with two open slots, among {uv, ua, va} can neither fire nor
-// conflict for any b, so its inner loop is skipped. Forcings during
-// the scan refresh the cached slot states (c4Viability), keeping the
-// visit sequence identical to the reference's fresh-read-per-check.
+// conflict for any b, so it is skipped for that a. The b loop then
+// visits only the b that c4Candidates admits for a viable
+// configuration; every other b would return early from c4Check.
+// Forcings during the scan refresh the viability, keeping the visit
+// sequence identical to the reference's fresh-read-per-check. The
+// candidates need no refresh: a forcing either decides a slot of the
+// current b, which changes rows a, u and v only in column b, or the
+// one open b-independent slot — and since any two configurations
+// disagree on two of those slots, at most one is viable, and deciding
+// its open slot against it leaves none.
 func (e *engine) c4Scan(d, u, v int) {
 	if e.opt.ReferenceRules {
 		e.c4ScanRef(d, u, v)
@@ -425,44 +460,46 @@ func (e *engine) c4Scan(d, u, v int) {
 	row := e.state[d]
 	pu, pv := e.pidx[u], e.pidx[v]
 	puv := pu[v]
+	cand := e.c4Cand
 	for a := 0; a < e.n && e.conflict == noConflict; a++ {
 		if a == u || a == v {
 			continue
 		}
 		pa := e.pidx[a]
 		pua, pva := pu[a], pv[a]
-		v1, v2, v3 := e.c4Viability(row[puv], row[pua], row[pva])
-		if !v1 && !v2 && !v3 {
+		k1, k2, k3 := c4Viability(row[puv], row[pua], row[pva])
+		if k1 < 0 && k2 < 0 && k3 < 0 {
 			continue
 		}
+		e.c4Candidates(d, u, v, a, k1, k2, k3)
 		depth := len(e.trail)
-		for b := a + 1; b < e.n && e.conflict == noConflict; b++ {
+		for b := cand.Next(a + 1); b >= 0 && e.conflict == noConflict; b = cand.Next(b + 1) {
 			if b == u || b == v {
 				continue
 			}
 			// Three configurations, named by their diagonal matching.
-			if v1 {
+			if k1 >= 0 {
 				e.c4Check(d, puv, pa[b], pua, pva, pv[b], pu[b])
 			}
 			if len(e.trail) != depth {
 				depth = len(e.trail)
-				v1, v2, v3 = e.c4Viability(row[puv], row[pua], row[pva])
+				k1, k2, k3 = c4Viability(row[puv], row[pua], row[pva])
 			}
-			if v2 {
+			if k2 >= 0 {
 				e.c4Check(d, pua, pv[b], puv, pva, pa[b], pu[b])
 			}
 			if len(e.trail) != depth {
 				depth = len(e.trail)
-				v1, v2, v3 = e.c4Viability(row[puv], row[pua], row[pva])
+				k1, k2, k3 = c4Viability(row[puv], row[pua], row[pva])
 			}
-			if v3 {
+			if k3 >= 0 {
 				e.c4Check(d, pu[b], pva, puv, pv[b], pa[b], pua)
 			}
 			if len(e.trail) != depth {
 				depth = len(e.trail)
-				v1, v2, v3 = e.c4Viability(row[puv], row[pua], row[pva])
+				k1, k2, k3 = c4Viability(row[puv], row[pua], row[pva])
 			}
-			if !v1 && !v2 && !v3 {
+			if k1 < 0 && k2 < 0 && k3 < 0 {
 				break
 			}
 		}
@@ -470,16 +507,17 @@ func (e *engine) c4Scan(d, u, v int) {
 }
 
 // c4Viability classifies the three C4 configurations of c4Scan by
-// their b-independent slots. Configuration k is viable when none of
-// its three (uv, ua, va) slots is decided against the pattern and at
-// most one of them is Unknown — otherwise c4Check would return early
-// for every b, because the full pattern allows at most one open slot.
-func (e *engine) c4Viability(suv, sua, sva EdgeState) (v1, v2, v3 bool) {
+// their b-independent slots: configuration k gets the number of its
+// (uv, ua, va) slots still Unknown, or -1 when it is not viable — a
+// slot decided against the pattern, or more than one open, since the
+// full pattern allows at most one open slot and c4Check would return
+// early for every b.
+func c4Viability(suv, sua, sva EdgeState) (k1, k2, k3 int) {
 	// sDis is the slot that must end up Disjoint, sOv1/sOv2 the slots
 	// that must end up Overlap.
-	viable := func(sDis, sOv1, sOv2 EdgeState) bool {
+	open := func(sDis, sOv1, sOv2 EdgeState) int {
 		if sDis == Overlap || sOv1 == Disjoint || sOv2 == Disjoint {
-			return false
+			return -1
 		}
 		unknowns := 0
 		if sDis == Unknown {
@@ -491,12 +529,46 @@ func (e *engine) c4Viability(suv, sua, sva EdgeState) (v1, v2, v3 bool) {
 		if sOv2 == Unknown {
 			unknowns++
 		}
-		return unknowns <= 1
+		if unknowns > 1 {
+			return -1
+		}
+		return unknowns
 	}
 	// Config 1: diagonal uv (Disjoint), cycle edges ua, va (Overlap).
 	// Config 2: diagonal ua (Disjoint), cycle edges uv, va (Overlap).
 	// Config 3: diagonal va (Disjoint), cycle edges uv, ua (Overlap).
-	return viable(suv, sua, sva), viable(sua, suv, sva), viable(sva, suv, sua)
+	return open(suv, sua, sva), open(sua, suv, sva), open(sva, suv, sua)
+}
+
+// c4Candidates fills c4Cand with every b at which a viable
+// configuration can still fire, from the b slots the configurations
+// need: config 1 ab Disjoint, vb and ub Overlap; config 2 vb Disjoint,
+// ab and ub Overlap; config 3 ub Disjoint, vb and ab Overlap. With an
+// open b-independent slot (k = 1) all three b slots must already match;
+// with none (k = 0) they must merely not be decided against the
+// pattern. It may admit u and v, which the caller skips.
+func (e *engine) c4Candidates(d, u, v, a, k1, k2, k3 int) {
+	dis, ov := e.disAdj[d], e.ovAdj[d]
+	cand := e.c4Cand
+	cand.Clear()
+	switch k1 {
+	case 0:
+		cand.AddNoneOf(ov[a], dis[v], dis[u])
+	case 1:
+		cand.AddCommon(dis[a], ov[v], ov[u])
+	}
+	switch k2 {
+	case 0:
+		cand.AddNoneOf(ov[v], dis[a], dis[u])
+	case 1:
+		cand.AddCommon(dis[v], ov[a], ov[u])
+	}
+	switch k3 {
+	case 0:
+		cand.AddNoneOf(ov[u], dis[v], dis[a])
+	case 1:
+		cand.AddCommon(dis[u], ov[v], ov[a])
+	}
 }
 
 // c4Check tests one C4 configuration: diagonals d1, d2 must be Disjoint

@@ -5,8 +5,10 @@ import "fpga3d/internal/graph"
 // This file holds the pre-optimization ("reference") implementations of
 // the hot-path rules, selected by Options.ReferenceRules. They are the
 // straight-line scans the engine shipped with before the incremental
-// bitset candidate sets, the clique-force memo and the C4 viability
-// filter were introduced; the optimized twins in rules.go, hole.go and
+// bitset candidate sets, the version-keyed clique-force and hole-check
+// skips and the C4 filters were introduced; rules.go and hole.go branch
+// to them, or skip nothing, when Options.ReferenceRules is set. The
+// optimized twins in rules.go, hole.go and
 // search.go must stay observationally identical — same statuses, same
 // witness placements, same Stats (nodes, propagations, per-rule forced
 // and conflict counters). TestDifferentialRulePaths enforces this on

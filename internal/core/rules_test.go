@@ -70,6 +70,79 @@ func TestCliqueForcePass(t *testing.T) {
 	}
 }
 
+// TestCliqueForceSweepSeesItsOwnForcings pins down, one sweep at a
+// time, the two ways a clique-force sweep's own forcing can enable
+// another in the same dimension, which the version-keyed skips must not
+// lose: a disjoint clique forces {u,v} Overlap, and the now-complete
+// overlap clique {u,v} makes the area rule force a pair whose overlap
+// neighbours are u and v. The boxes swap roles between the cases, so
+// the second forcing comes after the first in pair order (same sweep)
+// or before it (next sweep). The reference path must agree.
+func TestCliqueForceSweepSeesItsOwnForcings(t *testing.T) {
+	// In x, three boxes of width 4 exceed the capacity 10 together; the
+	// cross-areas (y·t, capacity 10·10) of two 6×6 and two 5×5 boxes
+	// exceed it only all four together.
+	big, small, hub := [3]int{4, 6, 6}, [3]int{1, 5, 5}, [3]int{4, 1, 1}
+	cases := []struct {
+		name                string
+		sizes               [5][3]int
+		overlap, disjoint   [][2]int
+		trigger             [2]int // disjoint edge added after a clean sweep
+		forcedOv, forcedDis [2]int
+		sameSweep           bool
+	}{
+		{
+			name:     "later pair",
+			sizes:    [5][3]int{big, big, hub, small, small},
+			overlap:  [][2]int{{0, 3}, {0, 4}, {1, 3}, {1, 4}},
+			disjoint: [][2]int{{1, 2}},
+			trigger:  [2]int{0, 2},
+			forcedOv: [2]int{0, 1}, forcedDis: [2]int{3, 4},
+			sameSweep: true,
+		},
+		{
+			name:     "earlier pair",
+			sizes:    [5][3]int{small, small, big, big, hub},
+			overlap:  [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}},
+			disjoint: [][2]int{{2, 4}},
+			trigger:  [2]int{3, 4},
+			forcedOv: [2]int{2, 3}, forcedDis: [2]int{0, 1},
+		},
+	}
+	for _, tc := range cases {
+		for _, ref := range []bool{false, true} {
+			p := prob(5, [3]int{10, 10, 10}, func(b int) [3]int { return tc.sizes[b] }, false)
+			e := newEngine(p, Options{ReferenceRules: ref})
+			for _, pr := range tc.overlap {
+				e.setState(0, e.pidx[pr[0]][pr[1]], Overlap, confSize)
+			}
+			for _, pr := range tc.disjoint {
+				e.setState(0, e.pidx[pr[0]][pr[1]], Disjoint, confSize)
+			}
+			if e.cliqueForceDim(0) {
+				t.Fatalf("%s (ref=%v): setup already forces", tc.name, ref)
+			}
+			e.setState(0, e.pidx[tc.trigger[0]][tc.trigger[1]], Disjoint, confSize)
+			e.cliqueForceDim(0)
+			if !tc.sameSweep {
+				if got := e.st(0, tc.forcedDis[0], tc.forcedDis[1]); got != Unknown {
+					t.Fatalf("%s (ref=%v): pair %v decided in the first sweep", tc.name, ref, tc.forcedDis)
+				}
+				e.cliqueForceDim(0)
+			}
+			if e.conflict != noConflict {
+				t.Fatalf("%s (ref=%v): unexpected conflict", tc.name, ref)
+			}
+			if got := e.st(0, tc.forcedOv[0], tc.forcedOv[1]); got != Overlap {
+				t.Fatalf("%s (ref=%v): pair %v = %v, want Overlap", tc.name, ref, tc.forcedOv, got)
+			}
+			if got := e.st(0, tc.forcedDis[0], tc.forcedDis[1]); got != Disjoint {
+				t.Fatalf("%s (ref=%v): pair %v = %v, want Disjoint", tc.name, ref, tc.forcedDis, got)
+			}
+		}
+	}
+}
+
 func TestAreaCliqueRule(t *testing.T) {
 	// Two boxes whose cross-sections (y×t) cannot coexist: each has
 	// cross-area 6×6 = 36, the container cross-section is 8×8 = 64 < 72.
@@ -360,7 +433,7 @@ func TestEvenAntiholeIsInconclusive(t *testing.T) {
 		t.Fatal("cycle edges alone conflicted")
 	}
 	before := append([]EdgeState(nil), e.state[d]...)
-	e.holeCheckDim(d, e.disAdj[d], Disjoint, true)
+	e.holeCheckDim(d, true)
 	if e.conflict != noConflict {
 		t.Fatal("even antihole pass conflicted")
 	}

@@ -119,6 +119,9 @@ func (w *wspool) worker() {
 // shard's per-node work matches what the donor would have done in
 // place.
 func (w *wspool) run(t *task) {
+	if w.stop.Load() {
+		return // queued before the pool stopped: nothing explored, nothing to merge
+	}
 	e := t.e
 	st := StatusInfeasible
 	if t.branch {
@@ -190,9 +193,17 @@ func (w *wspool) poll(e *engine) bool {
 // combine as: first feasible wins (and fires Options.OnSolution);
 // genuine aborts — not the pool's own stop broadcast — are remembered
 // and stop the pool; infeasible shards only contribute statistics.
+// The final flush enforces the global node limit too: a donated subtree
+// smaller than the polling cadence never polls, so without this check
+// a swarm of small shards could run far past the limit. An exhausted
+// shard that was the last outstanding task completed the search, and
+// keeps its infeasible verdict.
 func (w *wspool) record(e *engine, st Status) {
-	w.nodes.Add(e.stats.Nodes - e.nodesFlushed)
+	total := w.nodes.Add(e.stats.Nodes - e.nodesFlushed)
 	e.nodesFlushed = e.stats.Nodes
+	if st == StatusInfeasible && w.nodeLimit > 0 && total >= w.nodeLimit && w.pending.Load() > 1 {
+		st = StatusNodeLimit
+	}
 	var fire func(*Solution)
 	var sol *Solution
 	w.mu.Lock()

@@ -55,10 +55,19 @@ func descend(t *testing.T, e *engine, depth int) int {
 // the clone copies every piece of state that feeds rule decisions.
 func TestCloneExploresIdenticalSubtree(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
+	frng := rand.New(rand.NewSource(20260809))
 	clonedAt := 0
-	for trial := 0; trial < 80; trial++ {
-		p := randomProblem(rng)
-		opt := Options{NodeLimit: 50_000, TimeOverlapFirst: rng.Intn(2) == 0}
+	// The last trials draw frontier-scale instances, whose clones carry
+	// live clique-force snapshots and hole memos.
+	for trial := 0; trial < 92; trial++ {
+		var p *Problem
+		opt := Options{NodeLimit: 50_000}
+		if trial < 80 {
+			p = randomProblem(rng)
+		} else {
+			p, opt.NodeLimit = frontierProblem(frng), frontierNodeLimit
+		}
+		opt.TimeOverlapFirst = rng.Intn(2) == 0
 		e := newEngine(p, opt)
 		if !e.applyRoot() {
 			continue // root-infeasible: nothing to clone
@@ -219,19 +228,26 @@ func TestParallelCancellationMidSteal(t *testing.T) {
 
 // TestParallelGlobalNodeLimit checks that NodeLimit bounds the summed
 // node count of all shards (within the 256-node polling cadence per
-// worker), not each shard individually.
+// worker), not each shard individually. Forced donation can land a
+// shard on a witness within the budget, and the pool ranks a feasible
+// outcome above a limit abort, so a verified witness is an accepted
+// answer too; either way the node count must respect the global limit.
 func TestParallelGlobalNodeLimit(t *testing.T) {
 	forceDonation(t)
 	p := hardInstance(t)
 	const limit = 2_000
 	const workers = 4
 	res := Solve(p, Options{Workers: workers, NodeLimit: limit})
-	if res.Status != StatusNodeLimit {
-		t.Fatalf("status %v; want node-limit", res.Status)
+	switch res.Status {
+	case StatusNodeLimit:
+	case StatusFeasible:
+		checkSolution(t, p, res.Solution)
+	default:
+		t.Fatalf("status %v; want node-limit or a verified witness", res.Status)
 	}
 	slack := int64(256*workers + 512)
 	if res.Stats.Nodes > limit+slack {
-		t.Fatalf("nodes %d overshoot limit %d by more than %d", res.Stats.Nodes, limit, slack)
+		t.Fatalf("%v: nodes %d overshoot limit %d by more than %d", res.Status, res.Stats.Nodes, limit, slack)
 	}
 }
 

@@ -128,22 +128,6 @@ func (s Set) SumAndMax(w []int) (sum, argmax, max int) {
 	return sum, argmax, max
 }
 
-// Some calls f for the set's vertices in increasing order until f
-// returns true, and reports whether any call did. It is the
-// early-exit counterpart of ForEach.
-func (s Set) Some(f func(v int) bool) bool {
-	for i, word := range s.words {
-		base := i << 6
-		for word != 0 {
-			if f(base + bits.TrailingZeros64(word)) {
-				return true
-			}
-			word &= word - 1
-		}
-	}
-	return false
-}
-
 // Equal reports whether s and o contain the same vertices.
 func (s Set) Equal(o Set) bool {
 	if s.n != o.n {
@@ -175,6 +159,59 @@ func (s Set) Intersects(o Set) bool {
 		}
 	}
 	return false
+}
+
+// IntersectsBoth reports whether s, a and b share at least one vertex,
+// in one word-wise pass and without materializing a ∩ b.
+func (s Set) IntersectsBoth(a, b Set) bool {
+	for i := range s.words {
+		if s.words[i]&a.words[i]&b.words[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// AddCommon adds to s every vertex that lies in all of a, b and c.
+func (s Set) AddCommon(a, b, c Set) {
+	for i := range s.words {
+		s.words[i] |= a.words[i] & b.words[i] & c.words[i]
+	}
+}
+
+// AddNoneOf adds to s every vertex below the capacity that lies in
+// none of a, b and c.
+func (s Set) AddNoneOf(a, b, c Set) {
+	for i := range s.words {
+		s.words[i] |= ^(a.words[i] | b.words[i] | c.words[i])
+	}
+	if r := s.n & 63; r != 0 {
+		s.words[len(s.words)-1] &= 1<<uint(r) - 1
+	}
+}
+
+// Next returns the smallest vertex of the set that is >= v, or -1 if
+// there is none. Iterating with Next instead of ForEach lets the caller
+// see changes it makes to the set mid-iteration.
+func (s Set) Next(v int) int {
+	if v < 0 {
+		v = 0
+	}
+	i := v >> 6
+	if i >= len(s.words) {
+		return -1
+	}
+	w := s.words[i] &^ (1<<uint(v&63) - 1)
+	for {
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+		i++
+		if i == len(s.words) {
+			return -1
+		}
+		w = s.words[i]
+	}
 }
 
 // Min returns the smallest vertex in the set, or -1 if the set is empty.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -218,6 +219,64 @@ func TestSetIntersectOf(t *testing.T) {
 	}
 }
 
+func TestSetIntersectsBoth(t *testing.T) {
+	s, a, b := NewSet(130), NewSet(130), NewSet(130)
+	for _, v := range []int{5, 100} {
+		s.Add(v)
+	}
+	a.Add(5)
+	a.Add(129)
+	b.Add(100)
+	b.Add(129)
+	// Pairwise overlaps (s∩a, s∩b, a∩b) but no common vertex.
+	if s.IntersectsBoth(a, b) {
+		t.Fatal("IntersectsBoth true without a common vertex")
+	}
+	a.Add(100)
+	if !s.IntersectsBoth(a, b) {
+		t.Fatal("IntersectsBoth missed common vertex 100 in the second word")
+	}
+}
+
+func TestSetAddCommonAndNoneOf(t *testing.T) {
+	a, b, c := NewSet(70), NewSet(70), NewSet(70)
+	for _, v := range []int{1, 2, 65} {
+		a.Add(v)
+		b.Add(v)
+	}
+	c.Add(2)
+	c.Add(65)
+	s := NewSet(70)
+	s.Add(0)
+	s.AddCommon(a, b, c)
+	if got := s.Slice(); !reflect.DeepEqual(got, []int{0, 2, 65}) {
+		t.Fatalf("AddCommon = %v, want [0 2 65]", got)
+	}
+	s.Clear()
+	s.AddNoneOf(a, b, c)
+	// Everything below the capacity except 1, 2, 65 — and nothing past it.
+	if s.Count() != 67 || s.Has(1) || s.Has(2) || s.Has(65) || !s.Has(0) || !s.Has(69) {
+		t.Fatalf("AddNoneOf = %v", s)
+	}
+}
+
+func TestSetNext(t *testing.T) {
+	s := NewSet(130)
+	for _, v := range []int{3, 63, 64, 129} {
+		s.Add(v)
+	}
+	var got []int
+	for v := s.Next(0); v >= 0; v = s.Next(v + 1) {
+		got = append(got, v)
+	}
+	if !reflect.DeepEqual(got, []int{3, 63, 64, 129}) {
+		t.Fatalf("Next walk = %v", got)
+	}
+	if s.Next(130) != -1 || s.Next(-5) != 3 || NewSet(10).Next(0) != -1 {
+		t.Fatal("Next out-of-range or empty cases wrong")
+	}
+}
+
 func TestSetSumAndMax(t *testing.T) {
 	s := NewSet(70)
 	w := make([]int, 70)
@@ -234,22 +293,5 @@ func TestSetSumAndMax(t *testing.T) {
 	}
 	if arg != 64 { // ties break to the smallest vertex
 		t.Fatalf("SumAndMax argmax = %d, want 64", arg)
-	}
-}
-
-func TestSetSome(t *testing.T) {
-	s := NewSet(130)
-	for _, v := range []int{2, 64, 128} {
-		s.Add(v)
-	}
-	var seen []int
-	if s.Some(func(v int) bool { seen = append(seen, v); return v >= 64 }) != true {
-		t.Fatal("Some returned false despite a match")
-	}
-	if len(seen) != 2 || seen[0] != 2 || seen[1] != 64 {
-		t.Fatalf("Some visited %v, want [2 64]", seen)
-	}
-	if s.Some(func(v int) bool { return v > 1000 }) {
-		t.Fatal("Some returned true without a match")
 	}
 }
