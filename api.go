@@ -245,9 +245,10 @@ func MinimizeTime(in *Instance, w, h int, o *Options) (*OptimizeResult, error) {
 	return MinimizeTimeCtx(context.Background(), in, w, h, o)
 }
 
-// MinimizeTimeCtx is MinimizeTime under a context. The binary search's
-// independent OPP decisions race on Options.Workers goroutines (the
-// optimum and its witness stay bit-identical to the sequential sweep);
+// MinimizeTimeCtx is MinimizeTime under a context. With
+// Options.Workers > 1 the binary search's independent OPP decisions
+// race on that many goroutines (the optimum and its witness stay
+// bit-identical to the sequential sweep);
 // cancellation aborts the run promptly and returns the partial result —
 // with the merged statistics of every probe, including canceled ones —
 // together with ctx.Err().
@@ -262,9 +263,10 @@ func MinimizeChip(in *Instance, t int, o *Options) (*OptimizeResult, error) {
 	return MinimizeChipCtx(context.Background(), in, t, o)
 }
 
-// MinimizeChipCtx is MinimizeChip under a context. The h-ascent's OPP
-// decisions race on Options.Workers goroutines with first-useful-answer
-// pruning; cancellation semantics match MinimizeTimeCtx.
+// MinimizeChipCtx is MinimizeChip under a context. With
+// Options.Workers > 1 the h-ascent's OPP decisions race on that many
+// goroutines with first-useful-answer pruning; cancellation semantics
+// match MinimizeTimeCtx.
 func MinimizeChipCtx(ctx context.Context, in *Instance, t int, o *Options) (*OptimizeResult, error) {
 	r, err := solver.MinBaseCtx(ctx, in.m, t, opts(o))
 	return convertOptErr(r, err)
@@ -354,8 +356,8 @@ func Pareto(in *Instance, o *Options) ([]ParetoPoint, error) {
 }
 
 // ParetoCtx is Pareto under a context. The T-walk is sequential (each
-// point seeds the next), but every chip minimization inside it races
-// its probes on Options.Workers goroutines; cancellation aborts the
+// point seeds the next), but with Options.Workers > 1 every chip
+// minimization inside it races its probes; cancellation aborts the
 // walk promptly and returns the partial front together with ctx.Err().
 func ParetoCtx(ctx context.Context, in *Instance, o *Options) ([]ParetoPoint, error) {
 	r, err := solver.ParetoFrontCtx(ctx, in.m, opts(o))

@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tolerance       = fs.Float64("tolerance", 0.5, "relative wall-time slack before a case counts as regressed")
 		floor           = fs.Duration("floor", 25*time.Millisecond, "absolute wall-time slack; micro-cases under this never regress")
 		compareRef      = fs.Bool("compare-ref", false, "also time the reference rule paths and record the speedup")
-		workers         = fs.Int("workers", 0, "additionally time optimization sweeps with this worker pool")
+		workers         = fs.Int("workers", 0, "parallelism is opt-in: >1 additionally times optimization sweeps racing on this many workers")
 		compareStrategy = fs.Bool("compare-strategy", false, "also run every case under the portfolio strategy; exit 2 if it changes an answer, or increases a node count on a paper instance")
 		compareParallel = fs.Int("compare-parallel", 0, "also run single-decision (opp) cases with an intra-probe work-stealing pool of this size; exit 2 if any answer changes")
 		onlineMode      = fs.Bool("online", false, "replay the online placement scripts instead of the core solver suite")

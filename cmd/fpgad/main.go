@@ -133,7 +133,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		queueDepth      = fs.Int("queue-depth", 64, "admitted requests waiting for a slot; beyond this requests get 429")
 		defaultTimeout  = fs.Duration("default-timeout", 30*time.Second, "per-request solve deadline unless the request sets timeout_ms")
 		cacheSize       = fs.Int("cache-size", 256, "canonical-instance result cache entries (negative disables)")
-		workers         = fs.Int("workers", 1, "per-solve parallelism: sweeps race probes (bit-identical), single decisions steal subtrees when >1 (answer-equal); 0 = GOMAXPROCS for sweeps only; keep 1 when -max-concurrent already saturates the cores")
+		workers         = fs.Int("workers", 1, "per-solve parallelism, opt-in: >1 races sweep probes (bit-identical) and steals subtrees in single decisions (answer-equal); 0 and 1 are sequential; keep 1 when -max-concurrent already saturates the cores")
 		strategyName    = fs.String("strategy", "", "default solve strategy: staged | portfolio | anneal (requests may override per call)")
 		drainTimeout    = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight solves")
 		logFormat       = fs.String("log-format", "text", "structured log output: text | json")

@@ -41,9 +41,8 @@
 // and stay bit-identical to sequential runs, while a single decision
 // runs its branch-and-bound tree on a work-stealing pool — same
 // verdict and optimum, possibly a different (always valid) witness.
-// 0 means GOMAXPROCS for sweep racing but keeps single decisions
-// sequential; intra-probe stealing is opt-in via an explicit value
-// above 1.
+// Both are opt-in: only a value above 1 runs either; 0 (the default)
+// and 1 are fully sequential.
 //
 // A run cut off by -timeout prints the partial result as JSON and
 // exits with status 3 (exitDeadline), so scripts can distinguish
@@ -108,7 +107,7 @@ func main() {
 		reconfig     = flag.Int("reconfig", 0, "per-task reconfiguration overhead folded into durations")
 		nodeLimit    = flag.Int64("node-limit", 0, "branch-and-bound node budget (0 = unlimited)")
 		timeLimit    = flag.Duration("time-limit", 5*time.Minute, "wall-clock budget per decision")
-		workers      = flag.Int("workers", 0, "parallelism for sweeps (probe racing, bit-identical) and, when >1, single decisions (work stealing, answer-equal); 0 = GOMAXPROCS for sweeps only, 1 = fully sequential")
+		workers      = flag.Int("workers", 0, "parallelism, opt-in: >1 races sweep probes (bit-identical) and steals subtrees in single decisions (answer-equal); 0 and 1 are fully sequential")
 		strategyName = flag.String("strategy", "", "solve strategy: staged (default; bounds, heuristic, search in order) | portfolio (incumbent sharing, prover-vs-search racing) | anneal (staged plus a randomized annealing stage before the exact search)")
 		anytime      = flag.Bool("anytime", false, "anytime minimization (spp only): stream improvements with optimality gaps to stderr; a partial result keeps the best-known schedule and its gap")
 		annealSeed   = flag.Int64("anneal-seed", 0, "seed for the randomized annealing placer (0 = default seed; runs are deterministic per seed)")

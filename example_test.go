@@ -97,7 +97,7 @@ func ExampleMinimizeChipCtx() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	opt := &fpga3d.Options{Workers: 4} // 0 means GOMAXPROCS
+	opt := &fpga3d.Options{Workers: 4} // parallelism is opt-in; 0 is sequential
 	res, err := fpga3d.MinimizeChipCtx(ctx, fpga3d.BenchmarkDE(), 13, opt)
 	if err != nil {
 		log.Fatal(err)

@@ -5,8 +5,15 @@ import (
 	"fpga3d/internal/model"
 )
 
-// ceilDiv returns ⌈a / b⌉ for positive b.
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
+// ceilDiv returns ⌈a / b⌉ for non-negative a and positive b, without
+// the overflow of (a+b−1)/b when a is a saturated volume.
+func ceilDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 {
+		q++
+	}
+	return q
+}
 
 // OPPInfeasible tries the paper's stage-1 bounds to disprove the
 // existence of a feasible packing of in inside c under order o. When it
@@ -148,8 +155,9 @@ func SerializationMinT(in *model.Instance, W, H int, o *model.Order) int {
 		}
 		return sum + minHead + minTail
 	}
+	cur := graph.NewSet(n)
 	maximalCliques(g, func(c graph.Set) {
-		cur := c.Clone()
+		cur.CopyFrom(c)
 		for {
 			val := evaluate(cur)
 			if val > best {
@@ -174,47 +182,49 @@ func SerializationMinT(in *model.Instance, W, H int, o *model.Order) int {
 }
 
 // maximalCliques runs Bron–Kerbosch with pivoting, calling emit for each
-// maximal clique. Intended for the tiny conflict graphs of module sets.
+// maximal clique; emit must not retain its argument. Intended for the
+// tiny conflict graphs of module sets. Every branch adds one vertex to
+// the clique, so the recursion is at most n deep, and each depth owns
+// its candidate, excluded and branching sets: the enumeration
+// allocates only those, once.
 func maximalCliques(g *graph.Undirected, emit func(graph.Set)) {
 	n := g.N()
 	r := graph.NewSet(n)
-	p := graph.NewSet(n)
-	x := graph.NewSet(n)
+	scratch := graph.NewSets(3*(n+1), n)
+	ps, xs, cands := scratch[:n+1], scratch[n+1:2*(n+1)], scratch[2*(n+1):]
 	for v := 0; v < n; v++ {
-		p.Add(v)
+		ps[0].Add(v)
 	}
-	var bk func(r, p, x graph.Set)
-	bk = func(r, p, x graph.Set) {
+	var bk func(d int)
+	bk = func(d int) {
+		p, x := ps[d], xs[d]
 		if p.Empty() && x.Empty() {
 			emit(r)
 			return
 		}
 		// Pivot: vertex of p ∪ x with most neighbors in p.
 		pivot, bestDeg := -1, -1
-		consider := func(v int) {
-			tmp := g.Neighbors(v).Clone()
-			tmp.IntersectWith(p)
-			if d := tmp.Count(); d > bestDeg {
-				pivot, bestDeg = v, d
+		for _, s := range [2]graph.Set{p, x} {
+			for v := s.Next(0); v >= 0; v = s.Next(v + 1) {
+				if deg := g.Neighbors(v).IntersectionCount(p); deg > bestDeg {
+					pivot, bestDeg = v, deg
+				}
 			}
 		}
-		p.ForEach(consider)
-		x.ForEach(consider)
-		cand := p.Clone()
+		cand := cands[d]
+		cand.CopyFrom(p)
 		if pivot >= 0 {
 			cand.SubtractWith(g.Neighbors(pivot))
 		}
-		cand.ForEach(func(v int) {
-			nr := r.Clone()
-			nr.Add(v)
-			np := p.Clone()
-			np.IntersectWith(g.Neighbors(v))
-			nx := x.Clone()
-			nx.IntersectWith(g.Neighbors(v))
-			bk(nr, np, nx)
+		for v := cand.Next(0); v >= 0; v = cand.Next(v + 1) {
+			r.Add(v)
+			ps[d+1].IntersectOf(p, g.Neighbors(v))
+			xs[d+1].IntersectOf(x, g.Neighbors(v))
+			bk(d + 1)
+			r.Remove(v)
 			p.Remove(v)
 			x.Add(v)
-		})
+		}
 	}
-	bk(r, p, x)
+	bk(0)
 }

@@ -1,12 +1,14 @@
 package bounds
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"fpga3d/internal/bench"
 	"fpga3d/internal/geomsearch"
+	"fpga3d/internal/graph"
 	"fpga3d/internal/model"
 )
 
@@ -199,9 +201,80 @@ func TestEnergeticMonotone(t *testing.T) {
 }
 
 func TestCeilDiv(t *testing.T) {
-	for _, tc := range [][3]int{{7, 2, 4}, {8, 2, 4}, {1, 3, 1}, {0, 5, 0}} {
+	for _, tc := range [][3]int{{7, 2, 4}, {8, 2, 4}, {1, 3, 1}, {0, 5, 0}, {math.MaxInt, 2, math.MaxInt/2 + 1}} {
 		if got := ceilDiv(tc[0], tc[1]); got != tc[2] {
 			t.Errorf("ceilDiv(%d,%d) = %d, want %d", tc[0], tc[1], got, tc[2])
+		}
+	}
+}
+
+// refMaximalCliques is Bron–Kerbosch with pivoting on freshly
+// allocated sets at every branch.
+func refMaximalCliques(g *graph.Undirected, emit func(graph.Set)) {
+	n := g.N()
+	p := graph.NewSet(n)
+	for v := 0; v < n; v++ {
+		p.Add(v)
+	}
+	var bk func(r, p, x graph.Set)
+	bk = func(r, p, x graph.Set) {
+		if p.Empty() && x.Empty() {
+			emit(r)
+			return
+		}
+		pivot, bestDeg := -1, -1
+		consider := func(v int) {
+			tmp := g.Neighbors(v).Clone()
+			tmp.IntersectWith(p)
+			if d := tmp.Count(); d > bestDeg {
+				pivot, bestDeg = v, d
+			}
+		}
+		p.ForEach(consider)
+		x.ForEach(consider)
+		cand := p.Clone()
+		if pivot >= 0 {
+			cand.SubtractWith(g.Neighbors(pivot))
+		}
+		cand.ForEach(func(v int) {
+			nr := r.Clone()
+			nr.Add(v)
+			np := p.Clone()
+			np.IntersectWith(g.Neighbors(v))
+			nx := x.Clone()
+			nx.IntersectWith(g.Neighbors(v))
+			bk(nr, np, nx)
+			p.Remove(v)
+			x.Add(v)
+		})
+	}
+	bk(graph.NewSet(n), p, graph.NewSet(n))
+}
+
+// TestMaximalCliquesMatchesReference: the scratch-set enumeration
+// emits the same cliques in the same order as the allocating one, on
+// random graphs of up to 70 vertices (two bitset words).
+func TestMaximalCliquesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for c := 0; c < 1000; c++ {
+		n, p := rng.Intn(20), rng.Float64()
+		if c%10 == 0 {
+			// Sparse, so the clique count stays small.
+			n, p = 60+rng.Intn(11), rng.Float64()*0.1
+		}
+		g := graph.NewUndirected(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					g.AddEdge(u, v)
+				}
+			}
+		}
+		var got, want []string
+		maximalCliques(g, func(s graph.Set) { got = append(got, s.String()) })
+		refMaximalCliques(g, func(s graph.Set) { want = append(want, s.String()) })
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("case %d (n=%d): cliques %v, reference %v", c, n, got, want)
 		}
 	}
 }
@@ -239,5 +312,27 @@ func TestMinTimeReportConsistency(t *testing.T) {
 		if lb := MinTimeLB(in, 4, 4, o); rep.Best != lb {
 			t.Fatalf("seed %d: report %d vs MinTimeLB %d", seed, rep.Best, lb)
 		}
+	}
+}
+
+// TestBoundsOnHugeContainer: a container with sides near 2^21 has a
+// volume of 2^63, past int64. Wrapped products would let the volume,
+// energetic or DFF bound refute a single unit task in it.
+func TestBoundsOnHugeContainer(t *testing.T) {
+	const side = 1 << 21
+	in := &model.Instance{Tasks: []model.Task{{W: 1, H: 1, Dur: 1}, {W: side, H: 1, Dur: 2}}}
+	o := mustOrder(t, in)
+	for _, c := range []model.Container{
+		{W: side, H: side, T: side},
+		{W: side + 1, H: side - 1, T: side + 3},
+	} {
+		if bad, why := OPPInfeasible(in, c, o); bad {
+			t.Fatalf("%v: bound %q refuted two small tasks", c, why)
+		}
+	}
+	// Tasks whose volumes saturate are still refuted where they do not fit.
+	big := &model.Instance{Tasks: []model.Task{{W: side, H: side, Dur: side}, {W: side, H: side, Dur: side}}}
+	if bad, _ := OPPInfeasible(big, model.Container{W: side, H: side, T: side}, mustOrder(t, big)); !bad {
+		t.Fatal("two container-sized tasks not refuted")
 	}
 }

@@ -6,6 +6,11 @@
 // cliques of spatially incompatible modules.
 package bounds
 
+import (
+	"math"
+	"math/bits"
+)
+
 // A dual feasible function (DFF) maps item sizes w ∈ [0, W] to scaled
 // sizes f(w) ∈ [0, F] such that Σ f(w_i) ≤ F whenever Σ w_i ≤ W.
 // If a set of d-dimensional boxes packs into a container, then for any
@@ -127,41 +132,79 @@ func dffCandidates(W int, sizes []int) []dff {
 // dimension proves that the boxes (sizes[d][b]) cannot pack into the
 // container (caps[d]). maxCombos bounds the number of combinations
 // tried; 0 means no limit.
+//
+// Combinations are tried in odometer order, dimension 0 turning
+// fastest. Each candidate's scaled sizes are tabulated once, and the
+// product over dimensions ≥ 1 is formed once per outer pick, so each
+// dimension-0 candidate costs one multiply-add per box that the outer
+// pick does not scale to zero.
+//
+// The arithmetic saturates at the top of uint64 instead of wrapping. A
+// saturated total exceeds only capacities that did not saturate, which
+// its true value exceeds too, and a saturated capacity is exceeded by
+// nothing: saturation can miss a proof but never invent one.
 func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
-	nd := len(caps)
-	cands := make([][]dff, nd)
-	for d := 0; d < nd; d++ {
-		cands[d] = dffCandidates(caps[d], sizes[d])
+	nd, n := len(caps), len(sizes[0])
+	scaled := make([][][]uint64, nd) // [d][candidate][box]
+	capOf := make([][]uint64, nd)    // [d][candidate]
+	for d := range caps {
+		cands := dffCandidates(caps[d], sizes[d])
+		scaled[d] = make([][]uint64, len(cands))
+		capOf[d] = make([]uint64, len(cands))
+		flat := make([]uint64, len(cands)*n)
+		for k, f := range cands {
+			row := flat[k*n : (k+1)*n]
+			for b, w := range sizes[d] {
+				row[b] = uint64(f.scale(w))
+			}
+			scaled[d][k], capOf[d][k] = row, uint64(f.cap)
+		}
 	}
-	pick := make([]int, nd)
+	pick := make([]int, nd) // outer picks; pick[0] is unused
+	rest := make([]uint64, n)
+	live := make([]int, 0, n)
 	combos := 0
 	for {
-		if maxCombos > 0 && combos >= maxCombos {
-			return false
+		// Π over d ≥ 1 of the current outer pick, per box and for the
+		// capacity.
+		restCap := uint64(1)
+		for b := range rest {
+			rest[b] = 1
 		}
-		combos++
-		// Evaluate current combination.
-		var capProd int64 = 1
-		for d := 0; d < nd; d++ {
-			capProd *= int64(cands[d][pick[d]].cap)
-		}
-		var total int64
-		n := len(sizes[0])
-		for b := 0; b < n; b++ {
-			var v int64 = 1
-			for d := 0; d < nd; d++ {
-				v *= int64(cands[d][pick[d]].scale(sizes[d][b]))
+		for d := 1; d < nd; d++ {
+			restCap = satMul(restCap, capOf[d][pick[d]])
+			for b, v := range scaled[d][pick[d]] {
+				rest[b] = satMul(rest[b], v)
 			}
-			total += v
 		}
-		if total > capProd {
-			return true
+		// Boxes the outer pick scales to zero add nothing to any sum.
+		live = live[:0]
+		for b, r := range rest {
+			if r != 0 {
+				live = append(live, b)
+			}
 		}
-		// Advance the odometer.
-		d := 0
+		for k, row := range scaled[0] {
+			if maxCombos > 0 && combos >= maxCombos {
+				return false
+			}
+			combos++
+			var total, over uint64
+			for _, b := range live {
+				total, over = mulAdd(total, over, row[b], rest[b])
+			}
+			if over != 0 {
+				total = math.MaxUint64
+			}
+			if total > satMul(capOf[0][k], restCap) {
+				return true
+			}
+		}
+		// Advance the odometer over dimensions ≥ 1.
+		d := 1
 		for d < nd {
 			pick[d]++
-			if pick[d] < len(cands[d]) {
+			if pick[d] < len(scaled[d]) {
 				break
 			}
 			pick[d] = 0
@@ -171,4 +214,24 @@ func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
 			return false
 		}
 	}
+}
+
+// satMul returns a·b, or the largest uint64 if the product overflows.
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+// mulAdd returns acc + x·y, and over with any bit of the product or the
+// carry that did not fit ORed in. A sum of non-negative terms is at
+// least each term and each partial sum, so a sum accumulated this way
+// saturates as a whole: when over ends non-zero, the true sum exceeds
+// the largest uint64.
+func mulAdd(acc, over, x, y uint64) (uint64, uint64) {
+	hi, lo := bits.Mul64(x, y)
+	sum, carry := bits.Add64(acc, lo, 0)
+	return sum, over | hi | carry
 }

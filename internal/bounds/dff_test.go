@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fpga3d/internal/bench"
+	"fpga3d/internal/model"
 )
 
 // TestDFFProperty checks the defining inequality of every generated
@@ -176,5 +179,132 @@ func TestRoundingDFFShape(t *testing.T) {
 	// w=2: 2·2=4, 4/6 = 0 → 0: items of a third or less vanish at k=1.
 	if d.scale(2) != 0 {
 		t.Fatalf("scale(2) = %d", d.scale(2))
+	}
+}
+
+// refDFFInfeasible is the reference odometer: every combination
+// evaluated from scratch, the scale functions called per box, in int64.
+func refDFFInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
+	nd := len(caps)
+	cands := make([][]dff, nd)
+	for d := 0; d < nd; d++ {
+		cands[d] = dffCandidates(caps[d], sizes[d])
+	}
+	pick := make([]int, nd)
+	combos := 0
+	for {
+		if maxCombos > 0 && combos >= maxCombos {
+			return false
+		}
+		combos++
+		var capProd int64 = 1
+		for d := 0; d < nd; d++ {
+			capProd *= int64(cands[d][pick[d]].cap)
+		}
+		var total int64
+		for b := range sizes[0] {
+			var v int64 = 1
+			for d := 0; d < nd; d++ {
+				v *= int64(cands[d][pick[d]].scale(sizes[d][b]))
+			}
+			total += v
+		}
+		if total > capProd {
+			return true
+		}
+		d := 0
+		for d < nd {
+			pick[d]++
+			if pick[d] < len(cands[d]) {
+				break
+			}
+			pick[d] = 0
+			d++
+		}
+		if d == nd {
+			return false
+		}
+	}
+}
+
+// TestDFFInfeasibleMatchesReference compares the tabulated evaluation
+// with the reference odometer on random box multisets, in one to three
+// dimensions, under several combination budgets: equal verdicts at
+// every budget pin the order in which combinations are tried.
+func TestDFFInfeasibleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	cases := 20000
+	if testing.Short() {
+		cases = 2000
+	}
+	budgets := []int{0, 1, 2, 3, 5, 17, 100, 4096}
+	refuted := 0
+	for c := 0; c < cases; c++ {
+		nd := 1 + rng.Intn(3)
+		n := 1 + rng.Intn(10)
+		caps := make([]int, nd)
+		sizes := make([][]int, nd)
+		for d := range caps {
+			caps[d] = 1 + rng.Intn(24)
+			sizes[d] = make([]int, n)
+			for b := range sizes[d] {
+				// Sizes up to the capacity, biased towards large
+				// items so that refutations are common.
+				sizes[d][b] = 1 + rng.Intn(caps[d])
+				if rng.Intn(2) == 0 {
+					sizes[d][b] = caps[d] - rng.Intn(1+caps[d]/2)
+				}
+			}
+		}
+		for _, m := range budgets {
+			got, want := dffInfeasible(caps, sizes, m), refDFFInfeasible(caps, sizes, m)
+			if got != want {
+				t.Fatalf("case %d caps %v sizes %v maxCombos %d: %v, reference %v", c, caps, sizes, m, got, want)
+			}
+			if m == 0 && got {
+				refuted++
+			}
+		}
+	}
+	if refuted == 0 || refuted == cases {
+		t.Fatalf("%d of %d cases refuted: the corpus does not exercise both verdicts", refuted, cases)
+	}
+}
+
+// TestDFFSaturatesInsteadOfWrapping: on a container with sides near
+// 2^21 the capacity product 2^63 wraps int64 to a negative number, and
+// a wrapping evaluation would refute one unit box. Saturating
+// arithmetic must not.
+func TestDFFSaturatesInsteadOfWrapping(t *testing.T) {
+	const side = 1 << 21
+	caps := []int{side, side, side}
+	if dffInfeasible(caps, [][]int{{1}, {1}, {1}}, 0) {
+		t.Fatal("one unit box refuted in a 2^21-cube")
+	}
+	// A box of the whole container still fits, and two such boxes
+	// still do not, however far the products overflow.
+	if dffInfeasible(caps, [][]int{{side}, {side}, {side}}, 0) {
+		t.Fatal("a container-sized box refuted")
+	}
+	if !dffInfeasible(caps, [][]int{{side, side}, {side, side}, {side, side}}, 0) {
+		t.Fatal("two container-sized boxes not refuted")
+	}
+}
+
+// BenchmarkDFFInfeasible times the DFF bound on the paper's DE
+// instance in containers it cannot refute, so every combination up to
+// the cut is evaluated.
+func BenchmarkDFFInfeasible(b *testing.B) {
+	in := bench.DE()
+	sizes := [][]int{make([]int, in.N()), make([]int, in.N()), make([]int, in.N())}
+	for i, t := range in.Tasks {
+		sizes[0][i], sizes[1][i], sizes[2][i] = t.W, t.H, t.Dur
+	}
+	for _, c := range []model.Container{{W: 17, H: 17, T: 13}, {W: 32, H: 32, T: 6}} {
+		b.Run(c.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dffInfeasible([]int{c.W, c.H, c.T}, sizes, 4096)
+			}
+		})
 	}
 }

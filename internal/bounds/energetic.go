@@ -1,6 +1,7 @@
 package bounds
 
 import (
+	"math"
 	"sort"
 
 	"fpga3d/internal/model"
@@ -41,7 +42,9 @@ func energeticInfeasible(in *model.Instance, W, H, T int, o *model.Order) bool {
 	for i := 0; i < len(pts); i++ {
 		for j := i + 1; j < len(pts); j++ {
 			a, b := pts[i], pts[j]
-			var demand int64
+			// Saturating, like the DFF bound: a wrapped capacity
+			// would refute anything.
+			var demand, over uint64
 			for _, w := range ws {
 				left := intersectLen(w.est, w.est+w.dur, a, b)
 				right := intersectLen(w.lft-w.dur, w.lft, a, b)
@@ -49,9 +52,12 @@ func energeticInfeasible(in *model.Instance, W, H, T int, o *model.Order) bool {
 				if right < m {
 					m = right
 				}
-				demand += int64(m) * int64(w.area)
+				demand, over = mulAdd(demand, over, uint64(m), uint64(w.area))
 			}
-			if demand > int64(capArea)*int64(b-a) {
+			if over != 0 {
+				demand = math.MaxUint64
+			}
+			if demand > satMul(uint64(capArea), uint64(b-a)) {
 				return true
 			}
 		}

@@ -26,6 +26,18 @@ func NewSet(n int) Set {
 	return Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// NewSets returns k empty sets with capacity for n vertices each,
+// carved from one allocation.
+func NewSets(k, n int) []Set {
+	nw := (n + 63) / 64
+	words := make([]uint64, k*nw)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{words: words[i*nw : (i+1)*nw : (i+1)*nw], n: n}
+	}
+	return sets
+}
+
 // Cap returns the vertex capacity the set was created with.
 func (s Set) Cap() int { return s.n }
 
@@ -159,6 +171,16 @@ func (s Set) Intersects(o Set) bool {
 		}
 	}
 	return false
+}
+
+// IntersectionCount returns |s ∩ o| without materializing the
+// intersection.
+func (s Set) IntersectionCount(o Set) int {
+	c := 0
+	for i := range s.words {
+		c += bits.OnesCount64(s.words[i] & o.words[i])
+	}
+	return c
 }
 
 // IntersectsBoth reports whether s, a and b share at least one vertex,

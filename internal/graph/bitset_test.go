@@ -238,6 +238,22 @@ func TestSetIntersectsBoth(t *testing.T) {
 	}
 }
 
+func TestSetIntersectionCount(t *testing.T) {
+	s, o := NewSet(130), NewSet(130)
+	for _, v := range []int{0, 63, 64, 100, 129} {
+		s.Add(v)
+	}
+	for _, v := range []int{1, 63, 100, 129} {
+		o.Add(v)
+	}
+	if got := s.IntersectionCount(o); got != 3 {
+		t.Fatalf("IntersectionCount = %d, want 3", got)
+	}
+	if got := s.IntersectionCount(NewSet(130)); got != 0 {
+		t.Fatalf("IntersectionCount with the empty set = %d", got)
+	}
+}
+
 func TestSetAddCommonAndNoneOf(t *testing.T) {
 	a, b, c := NewSet(70), NewSet(70), NewSet(70)
 	for _, v := range []int{1, 2, 65} {

@@ -12,11 +12,7 @@ type Undirected struct {
 
 // NewUndirected returns an edgeless graph on n vertices.
 func NewUndirected(n int) *Undirected {
-	g := &Undirected{n: n, adj: make([]Set, n)}
-	for i := range g.adj {
-		g.adj[i] = NewSet(n)
-	}
-	return g
+	return &Undirected{n: n, adj: NewSets(n, n)}
 }
 
 // N returns the number of vertices.

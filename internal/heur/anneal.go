@@ -78,6 +78,10 @@ func AnnealMinMakespan(ctx context.Context, in *model.Instance, W, H int, o *mod
 	// the occupancy grids small and the landscape bounded.
 	horizon := bestMk
 	prio := make([]int, n)
+	sc := newScheduler(in, W, H, horizon, o)
+	// A priority permutation decodes to the schedule in which the
+	// ready task with the smallest priority value goes first.
+	byPriority := func(v int) (int, int, int) { return prio[v], v, 0 }
 
 	for r := 0; r < restarts; r++ {
 		if canceled(ctx) {
@@ -92,7 +96,7 @@ func AnnealMinMakespan(ctx context.Context, in *model.Instance, W, H int, o *mod
 				prio[i], prio[j] = prio[j], prio[i]
 			}
 		}
-		cur, curMk, okr := scheduleByPriority(in, W, H, horizon, o, prio)
+		cur, curMk, okr := sc.run(horizon, byPriority)
 		if !okr {
 			continue
 		}
@@ -116,7 +120,7 @@ func AnnealMinMakespan(ctx context.Context, in *model.Instance, W, H int, o *mod
 				j = rng.Intn(n)
 			}
 			prio[i], prio[j] = prio[j], prio[i]
-			cand, mk, okc := scheduleByPriority(in, W, H, horizon, o, prio)
+			cand, mk, okc := sc.run(horizon, byPriority)
 			if !okc || !accept(mk-curMk, temp, rng) {
 				prio[i], prio[j] = prio[j], prio[i] // revert
 				continue
@@ -163,13 +167,4 @@ func initPriorities(prio []int, in *model.Instance, o *model.Order, r Rule) {
 	for rank, v := range idx {
 		prio[v] = rank
 	}
-}
-
-// scheduleByPriority decodes a priority permutation into a schedule:
-// among ready tasks, the one with the smallest priority value goes
-// first.
-func scheduleByPriority(in *model.Instance, W, H, T int, o *model.Order, prio []int) (*model.Placement, int, bool) {
-	return listScheduleKeyed(in, W, H, T, o, func(v int) (int, int, int) {
-		return prio[v], v, 0
-	})
 }

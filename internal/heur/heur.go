@@ -19,6 +19,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"fpga3d/internal/graph"
 	"fpga3d/internal/model"
 )
 
@@ -52,11 +53,19 @@ func MinMakespan(in *model.Instance, W, H int, o *model.Order) (*model.Placement
 
 // bestPlacement runs every priority rule and keeps the placement with
 // the smallest makespan that fits the horizon; returns nil if none fits.
+// The rules share one scheduler, and each rule after the first success
+// runs under the horizon bestMk−1: a schedule that fits it is the one
+// the full horizon gives (each earliest slot that fits the shorter
+// horizon is the earliest slot overall), and a rule that needs more
+// time cannot win, so it may fail early.
 func bestPlacement(in *model.Instance, W, H, T int, o *model.Order) (*model.Placement, int) {
 	var best *model.Placement
 	bestMk := T + 1
+	sc := newScheduler(in, W, H, T, o)
 	for _, r := range Rules() {
-		p, mk, ok := listSchedule(in, W, H, T, o, r)
+		p, mk, ok := sc.run(bestMk-1, func(v int) (int, int, int) {
+			return r.key(in, o, v)
+		})
 		if ok && mk < bestMk {
 			best, bestMk = p, mk
 		}
@@ -67,62 +76,99 @@ func bestPlacement(in *model.Instance, W, H, T int, o *model.Order) (*model.Plac
 	return best, bestMk
 }
 
-// listSchedule performs one greedy pass with the given priority rule.
-func listSchedule(in *model.Instance, W, H, T int, o *model.Order, rule Rule) (*model.Placement, int, bool) {
-	return listScheduleKeyed(in, W, H, T, o, func(v int) (int, int, int) {
-		return rule.key(in, o, v)
-	})
+// scheduler is the scheduling core shared by the greedy rules and the
+// annealing placer: a precedence-respecting list scheduler that
+// repeatedly picks the ready task with the smallest key and places it
+// at the earliest-start bottom-left free position of the occupancy
+// grid. Its grid and scratch space are reused across passes over the
+// same instance and chip, so a pass allocates only its placement.
+type scheduler struct {
+	in   *model.Instance
+	o    *model.Order
+	grid *occGrid
+	// Per-pass scratch, indexed by task.
+	keys    [][3]int
+	pending []int // closure predecessors not yet placed
+	finish  []int
+	ready   []int // tasks with no pending predecessor, in no order; cap n
 }
 
-// listScheduleKeyed is the scheduling core shared by the greedy rules
-// and the annealing placer: a precedence-respecting list scheduler
-// that repeatedly picks the ready task with the smallest key and
-// places it at the earliest-start bottom-left free position of the
-// occupancy grid. It fails (ok=false) when some task cannot be placed
-// within the T-cycle horizon.
-func listScheduleKeyed(in *model.Instance, W, H, T int, o *model.Order, key func(v int) (int, int, int)) (*model.Placement, int, bool) {
+// newScheduler returns a scheduler for in on a W×H chip whose passes
+// may use horizons up to T.
+func newScheduler(in *model.Instance, W, H, T int, o *model.Order) *scheduler {
 	n := in.N()
-	occ := newOccGrid(W, H, T)
-	place := model.NewPlacement(n)
-	done := make([]bool, n)
-	finish := make([]int, n)
+	return &scheduler{
+		in: in, o: o,
+		grid:    newOccGrid(W, H, T),
+		keys:    make([][3]int, n),
+		pending: make([]int, n),
+		finish:  make([]int, n),
+		ready:   make([]int, 0, n),
+	}
+}
 
+// run performs one list-scheduling pass under the horizon T (at most
+// the scheduler's own). It fails (ok=false) when some task cannot be
+// placed within T cycles. Every key ends in a distinct component, so
+// the keys are a total order and the ready task with the smallest key
+// is unique: a linear scan picks the task a sort would put first.
+func (sc *scheduler) run(T int, key func(v int) (int, int, int)) (*model.Placement, int, bool) {
+	in, closure := sc.in, sc.o.Closure()
+	n := in.N()
+	sc.grid.reset(T)
+	place := model.NewPlacement(n)
+	ready := sc.ready[:0]
+	for v := 0; v < n; v++ {
+		k := &sc.keys[v]
+		k[0], k[1], k[2] = key(v)
+		sc.pending[v] = closure.In(v).Count()
+		if sc.pending[v] == 0 {
+			ready = append(ready, v)
+		}
+	}
 	for placed := 0; placed < n; placed++ {
-		// Ready tasks: all predecessors placed.
-		ready := make([]int, 0, n)
-		for v := 0; v < n; v++ {
-			if done[v] {
-				continue
-			}
-			ok := true
-			o.Closure().In(v).ForEach(func(u int) {
-				if !done[u] {
-					ok = false
-				}
-			})
-			if ok {
-				ready = append(ready, v)
+		bi := 0
+		for i := 1; i < len(ready); i++ {
+			if keyLess(&sc.keys[ready[i]], &sc.keys[ready[bi]]) {
+				bi = i
 			}
 		}
-		sortByKey(ready, key)
-		v := ready[0]
+		v := ready[bi]
+		ready[bi] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+
 		t := in.Tasks[v]
 		est := 0
-		o.Closure().In(v).ForEach(func(u int) {
-			if finish[u] > est {
-				est = finish[u]
+		closure.In(v).ForEach(func(u int) {
+			if sc.finish[u] > est {
+				est = sc.finish[u]
 			}
 		})
-		x, y, s, ok := occ.findSlot(t.W, t.H, t.Dur, est)
+		x, y, s, ok := sc.grid.findSlot(t.W, t.H, t.Dur, est)
 		if !ok {
 			return nil, 0, false
 		}
-		occ.fill(x, y, s, t.W, t.H, t.Dur)
+		sc.grid.fill(x, y, s, t.W, t.H, t.Dur)
 		place.X[v], place.Y[v], place.S[v] = x, y, s
-		finish[v] = s + t.Dur
-		done[v] = true
+		sc.finish[v] = s + t.Dur
+		closure.Out(v).ForEach(func(u int) {
+			if sc.pending[u]--; sc.pending[u] == 0 {
+				ready = append(ready, u)
+			}
+		})
 	}
 	return place, place.Makespan(in), true
+}
+
+// keyLess orders two 3-part keys lexicographically.
+func keyLess(a, b *[3]int) bool {
+	if a[0] != b[0] {
+		return a[0] < b[0]
+	}
+	if a[1] != b[1] {
+		return a[1] < b[1]
+	}
+	return a[2] < b[2]
 }
 
 // sortByKey sorts idx ascending by a 3-part lexicographic key. Every
@@ -130,49 +176,66 @@ func listScheduleKeyed(in *model.Instance, W, H, T int, o *model.Order, key func
 // total and the sort deterministic.
 func sortByKey(idx []int, key func(v int) (int, int, int)) {
 	sort.Slice(idx, func(a, b int) bool {
-		a1, a2, a3 := key(idx[a])
-		b1, b2, b3 := key(idx[b])
-		if a1 != b1 {
-			return a1 < b1
-		}
-		if a2 != b2 {
-			return a2 < b2
-		}
-		return a3 < b3
+		var ka, kb [3]int
+		ka[0], ka[1], ka[2] = key(idx[a])
+		kb[0], kb[1], kb[2] = key(idx[b])
+		return keyLess(&ka, &kb)
 	})
 }
 
 // occGrid is a W×H×T occupancy bitmap. When W ≤ 64 each (cycle, row) is
-// a single uint64 word and region queries use run-of-free-bits masks;
-// wider chips fall back to a boolean grid.
+// a single uint64 word and slot queries work on whole rows; wider chips
+// fall back to a boolean grid.
+//
+// A slot query tries only the start times at which the free space can
+// grow: est itself and the cycles at which some filled box ends. If no
+// box ends at s > est, every cell busy at s−1 is busy at s as well, so
+// a box that fits at s also fits at s−1 and s is not the earliest
+// start. Both layouts share this skip.
 type occGrid struct {
 	W, H, T int
-	words   [][]uint64 // [cycle][row], W ≤ 64 fast path
-	cells   [][]bool   // [cycle][row*W+x], fallback
+	words   []uint64  // [cycle*H + row], W ≤ 64 fast path
+	cells   []bool    // [(cycle*H + row)*W + x], fallback
+	ends    graph.Set // cycles at which a filled box ends
+	rows    []uint64  // findSlot scratch: per-row OR over a start's cycles
+	top     int       // cycles [0, top) may hold filled cells
 }
 
 func newOccGrid(W, H, T int) *occGrid {
-	g := &occGrid{W: W, H: H, T: T}
+	g := &occGrid{W: W, H: H, T: T, ends: graph.NewSet(T + 1)}
 	if W <= 64 {
-		g.words = make([][]uint64, T)
-		for t := range g.words {
-			g.words[t] = make([]uint64, H)
-		}
+		g.words = make([]uint64, T*H)
+		g.rows = make([]uint64, H)
 	} else {
-		g.cells = make([][]bool, T)
-		for t := range g.cells {
-			g.cells[t] = make([]bool, H*W)
-		}
+		g.cells = make([]bool, T*H*W)
 	}
 	return g
 }
 
+// reset empties the grid and sets its horizon to T, which must not
+// exceed the horizon it was built with.
+func (g *occGrid) reset(T int) {
+	if g.words != nil {
+		clear(g.words[:g.top*g.H])
+	} else {
+		clear(g.cells[:g.top*g.H*g.W])
+	}
+	g.ends.Clear()
+	g.top = 0
+	g.T = T
+}
+
 // runMask returns a bitmask of the x positions at which w consecutive
-// free bits start within the free-mask, restricted to x ≤ W−w.
+// free bits start within the free-mask, restricted to x ≤ W−w. The run
+// length doubles with every shift: if m marks the starts of runs of
+// length k and step ≤ k, m & m>>step marks the starts of runs of
+// length k+step.
 func runMask(free uint64, w, W int) uint64 {
 	m := free
-	for i := 1; i < w; i++ {
-		m &= free >> uint(i)
+	for k := 1; k < w; {
+		step := min(k, w-k)
+		m &= m >> uint(step)
+		k += step
 	}
 	if W-w+1 < 64 {
 		m &= (1 << uint(W-w+1)) - 1
@@ -183,35 +246,65 @@ func runMask(free uint64, w, W int) uint64 {
 // findSlot returns the earliest-start, bottom-left free position for a
 // w×h×dur box with start ≥ est.
 func (g *occGrid) findSlot(w, h, dur, est int) (x, y, s int, ok bool) {
-	for s = est; s+dur <= g.T; s++ {
-		for y = 0; y+h <= g.H; y++ {
-			if g.words != nil {
-				m := ^uint64(0)
-				for t := s; t < s+dur && m != 0; t++ {
-					for r := y; r < y+h && m != 0; r++ {
-						m &= runMask(^g.words[t][r], w, g.W)
-					}
-				}
-				if m != 0 {
-					return bits.TrailingZeros64(m), y, s, true
-				}
-			} else {
-				for x = 0; x+w <= g.W; x++ {
-					if g.regionFree(x, y, s, w, h, dur) {
-						return x, y, s, true
-					}
-				}
-			}
+	for s = est; s+dur <= g.T; s = g.nextEnd(s) {
+		if x, y, ok = g.fitAt(w, h, dur, s); ok {
+			return x, y, s, true
 		}
 	}
 	return 0, 0, 0, false
 }
 
+// nextEnd returns the first cycle after s at which a filled box ends,
+// or a cycle past the horizon when there is none.
+func (g *occGrid) nextEnd(s int) int {
+	if t := g.ends.Next(s + 1); t >= 0 {
+		return t
+	}
+	return g.T + 1
+}
+
+// fitAt returns the bottom-left position at which a w×h box is free
+// throughout the cycles [s, s+dur).
+func (g *occGrid) fitAt(w, h, dur, s int) (x, y int, ok bool) {
+	if g.words == nil {
+		for y = 0; y+h <= g.H; y++ {
+			for x = 0; x+w <= g.W; x++ {
+				if g.regionFree(x, y, s, w, h, dur) {
+					return x, y, true
+				}
+			}
+		}
+		return 0, 0, false
+	}
+	// A cell is busy for the box if it is busy in any of its cycles, so
+	// the box's cycles collapse into one OR per row; a window of h rows
+	// then collapses the same way, and one run mask of the result
+	// answers every x at once.
+	rows := g.rows
+	clear(rows)
+	for t := s; t < s+dur; t++ {
+		for r, b := range g.words[t*g.H : (t+1)*g.H] {
+			rows[r] |= b
+		}
+	}
+	for y = 0; y+h <= g.H; y++ {
+		var busy uint64
+		for _, b := range rows[y : y+h] {
+			busy |= b
+		}
+		if m := runMask(^busy, w, g.W); m != 0 {
+			return bits.TrailingZeros64(m), y, true
+		}
+	}
+	return 0, 0, false
+}
+
 func (g *occGrid) regionFree(x, y, s, w, h, dur int) bool {
 	for t := s; t < s+dur; t++ {
 		for r := y; r < y+h; r++ {
+			row := g.cells[(t*g.H+r)*g.W:]
 			for c := x; c < x+w; c++ {
-				if g.cells[t][r*g.W+c] {
+				if row[c] {
 					return false
 				}
 			}
@@ -221,6 +314,12 @@ func (g *occGrid) regionFree(x, y, s, w, h, dur int) bool {
 }
 
 func (g *occGrid) fill(x, y, s, w, h, dur int) {
+	if dur <= 0 {
+		return
+	}
+	e := s + dur
+	g.top = max(g.top, e)
+	g.ends.Add(e)
 	if g.words != nil {
 		mask := (uint64(1)<<uint(w) - 1) << uint(x)
 		if w == 64 {
@@ -228,15 +327,16 @@ func (g *occGrid) fill(x, y, s, w, h, dur int) {
 		}
 		for t := s; t < s+dur; t++ {
 			for r := y; r < y+h; r++ {
-				g.words[t][r] |= mask
+				g.words[t*g.H+r] |= mask
 			}
 		}
 		return
 	}
 	for t := s; t < s+dur; t++ {
 		for r := y; r < y+h; r++ {
+			row := g.cells[(t*g.H+r)*g.W:]
 			for c := x; c < x+w; c++ {
-				g.cells[t][r*g.W+c] = true
+				row[c] = true
 			}
 		}
 	}

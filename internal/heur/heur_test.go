@@ -170,3 +170,27 @@ func TestOccGridFill(t *testing.T) {
 		t.Fatalf("full-footprint slot at (%d,%d,%d), want (0,0,2)", x, y, s)
 	}
 }
+
+// BenchmarkMinMakespan times the greedy placer, every rule, on the
+// paper's instances.
+func BenchmarkMinMakespan(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		in   *model.Instance
+		W, H int
+	}{
+		{"de.17x17", bench.DE(), 17, 17},
+		{"codec.64x64", bench.VideoCodec(), 64, 64},
+		{"fft8.17x17", bench.FFT(8), 17, 17},
+	} {
+		o, err := c.in.Order()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MinMakespan(c.in, c.W, c.H, o)
+			}
+		})
+	}
+}

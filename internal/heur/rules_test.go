@@ -64,7 +64,7 @@ func TestRuleKeysMatchGreedy(t *testing.T) {
 	horizon := in.TotalDuration()
 	bestOver := horizon + 1
 	for _, r := range Rules() {
-		p, mk, ok := listSchedule(in, W, H, horizon, o, r)
+		p, mk, ok := newScheduler(in, W, H, horizon, o).run(horizon, func(v int) (int, int, int) { return r.key(in, o, v) })
 		if !ok {
 			t.Fatalf("rule %v: schedule failed", r)
 		}

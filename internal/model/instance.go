@@ -6,6 +6,8 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"fpga3d/internal/graph"
 )
@@ -20,8 +22,24 @@ type Task struct {
 	Dur  int    `json:"dur"` // execution time (clock cycles)
 }
 
-// Volume returns the space-time volume of the task's box.
-func (t Task) Volume() int { return t.W * t.H * t.Dur }
+// Volume returns the space-time volume of the task's box, saturated at
+// math.MaxInt (see volume3).
+func (t Task) Volume() int { return volume3(t.W, t.H, t.Dur) }
+
+// volume3 returns a·b·c for non-negative sides, saturated at
+// math.MaxInt instead of wrapping: a wrapped volume could turn
+// negative and let a volume comparison refute a feasible instance.
+func volume3(a, b, c int) int {
+	hi, ab := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 {
+		return math.MaxInt
+	}
+	hi, abc := bits.Mul64(ab, uint64(c))
+	if hi != 0 || abc > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(abc)
+}
 
 // Arc is a precedence constraint: task From must finish before task To
 // starts. Indices refer to Instance.Tasks.
@@ -41,11 +59,14 @@ type Instance struct {
 // N returns the number of tasks.
 func (in *Instance) N() int { return len(in.Tasks) }
 
-// Volume returns the total space-time volume of all tasks.
+// Volume returns the total space-time volume of all tasks, saturated at
+// math.MaxInt.
 func (in *Instance) Volume() int {
 	v := 0
 	for _, t := range in.Tasks {
-		v += t.Volume()
+		if v += t.Volume(); v < 0 {
+			return math.MaxInt
+		}
 	}
 	return v
 }
@@ -160,8 +181,9 @@ type Container struct {
 	T int `json:"t"`
 }
 
-// Volume returns the space-time volume of the container.
-func (c Container) Volume() int { return c.W * c.H * c.T }
+// Volume returns the space-time volume of the container, saturated at
+// math.MaxInt.
+func (c Container) Volume() int { return volume3(c.W, c.H, c.T) }
 
 func (c Container) String() string { return fmt.Sprintf("%dx%dx%d", c.W, c.H, c.T) }
 

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -149,5 +150,29 @@ func TestReadInstanceOK(t *testing.T) {
 	}
 	if in.N() != 1 || in.Tasks[0].Name != "m" {
 		t.Fatalf("parsed %+v", in)
+	}
+}
+
+// TestVolumeSaturates: volumes past the int range saturate at
+// math.MaxInt instead of wrapping to a negative number.
+func TestVolumeSaturates(t *testing.T) {
+	const side = 1 << 21
+	if v := (Container{W: side, H: side, T: side}).Volume(); v != math.MaxInt {
+		t.Fatalf("2^21-cube volume = %d, want math.MaxInt", v)
+	}
+	if v := (Container{W: side, H: side, T: side - 1}).Volume(); v != side*side*(side-1) {
+		t.Fatalf("volume just under 2^63 = %d", v)
+	}
+	big := Task{W: side, H: side, Dur: side}
+	if v := big.Volume(); v != math.MaxInt {
+		t.Fatalf("task volume = %d, want math.MaxInt", v)
+	}
+	half := Task{W: side, H: side, Dur: side / 2}
+	in := &Instance{Tasks: []Task{half, half, half, {W: 1, H: 1, Dur: 1}}}
+	if v := in.Volume(); v != math.MaxInt {
+		t.Fatalf("instance volume = %d, want math.MaxInt", v)
+	}
+	if v := (&Instance{Tasks: []Task{half, {W: 2, H: 3, Dur: 4}}}).Volume(); v != side*side*side/2+24 {
+		t.Fatalf("instance volume = %d", v)
 	}
 }

@@ -44,8 +44,9 @@ type Config struct {
 	// CacheSize is the canonical-instance result cache capacity in
 	// entries (0 means 256; negative disables caching).
 	CacheSize int
-	// Workers is forwarded to Options.Workers for every solve
-	// (0 = GOMAXPROCS).
+	// Workers is forwarded to Options.Workers for every solve.
+	// Parallelism is opt-in: >1 races sweeps and steals in single
+	// decisions; 0 and 1 are sequential.
 	Workers int
 	// Strategy is the default solve strategy ("staged" or "portfolio",
 	// "" = staged) applied when a request does not carry its own

@@ -15,7 +15,6 @@ package solver
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -47,8 +46,10 @@ type Options struct {
 	// TimeLimit bounds the wall time per OPP call (0 = unlimited).
 	TimeLimit time.Duration
 
-	// Workers sets the parallelism budget, which the solver spends at
-	// two levels:
+	// Workers sets the parallelism budget. Parallelism is opt-in: 0
+	// (the zero value), 1 and negative values run everything
+	// sequentially, and only Workers > 1 spends goroutines, at two
+	// levels that never multiply:
 	//
 	// Sweep racing. The optimization drivers (MinTime, MinBase,
 	// ParetoFront and their Ctx variants) race up to Workers
@@ -57,22 +58,23 @@ type Options struct {
 	// the answer: the optimum, and the witness placement at the
 	// optimum, are bit-identical to the sequential sweep (the lowest
 	// container wins ties, exactly as in the sequential ascent). Each
-	// raced probe runs a sequential engine — the two levels never
-	// multiply, so a sweep uses at most Workers goroutines in total.
+	// raced probe runs a sequential engine, so a sweep uses at most
+	// Workers goroutines in total. The portfolio strategy likewise
+	// races its prover against the exact search only when Workers > 1.
 	//
 	// Intra-probe work stealing. A single decision that is not part of
 	// a sweep — SolveOPP, FeasibleFixedSchedule, SolveMultiChip, each
 	// k-step of MinChips — explores its one branch-and-bound tree on a
-	// work-stealing pool of Workers engine clones (core.Options.Workers)
-	// when Workers is explicitly greater than 1. The verdict and the
-	// witness validity are unchanged, but the statistics become the sum
-	// over shards (core.Stats.Steals counts the hand-offs) and the
-	// specific witness found may vary between runs.
+	// work-stealing pool of Workers engine clones (core.Options.Workers).
+	// The verdict and the witness validity are unchanged, but the
+	// statistics become the sum over shards (core.Stats.Steals counts
+	// the hand-offs) and the specific witness found may vary between
+	// runs.
 	//
-	// 0 (the zero value) means runtime.GOMAXPROCS(0) for sweep racing
-	// but keeps single decisions sequential — the deterministic default;
-	// intra-probe stealing is strictly opt-in via Workers > 1. 1 forces
-	// everything sequential; negative values are treated as 1.
+	// Racing pays only when the sweep's probes are expensive: on the
+	// paper's benchmarks the bounds and the greedy placer settle every
+	// probe in well under a millisecond, and racing them costs more in
+	// speculative probes and goroutine hand-offs than it saves.
 	Workers int
 
 	// SkipBounds disables stage 1 (lower bounds).
@@ -214,17 +216,9 @@ func (o Options) pipeline() strategy.Strategy {
 	}
 }
 
-// effectiveWorkers resolves Options.Workers to a concrete pool size.
-func (o Options) effectiveWorkers() int {
-	switch {
-	case o.Workers == 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Workers < 1:
-		return 1
-	default:
-		return o.Workers
-	}
-}
+// effectiveWorkers resolves Options.Workers to a concrete pool size:
+// parallelism is opt-in, so anything below 2 means one.
+func (o Options) effectiveWorkers() int { return max(o.Workers, 1) }
 
 func (o Options) coreOptions(ctx context.Context) core.Options {
 	c := core.Options{
