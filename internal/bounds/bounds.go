@@ -1,6 +1,9 @@
 package bounds
 
 import (
+	"math"
+	"math/bits"
+
 	"fpga3d/internal/graph"
 	"fpga3d/internal/model"
 )
@@ -13,6 +16,37 @@ func ceilDiv(a, b int) int {
 		q++
 	}
 	return q
+}
+
+// satMulInt returns a·b for non-negative a and b, or math.MaxInt when
+// the product does not fit.
+func satMulInt(a, b int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(lo)
+}
+
+// satAdd returns a+b for non-negative a and b, or math.MaxInt when the
+// sum does not fit.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+// ceilSqrt returns ⌈√a⌉ for non-negative a, in integers.
+func ceilSqrt(a int) int {
+	r := int(math.Sqrt(float64(a)))
+	for r > 0 && satMulInt(r-1, r-1) >= a {
+		r--
+	}
+	for satMulInt(r, r) < a {
+		r++
+	}
+	return r
 }
 
 // OPPInfeasible tries the paper's stage-1 bounds to disprove the
@@ -54,7 +88,7 @@ func MinTimeLB(in *model.Instance, W, H int, o *model.Order) int {
 			lb = t.Dur
 		}
 	}
-	if v := ceilDiv(in.Volume(), W*H); v > lb {
+	if v := ceilDiv(in.Volume(), satMulInt(W, H)); v > lb {
 		lb = v
 	}
 	if s := SerializationMinT(in, W, H, o); s > lb {
@@ -87,7 +121,7 @@ func MinBaseLB(in *model.Instance, T int, o *model.Order) int {
 	}
 	// Area bound: h² · T must cover the volume.
 	vol := in.Volume()
-	for lb*lb*T < vol {
+	for satMulInt(satMulInt(lb, lb), T) < vol {
 		lb++
 	}
 	// Forced-concurrency bound: a pair that cannot be sequenced within T

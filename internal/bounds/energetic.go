@@ -15,7 +15,10 @@ import (
 // chip capacity W·H·(b−a).
 func energeticInfeasible(in *model.Instance, W, H, T int, o *model.Order) bool {
 	n := in.N()
-	type win struct{ est, lft, dur, area int }
+	type win struct {
+		est, lft, dur int
+		area          uint64
+	}
 	ws := make([]win, n)
 	points := map[int]bool{0: true, T: true}
 	for v := 0; v < n; v++ {
@@ -24,7 +27,7 @@ func energeticInfeasible(in *model.Instance, W, H, T int, o *model.Order) bool {
 		if est+t.Dur > lft {
 			return true // the window itself is too tight
 		}
-		ws[v] = win{est: est, lft: lft, dur: t.Dur, area: t.W * t.H}
+		ws[v] = win{est: est, lft: lft, dur: t.Dur, area: satMul(uint64(t.W), uint64(t.H))}
 		points[est] = true
 		points[est+t.Dur] = true
 		points[lft] = true
@@ -38,7 +41,7 @@ func energeticInfeasible(in *model.Instance, W, H, T int, o *model.Order) bool {
 	}
 	sort.Ints(pts)
 
-	capArea := W * H
+	capArea := satMul(uint64(W), uint64(H))
 	for i := 0; i < len(pts); i++ {
 		for j := i + 1; j < len(pts); j++ {
 			a, b := pts[i], pts[j]
@@ -52,12 +55,12 @@ func energeticInfeasible(in *model.Instance, W, H, T int, o *model.Order) bool {
 				if right < m {
 					m = right
 				}
-				demand, over = mulAdd(demand, over, uint64(m), uint64(w.area))
+				demand, over = mulAdd(demand, over, uint64(m), w.area)
 			}
 			if over != 0 {
 				demand = math.MaxUint64
 			}
-			if demand > satMul(uint64(capArea), uint64(b-a)) {
+			if demand > satMul(capArea, uint64(b-a)) {
 				return true
 			}
 		}

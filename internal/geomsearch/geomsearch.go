@@ -57,6 +57,7 @@ type searcher struct {
 	o     *model.Order
 	opt   Options
 	order []int // task placement order (topological)
+	fixed []int // prescribed start times (SolveFixed), or nil
 	place *model.Placement
 	nodes int64
 	abort Status // Feasible used as "not aborted" sentinel
@@ -65,13 +66,24 @@ type searcher struct {
 // Solve decides feasibility by depth-first enumeration of all integer
 // positions, task by task in a topological order.
 func Solve(in *model.Instance, c model.Container, o *model.Order, opt Options) Result {
+	return solve(in, c, o, nil, opt)
+}
+
+// SolveFixed decides the FixedS variant by the same enumeration with
+// task v pinned to start at starts[v], a schedule valid for c.T and o:
+// only the spatial positions are searched.
+func SolveFixed(in *model.Instance, c model.Container, o *model.Order, starts []int, opt Options) Result {
+	return solve(in, c, o, starts, opt)
+}
+
+func solve(in *model.Instance, c model.Container, o *model.Order, fixed []int, opt Options) Result {
 	if !c.Fits(in) {
 		return Result{Status: Infeasible}
 	}
 	if in.Volume() > c.Volume() {
 		return Result{Status: Infeasible}
 	}
-	s := &searcher{in: in, c: c, o: o, opt: opt, abort: Feasible}
+	s := &searcher{in: in, c: c, o: o, opt: opt, fixed: fixed, abort: Feasible}
 	s.place = model.NewPlacement(in.N())
 	topo, ok := o.Closure().TopoSort()
 	if !ok {
@@ -118,6 +130,9 @@ func (s *searcher) dfs(depth int) bool {
 	}
 	// The longest chain after v must still fit behind it.
 	lastStart := s.c.T - t.Dur - s.o.Tail(v)
+	if s.fixed != nil {
+		est, lastStart = s.fixed[v], s.fixed[v]
+	}
 	for st := est; st <= lastStart; st++ {
 		for y := 0; y+t.H <= s.c.H; y++ {
 			for x := 0; x+t.W <= s.c.W; x++ {

@@ -24,7 +24,10 @@
 //     a stored infeasibility answers the rejection outright.
 //  4. exact probe — solver.FeasibleFixedScheduleCtx decides the static
 //     instance (all residents relocatable), preceded by a greedy
-//     bottom-left repack that often finds the witness without search.
+//     bottom-left repack when every task starts now. The probe runs the
+//     fixed-schedule pipeline: per-slice area and conservative-scale
+//     bounds, then a fixed-start bottom-left placer, and the spatial
+//     search only when neither decides.
 //  5. defrag — a feasible witness that requires relocation becomes a
 //     bounded-move defragmentation plan: moved modules are minimized
 //     greedily, the moves are ordered so every destination is free

@@ -206,9 +206,9 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			ctx, cancel := context.WithTimeout(r.Context(), entryTimeout)
 			defer cancel()
-			res, err := s.runSolve(ctx, &solveTask{
+			res, err := s.solveRecovered(ctx, &solveTask{
 				mode: it.mode, req: it.req, in: it.in, strat: it.strat,
-			})
+			}, fmt.Sprintf("batch entry %d", it.index))
 			switch {
 			case err == nil:
 				it.resp = res

@@ -237,7 +237,7 @@ func (s *Server) executeJob(ctx context.Context, id string, t *solveTask, timeou
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	resp, err := s.runSolve(ctx, t)
+	resp, err := s.solveRecovered(ctx, t, "job "+id)
 	var snap jobs.Job
 	var ok bool
 	switch {

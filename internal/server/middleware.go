@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -179,4 +180,23 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// errInternal fails a job or batch entry whose solve panicked.
+var errInternal = errors.New("internal error")
+
+// solveRecovered runs t on a goroutine the server started itself, where
+// no handler and so no recoverPanics sits above it. It recovers the
+// same way: the panic is counted under server.errors and logged with
+// its stack, and only this solve fails, with errInternal. what names
+// the solve in the log line.
+func (s *Server) solveRecovered(ctx context.Context, t *solveTask, what string) (resp *solveResponse, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.reg.Counter(obs.MetricSolveErrors).Inc()
+			s.logf("panic in %s: %v\n%s", what, p, debug.Stack())
+			resp, err = nil, errInternal
+		}
+	}()
+	return s.solveOwn(ctx, t)
 }

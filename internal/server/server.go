@@ -117,6 +117,9 @@ type Server struct {
 	handler  http.Handler
 	httpSrv  *http.Server
 	draining atomic.Bool
+	// solveOwn is the solve of the goroutines the server starts itself
+	// (async jobs, batch leaders): runSolve, replaced only in tests.
+	solveOwn func(context.Context, *solveTask) (*solveResponse, error)
 }
 
 // New builds a Server from cfg, normalizing zero values.
@@ -142,6 +145,7 @@ func New(cfg Config) *Server {
 		log:    cfg.Logger,
 		tracer: cfg.Tracer,
 	}
+	s.solveOwn = s.runSolve
 	if cfg.ProgressStreams >= 0 {
 		s.broker = obs.NewProgressBroker(cfg.ProgressStreams)
 	}

@@ -425,7 +425,9 @@ func minBase(ctx context.Context, in *model.Instance, T int, order *model.Order,
 // task, decide whether a non-overlapping spatial placement on the W×H
 // chip exists. With the time dimension fully decided, the packing-class
 // search degenerates to the two spatial dimensions — the simplification
-// highlighted in Section 4 of the paper.
+// highlighted in Section 4 of the paper. Every strategy tries per-slice
+// area and conservative-scale bounds and a fixed-start placer before
+// that search (see strategy.Env.solveFixed).
 func FeasibleFixedSchedule(in *model.Instance, c model.Container, starts []int, opt Options) (*OPPResult, error) {
 	return FeasibleFixedScheduleCtx(context.Background(), in, c, starts, opt)
 }
@@ -483,10 +485,9 @@ func MinBaseFixedScheduleCtx(ctx context.Context, in *model.Instance, starts []i
 	res := &OptResult{}
 	ctx, dspan := opt.driverSpan(ctx, "bmp_fixed", in.Name)
 	defer func() { opt.endDriverSpan(dspan, res) }()
-	lb := in.MaxW()
-	if h := in.MaxH(); h > lb {
-		lb = h
-	}
+	// Every side below the slice-area bound is one that stage 1 refutes,
+	// so the ascent starts there.
+	lb := bounds.MinBaseFixedLB(in, starts)
 	res.LowerBound = lb
 	hMax := 0
 	for _, t := range in.Tasks {

@@ -214,6 +214,11 @@ func TestMinBaseFixedScheduleDE(t *testing.T) {
 	if r.Decision != Feasible || r.Value != 33 {
 		t.Fatalf("MinBaseFixedSchedule = %d (%v), want 33", r.Value, r.Decision)
 	}
+	// The multipliers' slice area alone needs 32² cells and the ALU ops
+	// beside them more, so the ascent starts at ⌈√area⌉ = 33: one probe.
+	if r.LowerBound != 33 || r.Probes != 1 {
+		t.Fatalf("lower bound %d after %d probes, want 33 after 1", r.LowerBound, r.Probes)
+	}
 	for i, s := range starts {
 		if r.Placement.S[i] != s {
 			t.Fatal("start times not preserved")

@@ -42,8 +42,8 @@ func (s *Portfolio) Solve(ctx context.Context, p *Problem) (*Result, error) {
 	e := s.env
 	if p.FixedStarts != nil {
 		// Stored witnesses do not respect prescribed start times, so
-		// the fixed-schedule variant goes straight to the spatial
-		// search, exactly as in Staged.
+		// the fixed-schedule variant bypasses the store and runs the
+		// fixed-schedule pipeline, exactly as in Staged.
 		return e.solveFixed(ctx, p, map[string]any{"strategy": NamePortfolio})
 	}
 	start := time.Now()

@@ -3,10 +3,14 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"fpga3d/internal/bounds"
 	"fpga3d/internal/core"
+	"fpga3d/internal/heur"
+	"fpga3d/internal/model"
 	"fpga3d/internal/obs"
 )
 
@@ -119,7 +123,7 @@ func (s *Staged) Solve(ctx context.Context, p *Problem) (*Result, error) {
 // witness is dropped here and surfaces as an error on the main path.
 func (e *Env) searchOpts(ctx context.Context, p *Problem) core.Options {
 	co := e.SearchOpts(ctx)
-	if co.Workers > 1 && e.Inc != nil {
+	if co.Workers > 1 && e.Inc != nil && p.FixedStarts == nil {
 		in, c, order, inc := p.In, p.C, p.Order, e.Inc
 		co.OnSolution = func(sol *core.Solution) {
 			pl := SolutionToPlacement(sol)
@@ -139,7 +143,20 @@ func (e *Env) solveSearch(ctx context.Context, p *Problem, res *Result, start ti
 	e.Trace.Emit("stage", map[string]any{"phase": obs.PhaseSearch})
 	ssp := e.stageSpan(ctx, obs.PhaseSearch)
 	s0 := time.Now()
-	prob := BuildProblem(p.In, p.C, p.Order, nil)
+	if !p.C.Fits(p.In) {
+		// The engine treats a task exceeding the container as a
+		// programmer error; stage 1 screens it unless SkipBounds is set,
+		// so the search screens it itself.
+		ssp.End()
+		res.Stages.Search = time.Since(s0)
+		res.Elapsed = time.Since(start)
+		res.Decision = Infeasible
+		res.DecidedBy = "search"
+		e.Metrics.Counter("opp.decided_by.search").Inc()
+		e.traceOPPEnd(res, extra)
+		return res, nil
+	}
+	prob := BuildProblem(p.In, p.C, p.Order, p.FixedStarts)
 	r := core.Solve(prob, e.searchOpts(ctx, p))
 	res.Stages.Search = time.Since(s0)
 	ssp.End()
@@ -150,7 +167,14 @@ func (e *Env) solveSearch(ctx context.Context, p *Problem, res *Result, start ti
 	switch r.Status {
 	case core.StatusFeasible:
 		pl := SolutionToPlacement(r.Solution)
-		if err := pl.Verify(p.In, p.C, p.Order); err != nil {
+		if p.FixedStarts != nil {
+			// The engine realizes some schedule with the same component
+			// graph and orientation; the prescribed start times are
+			// another realization of it, so the spatial coordinates
+			// carry over.
+			pl.S = append([]int(nil), p.FixedStarts...)
+		}
+		if err := verifyWitness(p, pl); err != nil {
 			return nil, fmt.Errorf("solver: search produced invalid placement: %w", err)
 		}
 		res.Decision = Feasible
@@ -174,9 +198,16 @@ func (e *Env) solveSearch(ctx context.Context, p *Problem, res *Result, start ti
 	return res, nil
 }
 
-// solveFixed decides the FixedS variant: with every start time
-// prescribed the search degenerates to the two spatial dimensions, so
-// stages 1 and 2 are skipped. The caller has already validated the
+// solveFixed decides the FixedS variant, for every strategy: with every
+// start time prescribed the question collapses to the two spatial
+// dimensions (Section 4 of the paper), and it runs the same
+// bounds → heuristic → search short circuit as Staged on that shape.
+// Stage 1 packs the footprints of the tasks active at each start time
+// against the chip (bounds.FixedScheduleInfeasible), stage 2 pins every
+// start and places bottom-left in x and y (heur.PlaceFixed), and only
+// then does the engine search the spatial dimensions. Stored
+// incumbents and the annealer are not consulted: their witnesses do not
+// keep the prescribed starts. The caller has already validated the
 // schedule. extra is merged into the opp_end event.
 func (e *Env) solveFixed(ctx context.Context, p *Problem, extra map[string]any) (*Result, error) {
 	start := time.Now()
@@ -187,43 +218,67 @@ func (e *Env) solveFixed(ctx context.Context, p *Problem, extra map[string]any) 
 	e.Trace.Emit("opp_start", map[string]any{
 		"instance": p.In.Name, "n": p.In.N(), "W": p.C.W, "H": p.C.H, "T": p.C.T, "fixed_schedule": true,
 	})
-	e.notifyPhase(obs.PhaseSearch)
-	ssp := e.stageSpan(ctx, obs.PhaseSearch)
-	defer ssp.End()
-	prob := BuildProblem(p.In, p.C, p.Order, p.FixedStarts)
-	r := core.Solve(prob, e.SearchOpts(ctx))
-	res.Stats = r.Stats
-	res.Elapsed = time.Since(start)
-	res.Stages.Search = res.Elapsed
-	e.Metrics.Counter(obs.MetricSearchNodes).Add(r.Stats.Nodes)
-	e.Metrics.Counter(obs.MetricSearchPropagations).Add(r.Stats.Propagations)
-	switch r.Status {
-	case core.StatusFeasible:
-		// The engine realizes some schedule with the same component
-		// graph and orientation; the prescribed start times are another
-		// realization of it, so the spatial coordinates carry over.
-		pl := SolutionToPlacement(r.Solution)
-		pl.S = append([]int(nil), p.FixedStarts...)
-		if err := pl.Verify(p.In, p.C, p.Order); err != nil {
-			return nil, fmt.Errorf("solver: fixed-schedule placement invalid: %w", err)
-		}
-		res.Decision = Feasible
-		res.Placement = pl
-		res.DecidedBy = "search"
-		e.Metrics.Counter("opp.decided_by.search").Inc()
-	case core.StatusInfeasible:
-		res.Decision = Infeasible
-		res.DecidedBy = "search"
-		e.Metrics.Counter("opp.decided_by.search").Inc()
-	case core.StatusCanceled:
+	if ctx.Err() != nil {
 		res.Decision = Unknown
 		res.DecidedBy = "canceled"
+		res.Elapsed = time.Since(start)
 		e.Metrics.Counter("opp.decided_by.canceled").Inc()
-	default:
-		res.Decision = Unknown
-		res.DecidedBy = "limit"
-		e.Metrics.Counter("opp.decided_by.limit").Inc()
+		e.traceOPPEnd(res, extra)
+		return res, nil
 	}
-	e.traceOPPEnd(res, extra)
-	return res, nil
+
+	if !e.SkipBounds {
+		e.notifyPhase(obs.PhaseBounds)
+		ssp := e.stageSpan(ctx, obs.PhaseBounds)
+		s0 := time.Now()
+		bad, why := bounds.FixedScheduleInfeasible(p.In, p.C, p.FixedStarts)
+		res.Stages.Bounds = time.Since(s0)
+		ssp.End()
+		if bad {
+			res.Decision = Infeasible
+			res.DecidedBy = "bound: " + why
+			res.Elapsed = time.Since(start)
+			e.Metrics.Counter("opp.decided_by.bounds").Inc()
+			f := map[string]any{"bound": why}
+			maps.Copy(f, extra)
+			e.traceOPPEnd(res, f)
+			return res, nil
+		}
+		e.Trace.Emit("stage", map[string]any{
+			"phase": obs.PhaseBounds, "outcome": "pass", "elapsed_ms": MS(res.Stages.Bounds),
+		})
+	}
+	if !e.SkipHeuristic {
+		e.notifyPhase(obs.PhaseHeuristic)
+		ssp := e.stageSpan(ctx, obs.PhaseHeuristic)
+		s0 := time.Now()
+		pl, ok := heur.PlaceFixed(p.In, p.C.W, p.C.H, p.FixedStarts)
+		res.Stages.Heuristic = time.Since(s0)
+		ssp.End()
+		if ok {
+			if err := verifyWitness(p, pl); err != nil {
+				return nil, fmt.Errorf("solver: fixed-schedule heuristic produced invalid placement: %w", err)
+			}
+			res.Decision = Feasible
+			res.Placement = pl
+			res.DecidedBy = "heuristic"
+			res.Elapsed = time.Since(start)
+			e.Metrics.Counter("opp.decided_by.heuristic").Inc()
+			e.traceOPPEnd(res, extra)
+			return res, nil
+		}
+		e.Trace.Emit("stage", map[string]any{
+			"phase": obs.PhaseHeuristic, "outcome": "miss", "elapsed_ms": MS(res.Stages.Heuristic),
+		})
+	}
+	return e.solveSearch(ctx, p, res, start, extra)
+}
+
+// verifyWitness checks a witness for p; a fixed-schedule witness must
+// also keep the prescribed start times.
+func verifyWitness(p *Problem, pl *model.Placement) error {
+	if p.FixedStarts != nil && !slices.Equal(pl.S, p.FixedStarts) {
+		return fmt.Errorf("start times %v differ from the prescribed %v", pl.S, p.FixedStarts)
+	}
+	return pl.Verify(p.In, p.C, p.Order)
 }

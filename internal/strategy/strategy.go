@@ -108,8 +108,9 @@ type Problem struct {
 	C     model.Container
 	Order *model.Order
 	// FixedStarts, when non-nil, prescribes every task's start time
-	// (the FixedS problem variants): stages 1 and 2 are skipped and the
-	// search degenerates to the two spatial dimensions.
+	// (the FixedS problem variants): every strategy then runs the
+	// two-dimensional bounds, the fixed-start placer and the spatial
+	// search (see Env.solveFixed).
 	FixedStarts []int
 }
 

@@ -2,11 +2,14 @@ package strategy
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
+	"fpga3d/internal/bench"
 	"fpga3d/internal/core"
 	"fpga3d/internal/model"
+	"fpga3d/internal/obs"
 )
 
 // twoBlocks is a minimal instance with one precedence arc: two 2×2×2
@@ -337,5 +340,65 @@ func TestBuildProblemShapes(t *testing.T) {
 	fixed := BuildProblem(in, c, order, []int{0, 2})
 	if len(fixed.Fixed) == 0 && len(fixed.Seeds) == 0 {
 		t.Error("fixed-starts problem carries no schedule structure")
+	}
+}
+
+// TestFixedScheduleStages: every strategy answers a fixed-schedule
+// question through the same stages — a dead context before any stage,
+// stage 1's slice bounds, stage 2's fixed-start placer, then the
+// search — with the DecidedBy strings and counters of the 3D pipeline,
+// and honours SkipBounds and SkipHeuristic.
+func TestFixedScheduleStages(t *testing.T) {
+	de := bench.DE()
+	order, err := de.Order()
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := []int{0, 0, 2, 4, 5, 0, 2, 0, 2, 0, 1}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name       string
+		side       int
+		ctx        context.Context
+		skipBounds bool
+		skipHeur   bool
+		decision   Decision
+		decidedBy  string
+		counter    string
+	}{
+		{"bound", 32, context.Background(), false, false, Infeasible, "bound: slice area", "opp.decided_by.bounds"},
+		{"heuristic", 33, context.Background(), false, false, Feasible, "heuristic", "opp.decided_by.heuristic"},
+		{"search refutes", 32, context.Background(), true, true, Infeasible, "search", "opp.decided_by.search"},
+		{"search places", 33, context.Background(), true, true, Feasible, "search", "opp.decided_by.search"},
+		{"placer without bounds", 33, context.Background(), true, false, Feasible, "heuristic", "opp.decided_by.heuristic"},
+		{"dead context", 32, dead, false, false, Unknown, "canceled", "opp.decided_by.canceled"},
+	}
+	for _, name := range Names() {
+		for _, tc := range cases {
+			env := testEnv(1)
+			env.Metrics = obs.NewRegistry()
+			env.SkipBounds, env.SkipHeuristic = tc.skipBounds, tc.skipHeur
+			s, err := Parse(name, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := model.Container{W: tc.side, H: tc.side, T: 6}
+			res, err := s.Solve(tc.ctx, &Problem{In: de, C: c, Order: order, FixedStarts: starts})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, tc.name, err)
+			}
+			if res.Decision != tc.decision || res.DecidedBy != tc.decidedBy {
+				t.Fatalf("%s/%s: %v by %q, want %v by %q", name, tc.name, res.Decision, res.DecidedBy, tc.decision, tc.decidedBy)
+			}
+			if n := env.Metrics.Snapshot()[tc.counter]; n != 1 {
+				t.Fatalf("%s/%s: %s = %d, want 1", name, tc.name, tc.counter, n)
+			}
+			if res.Decision == Feasible {
+				if err := res.Placement.Verify(de, c, order); err != nil || !slices.Equal(res.Placement.S, starts) {
+					t.Fatalf("%s/%s: witness invalid (%v) or starts moved", name, tc.name, err)
+				}
+			}
+		}
 	}
 }
