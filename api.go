@@ -159,10 +159,10 @@ const (
 	// pipeline.
 	StrategyStaged = "staged"
 	// StrategyPortfolio shares incumbents across the probes of an
-	// optimization sweep (a stored witness answers dominated probes
-	// outright, and feasible witnesses tighten upper bounds) and, with
-	// Workers > 1, races the cheap prover against the exact search
-	// inside each probe.
+	// optimization sweep: every greedy and search witness is stored, a
+	// stored witness answers dominated probes outright, and feasible
+	// witnesses tighten upper bounds. Each probe otherwise runs the
+	// staged tiers in order, at every worker count.
 	StrategyPortfolio = "portfolio"
 	// StrategyAnneal extends the staged pipeline with a randomized
 	// annealing placer between the greedy heuristic and the exact

@@ -108,7 +108,7 @@ func main() {
 		nodeLimit    = flag.Int64("node-limit", 0, "branch-and-bound node budget (0 = unlimited)")
 		timeLimit    = flag.Duration("time-limit", 5*time.Minute, "wall-clock budget per decision")
 		workers      = flag.Int("workers", 0, "parallelism, opt-in: >1 races sweep probes (bit-identical) and steals subtrees in single decisions (answer-equal); 0 and 1 are fully sequential")
-		strategyName = flag.String("strategy", "", "solve strategy: staged (default; bounds, heuristic, search in order) | portfolio (incumbent sharing, prover-vs-search racing) | anneal (staged plus a randomized annealing stage before the exact search)")
+		strategyName = flag.String("strategy", "", "solve strategy: staged (default; bounds, heuristic, search in order) | portfolio (staged plus incumbent sharing across probes) | anneal (staged plus incumbent sharing and a randomized annealing stage before the exact search)")
 		anytime      = flag.Bool("anytime", false, "anytime minimization (spp only): stream improvements with optimality gaps to stderr; a partial result keeps the best-known schedule and its gap")
 		annealSeed   = flag.Int64("anneal-seed", 0, "seed for the randomized annealing placer (0 = default seed; runs are deterministic per seed)")
 		timeout      = flag.Duration("timeout", 0, "whole-run deadline; on expiry the partial result is printed as JSON and the exit status is 3 (0 = none)")

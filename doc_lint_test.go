@@ -31,16 +31,14 @@ func TestGodocCoverage(t *testing.T) {
 		// The obs metric-name constants are part of the monitoring API.
 		"internal/obs/engine.go",
 		"internal/obs/strategy.go",
-		// The strategy layer is the pluggable contract every optimization
+		// The strategy layer is the stage pipeline every optimization
 		// entry point is built on; its exported surface must stay
-		// documented for strategy authors.
+		// documented.
 		"internal/strategy/strategy.go",
-		"internal/strategy/staged.go",
-		"internal/strategy/portfolio.go",
+		"internal/strategy/pipeline.go",
 		"internal/strategy/incumbents.go",
 		"internal/strategy/problem.go",
 		"internal/strategy/timings.go",
-		"internal/strategy/anneal.go",
 		// The annealing placer's exported surface (priority-rule table,
 		// annealing options) is the anytime tier's tuning contract.
 		"internal/heur/rules.go",

@@ -8,9 +8,10 @@ import (
 	"fpga3d/internal/model"
 )
 
-// ceilDiv returns ⌈a / b⌉ for non-negative a and positive b, without
-// the overflow of (a+b−1)/b when a is a saturated volume.
-func ceilDiv(a, b int) int {
+// CeilDiv returns ⌈a / b⌉ for non-negative a and positive b, without
+// the overflow of (a+b−1)/b when a is a saturated volume. With b a
+// SatMul product it is the least side s with s·b ≥ a.
+func CeilDiv(a, b int) int {
 	q := a / b
 	if a%b != 0 {
 		q++
@@ -18,9 +19,10 @@ func ceilDiv(a, b int) int {
 	return q
 }
 
-// satMulInt returns a·b for non-negative a and b, or math.MaxInt when
-// the product does not fit.
-func satMulInt(a, b int) int {
+// SatMul returns a·b for non-negative a and b, or math.MaxInt when
+// the product does not fit. Area and volume products of chip sides use
+// it, so sides near 2^32 saturate instead of wrapping.
+func SatMul(a, b int) int {
 	hi, lo := bits.Mul64(uint64(a), uint64(b))
 	if hi != 0 || lo > math.MaxInt {
 		return math.MaxInt
@@ -40,14 +42,19 @@ func satAdd(a, b int) int {
 // ceilSqrt returns ⌈√a⌉ for non-negative a, in integers.
 func ceilSqrt(a int) int {
 	r := int(math.Sqrt(float64(a)))
-	for r > 0 && satMulInt(r-1, r-1) >= a {
+	for r > 0 && SatMul(r-1, r-1) >= a {
 		r--
 	}
-	for satMulInt(r, r) < a {
+	for SatMul(r, r) < a {
 		r++
 	}
 	return r
 }
+
+// MinSquareSide returns the least side h with h²·T ≥ vol, for
+// non-negative vol and positive T: the side below which a square chip
+// cannot hold volume vol within time T.
+func MinSquareSide(vol, T int) int { return ceilSqrt(CeilDiv(vol, T)) }
 
 // OPPInfeasible tries the paper's stage-1 bounds to disprove the
 // existence of a feasible packing of in inside c under order o. When it
@@ -88,7 +95,7 @@ func MinTimeLB(in *model.Instance, W, H int, o *model.Order) int {
 			lb = t.Dur
 		}
 	}
-	if v := ceilDiv(in.Volume(), satMulInt(W, H)); v > lb {
+	if v := CeilDiv(in.Volume(), SatMul(W, H)); v > lb {
 		lb = v
 	}
 	if s := SerializationMinT(in, W, H, o); s > lb {
@@ -121,9 +128,7 @@ func MinBaseLB(in *model.Instance, T int, o *model.Order) int {
 	}
 	// Area bound: h² · T must cover the volume.
 	vol := in.Volume()
-	for satMulInt(satMulInt(lb, lb), T) < vol {
-		lb++
-	}
+	lb = max(lb, MinSquareSide(vol, T))
 	// Forced-concurrency bound: a pair that cannot be sequenced within T
 	// in either direction must coexist, so it must fit side by side in x
 	// or in y.

@@ -202,9 +202,47 @@ func TestEnergeticMonotone(t *testing.T) {
 
 func TestCeilDiv(t *testing.T) {
 	for _, tc := range [][3]int{{7, 2, 4}, {8, 2, 4}, {1, 3, 1}, {0, 5, 0}, {math.MaxInt, 2, math.MaxInt/2 + 1}} {
-		if got := ceilDiv(tc[0], tc[1]); got != tc[2] {
-			t.Errorf("ceilDiv(%d,%d) = %d, want %d", tc[0], tc[1], got, tc[2])
+		if got := CeilDiv(tc[0], tc[1]); got != tc[2] {
+			t.Errorf("CeilDiv(%d,%d) = %d, want %d", tc[0], tc[1], got, tc[2])
 		}
+	}
+}
+
+// TestSideFloorsAtHugeSides: the area products and side floors that
+// the chip sweeps use (MinArea's per-width height floor, the square
+// floor of MinBaseLB and the rotation sweep) saturate instead of
+// wrapping at sides of 2^21 and 2^32, and are computed directly rather
+// than by stepping one side at a time.
+func TestSideFloorsAtHugeSides(t *testing.T) {
+	if got := SatMul(1<<21, 1<<21); got != 1<<42 {
+		t.Errorf("SatMul(2^21, 2^21) = %d, want 2^42", got)
+	}
+	for _, tc := range [][2]int{{1 << 42, 1 << 21}, {1 << 32, 1 << 32}, {math.MaxInt, 2}} {
+		if got := SatMul(tc[0], tc[1]); got != math.MaxInt {
+			t.Errorf("SatMul(%d, %d) = %d, want saturation at MaxInt", tc[0], tc[1], got)
+		}
+	}
+	for _, side := range []int{1 << 21, 1 << 32} {
+		for _, vol := range []int{3 * (1 << 42), 1 << 62, math.MaxInt} {
+			for _, T := range []int{1, 7, side} {
+				// Height floor for width side: least h with side·h·T ≥ vol.
+				h := CeilDiv(vol, SatMul(side, T))
+				if SatMul(SatMul(side, h), T) < vol || h > 1 && SatMul(SatMul(side, h-1), T) >= vol {
+					t.Errorf("side %d vol %d T %d: height floor %d is not the least", side, vol, T, h)
+				}
+				// Square floor: least h with h²·T ≥ vol.
+				q := MinSquareSide(vol, T)
+				if SatMul(SatMul(q, q), T) < vol || q > 1 && SatMul(SatMul(q-1, q-1), T) >= vol {
+					t.Errorf("vol %d T %d: square floor %d is not the least", vol, T, q)
+				}
+			}
+		}
+	}
+	if got := MinSquareSide(3*(1<<42), 1); got != 3632374 { // ⌈2^21·√3⌉
+		t.Errorf("MinSquareSide(3·2^42, 1) = %d, want 3632374", got)
+	}
+	if got := MinSquareSide(math.MaxInt, 1); got != 3037000500 {
+		t.Errorf("MinSquareSide(MaxInt, 1) = %d, want 3037000500", got)
 	}
 }
 

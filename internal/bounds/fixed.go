@@ -86,7 +86,7 @@ func MinBaseFixedLB(in *model.Instance, starts []int) int {
 		area := 0
 		for u, t := range in.Tasks {
 			if starts[u] <= s && s < starts[u]+t.Dur {
-				area = satAdd(area, satMulInt(t.W, t.H))
+				area = satAdd(area, SatMul(t.W, t.H))
 			}
 		}
 		lb = max(lb, ceilSqrt(area))

@@ -73,7 +73,7 @@ func MinTimeReport(in *model.Instance, W, H int, o *model.Order) Report {
 			r.MaxDuration = t.Dur
 		}
 	}
-	r.Volume = ceilDiv(in.Volume(), W*H)
+	r.Volume = CeilDiv(in.Volume(), SatMul(W, H))
 	t1 := time.Now()
 	r.Timings.Simple = t1.Sub(t0)
 	r.Serialization = SerializationMinT(in, W, H, o)

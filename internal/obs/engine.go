@@ -18,4 +18,7 @@ const (
 	// MetricSearchLiveDepth gauges the deepest level reached by the
 	// search in flight.
 	MetricSearchLiveDepth = "search.live_depth"
+	// MetricProbePanics counts raced sweep probes that panicked; each
+	// one fails its sweep with an error instead of the process.
+	MetricProbePanics = "solver.probe_panics"
 )

@@ -48,8 +48,8 @@ type Config struct {
 	// Parallelism is opt-in: >1 races sweeps and steals in single
 	// decisions; 0 and 1 are sequential.
 	Workers int
-	// Strategy is the default solve strategy ("staged" or "portfolio",
-	// "" = staged) applied when a request does not carry its own
+	// Strategy is the default solve strategy ("staged", "portfolio" or
+	// "anneal", "" = staged) applied when a request does not carry its own
 	// "strategy" field. An unknown name is rejected per request with a
 	// 400, so callers should validate it up front (fpgad does).
 	Strategy string

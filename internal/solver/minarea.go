@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"fpga3d/internal/bounds"
 	"fpga3d/internal/core"
 	"fpga3d/internal/model"
 )
@@ -72,14 +73,11 @@ func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 
 	bestArea := -1
 	for w := minW; w <= maxW; w++ {
-		if bestArea >= 0 && w*minH >= bestArea {
+		if bestArea >= 0 && bounds.SatMul(w, minH) >= bestArea {
 			break // no width this large can improve the area
 		}
 		// Height lower bound for this width from volume and geometry.
-		hLo := minH
-		for w*hLo*T < volume {
-			hLo++
-		}
+		hLo := max(minH, bounds.CeilDiv(volume, bounds.SatMul(w, T)))
 		// Find a feasible height by doubling, bounded by ΣH.
 		hHi := hLo
 		sumH := 0
@@ -88,7 +86,7 @@ func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 		}
 		var hiPlace *model.Placement
 		for {
-			if bestArea >= 0 && w*hHi >= bestArea {
+			if bestArea >= 0 && bounds.SatMul(w, hHi) >= bestArea {
 				hiPlace = nil
 				break
 			}
@@ -137,7 +135,7 @@ func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 				lo = mid + 1
 			}
 		}
-		area := w * bestH
+		area := bounds.SatMul(w, bestH)
 		better := bestArea < 0 || area < bestArea
 		if !better && area == bestArea {
 			// Prefer the squarer chip on equal area.

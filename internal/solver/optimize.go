@@ -149,7 +149,7 @@ func minTime(ctx context.Context, in *model.Instance, W, H int, order *model.Ord
 			res.mergeProbe(r)
 			opt.probe("spp", map[string]any{"T": T, "outcome": probeOutcomeLabel(r)})
 		}
-		d, value, witness, err := raceBinary(ctx, workers, lb, ub, probe, onProbe)
+		d, value, witness, err := raceBinary(ctx, workers, lb, ub, probe, onProbe, opt.Metrics)
 		if err != nil {
 			res.Decision = Unknown
 			res.Value = best
@@ -368,7 +368,7 @@ func minBase(ctx context.Context, in *model.Instance, T int, order *model.Order,
 			res.mergeProbe(r)
 			opt.probe("bmp", map[string]any{"h": h, "outcome": probeOutcomeLabel(r)})
 		}
-		d, value, witness, err := raceAscending(ctx, workers, lb, hMax, probe, onProbe)
+		d, value, witness, err := raceAscending(ctx, workers, lb, hMax, probe, onProbe, opt.Metrics)
 		res.Elapsed = time.Since(start)
 		if err != nil {
 			res.Decision = Unknown
@@ -425,9 +425,9 @@ func minBase(ctx context.Context, in *model.Instance, T int, order *model.Order,
 // task, decide whether a non-overlapping spatial placement on the W×H
 // chip exists. With the time dimension fully decided, the packing-class
 // search degenerates to the two spatial dimensions — the simplification
-// highlighted in Section 4 of the paper. Every strategy tries per-slice
-// area and conservative-scale bounds and a fixed-start placer before
-// that search (see strategy.Env.solveFixed).
+// highlighted in Section 4 of the paper. Every strategy preset tries
+// per-slice area and conservative-scale bounds and a fixed-start placer
+// before that search (see strategy.Pipeline.Solve).
 func FeasibleFixedSchedule(in *model.Instance, c model.Container, starts []int, opt Options) (*OPPResult, error) {
 	return FeasibleFixedScheduleCtx(context.Background(), in, c, starts, opt)
 }
@@ -449,7 +449,11 @@ func FeasibleFixedScheduleCtx(ctx context.Context, in *model.Instance, c model.C
 	if err != nil {
 		return nil, err
 	}
-	return opt.pipeline().Solve(ctx, &strategy.Problem{In: in, C: c, Order: order, FixedStarts: starts})
+	pl, err := opt.pipeline()
+	if err != nil {
+		return nil, err
+	}
+	return pl.Solve(ctx, &strategy.Problem{In: in, C: c, Order: order, FixedStarts: starts})
 }
 
 // MinBaseFixedSchedule solves MinA&FixedS: the smallest square chip that
@@ -506,7 +510,7 @@ func MinBaseFixedScheduleCtx(ctx context.Context, in *model.Instance, starts []i
 			res.mergeProbe(r)
 			opt.probe("bmp_fixed", map[string]any{"h": h, "outcome": probeOutcomeLabel(r)})
 		}
-		d, value, witness, err := raceAscending(ctx, workers, lb, hMax, probe, onProbe)
+		d, value, witness, err := raceAscending(ctx, workers, lb, hMax, probe, onProbe, opt.Metrics)
 		res.Elapsed = time.Since(start)
 		if err != nil {
 			res.Decision = Unknown

@@ -2,8 +2,11 @@ package solver
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 
 	"fpga3d/internal/model"
+	"fpga3d/internal/obs"
 )
 
 // Concurrent optimization sweeps.
@@ -58,30 +61,42 @@ type racer struct {
 	workers int
 	probe   probeFunc
 	onProbe func(v int, r *OPPResult)
+	metrics *obs.Registry
 
 	results chan probeOutcome
 	cancels map[int]context.CancelFunc
 }
 
-func newRacer(ctx context.Context, workers int, probe probeFunc, onProbe func(int, *OPPResult)) *racer {
+func newRacer(ctx context.Context, workers int, probe probeFunc, onProbe func(int, *OPPResult), metrics *obs.Registry) *racer {
 	return &racer{
 		ctx:     ctx,
 		workers: workers,
 		probe:   probe,
 		onProbe: onProbe,
+		metrics: metrics,
 		results: make(chan probeOutcome, workers),
 		cancels: make(map[int]context.CancelFunc),
 	}
 }
 
 // launch starts the probe at v on a fresh goroutine under a child
-// context, so it can be canceled individually.
+// context, so it can be canceled individually. A panicking probe
+// delivers the panic, with its stack, as the probe's error (counted
+// under obs.MetricProbePanics), so the sweep fails and drains like on
+// any other probe error instead of crashing the process.
 func (r *racer) launch(v int) {
 	cctx, cancel := context.WithCancel(r.ctx)
 	r.cancels[v] = cancel
 	go func() {
-		res, err := r.probe(cctx, v)
-		r.results <- probeOutcome{v: v, res: res, err: err}
+		out := probeOutcome{v: v}
+		defer func() {
+			if p := recover(); p != nil {
+				r.metrics.Counter(obs.MetricProbePanics).Inc()
+				out.res, out.err = nil, fmt.Errorf("solver: probe at %d panicked: %v\n%s", v, p, debug.Stack())
+			}
+			r.results <- out
+		}()
+		out.res, out.err = r.probe(cctx, v)
 	}()
 }
 
@@ -132,8 +147,8 @@ func (r *racer) drain() {
 // at v likewise cancels every probe above v. The frontier probe at v*
 // is never redundant, so its (deterministic) witness is bit-identical
 // to the sequential one.
-func raceAscending(ctx context.Context, workers, lo, hi int, probe probeFunc, onProbe func(int, *OPPResult)) (Decision, int, *OPPResult, error) {
-	r := newRacer(ctx, workers, probe, onProbe)
+func raceAscending(ctx context.Context, workers, lo, hi int, probe probeFunc, onProbe func(int, *OPPResult), metrics *obs.Registry) (Decision, int, *OPPResult, error) {
+	r := newRacer(ctx, workers, probe, onProbe, metrics)
 	defer r.drain()
 
 	next := lo       // high-water mark of launched values
@@ -204,8 +219,8 @@ func raceAscending(ctx context.Context, workers, lo, hi int, probe probeFunc, on
 // sequential one; the returned witness is non-nil iff the optimum was
 // proven by a probe (it stays nil when hi itself is optimal, in which
 // case the caller's pre-existing witness for hi stands).
-func raceBinary(ctx context.Context, workers, lo, hi int, probe probeFunc, onProbe func(int, *OPPResult)) (Decision, int, *OPPResult, error) {
-	r := newRacer(ctx, workers, probe, onProbe)
+func raceBinary(ctx context.Context, workers, lo, hi int, probe probeFunc, onProbe func(int, *OPPResult), metrics *obs.Registry) (Decision, int, *OPPResult, error) {
+	r := newRacer(ctx, workers, probe, onProbe, metrics)
 	defer r.drain()
 
 	var bestRes *OPPResult // witness at hi, once a probe proves one
@@ -286,9 +301,8 @@ func (res *OptResult) mergeProbe(r *OPPResult) {
 
 // oppProbe builds the probeFunc for a plain FeasAT&FindS sweep where
 // the sweep value selects the container. The sweep already saturates
-// the worker pool, so each probe's strategy runs sequentially — a
-// portfolio probe keeps its incumbent dominance but does not also race
-// internally.
+// the worker pool, so each probe's engine search runs sequentially
+// rather than also stealing work.
 func oppProbe(in *model.Instance, order *model.Order, opt Options, container func(v int) model.Container) probeFunc {
 	opt.Workers = 1
 	return func(ctx context.Context, v int) (*OPPResult, error) {

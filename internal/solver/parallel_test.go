@@ -3,6 +3,8 @@ package solver
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"fpga3d/internal/bench"
 	"fpga3d/internal/core"
 	"fpga3d/internal/model"
+	"fpga3d/internal/obs"
 )
 
 // fakeProbe builds a probeFunc over a synthetic monotone predicate:
@@ -43,7 +46,7 @@ func TestRaceAscendingFindsThreshold(t *testing.T) {
 			probe := fakeProbe(threshold, time.Millisecond, &calls)
 			merged := 0
 			d, v, res, err := raceAscending(context.Background(), workers, 3, 20, probe,
-				func(int, *OPPResult) { merged++ })
+				func(int, *OPPResult) { merged++ }, nil)
 			if err != nil {
 				t.Fatalf("workers=%d threshold=%d: %v", workers, threshold, err)
 			}
@@ -64,7 +67,7 @@ func TestRaceAscendingFindsThreshold(t *testing.T) {
 func TestRaceAscendingInfeasibleRange(t *testing.T) {
 	var calls atomic.Int64
 	probe := fakeProbe(100, time.Millisecond, &calls)
-	d, _, _, err := raceAscending(context.Background(), 4, 3, 20, probe, func(int, *OPPResult) {})
+	d, _, _, err := raceAscending(context.Background(), 4, 3, 20, probe, func(int, *OPPResult) {}, nil)
 	if err != nil || d != Infeasible {
 		t.Fatalf("got %v, %v; want infeasible", d, err)
 	}
@@ -75,7 +78,7 @@ func TestRaceAscendingParentCancel(t *testing.T) {
 	cancel()
 	var calls atomic.Int64
 	probe := fakeProbe(100, time.Millisecond, &calls)
-	_, _, _, err := raceAscending(ctx, 4, 3, 20, probe, func(int, *OPPResult) {})
+	_, _, _, err := raceAscending(ctx, 4, 3, 20, probe, func(int, *OPPResult) {}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -88,7 +91,7 @@ func TestRaceBinaryFindsThreshold(t *testing.T) {
 			probe := fakeProbe(threshold, time.Millisecond, &calls)
 			merged := 0
 			d, v, res, err := raceBinary(context.Background(), workers, 3, 20, probe,
-				func(int, *OPPResult) { merged++ })
+				func(int, *OPPResult) { merged++ }, nil)
 			if err != nil {
 				t.Fatalf("workers=%d threshold=%d: %v", workers, threshold, err)
 			}
@@ -105,6 +108,45 @@ func TestRaceBinaryFindsThreshold(t *testing.T) {
 					workers, threshold, calls.Load(), merged)
 			}
 		}
+	}
+}
+
+// TestRaceBinaryProbePanic: a probe that panics fails the sweep with
+// an error that carries the panic value and its stack, and is counted
+// in the metrics; the probes still in flight are drained and merged,
+// and no probe goroutine outlives the sweep.
+func TestRaceBinaryProbePanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var calls atomic.Int64
+	inner := fakeProbe(7, 5*time.Millisecond, &calls)
+	probe := func(ctx context.Context, v int) (*OPPResult, error) {
+		if v == 11 { // the first bisection point
+			calls.Add(1)
+			panic("boom")
+		}
+		return inner(ctx, v)
+	}
+	reg := obs.NewRegistry()
+	merged := 0
+	_, _, _, err := raceBinary(context.Background(), 4, 3, 20, probe,
+		func(int, *OPPResult) { merged++ }, reg)
+	if err == nil || !strings.Contains(err.Error(), "probe at 11 panicked: boom") ||
+		!strings.Contains(err.Error(), "runtime/debug.Stack") {
+		t.Fatalf("err = %v, want the panic with its stack", err)
+	}
+	if n := reg.Snapshot()[obs.MetricProbePanics]; n != 1 {
+		t.Errorf("%s = %d, want 1", obs.MetricProbePanics, n)
+	}
+	if merged == 0 || int64(merged) != calls.Load()-1 {
+		t.Errorf("%d probes launched, %d merged; want every probe but the panicking one merged",
+			calls.Load(), merged)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the sweep, %d before", n, before)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"fpga3d/internal/bounds"
 	"fpga3d/internal/model"
 )
 
@@ -137,10 +138,7 @@ func MinBaseWithRotation(in *model.Instance, T int, opt Options) (*OptResult, []
 		}
 		hMax += hi
 	}
-	vol := in.Volume()
-	for lb*lb*T < vol {
-		lb++
-	}
+	lb = max(lb, bounds.MinSquareSide(in.Volume(), T))
 	res.LowerBound = lb
 	for h := lb; h <= hMax; h++ {
 		r, err := SolveOPPWithRotation(in, model.Container{W: h, H: h, T: T}, opt)

@@ -59,8 +59,8 @@ type Options struct {
 	// optimum, are bit-identical to the sequential sweep (the lowest
 	// container wins ties, exactly as in the sequential ascent). Each
 	// raced probe runs a sequential engine, so a sweep uses at most
-	// Workers goroutines in total. The portfolio strategy likewise
-	// races its prover against the exact search only when Workers > 1.
+	// Workers goroutines in total. Within a probe every strategy preset
+	// runs its tiers in order, whatever Workers is.
 	//
 	// Intra-probe work stealing. A single decision that is not part of
 	// a sweep — SolveOPP, FeasibleFixedSchedule, SolveMultiChip, each
@@ -94,13 +94,12 @@ type Options struct {
 	// axis to try Disjoint before Overlap.
 	TimeDisjointFirst bool
 
-	// Strategy selects how the three stages are composed per OPP
-	// decision: "" or "staged" (the default — sequential short-circuit,
-	// bit-identical to the historical pipeline), "portfolio"
-	// (incumbent sharing across the probes of an optimization run:
-	// dominated probes are answered by stored witnesses, sweeps are
-	// seeded by previous answers, and with Workers > 1 a single
-	// decision races the cheap prover against the exact search), or
+	// Strategy selects the preset of the stage pipeline every OPP
+	// decision runs: "" or "staged" (the default — sequential
+	// short-circuit, bit-identical to the historical pipeline),
+	// "portfolio" (incumbent sharing across the probes of an
+	// optimization run: dominated probes are answered by stored
+	// witnesses and sweeps are seeded by previous answers), or
 	// "anneal" (the staged pipeline with a randomized annealing placer
 	// between the greedy heuristic and the exact search; deterministic
 	// per AnnealSeed). Unknown names are rejected with an error by
@@ -149,11 +148,11 @@ type Options struct {
 	// search.nodes, …). Safe to share between concurrent solves.
 	Metrics *obs.Registry
 
-	// inc is the per-run incumbent store shared by every strategy
-	// invocation of one optimization run. Exported entry points attach
-	// a fresh store to their local Options copy (withRun), so a caller
-	// sharing one Options value across goroutines never shares a store
-	// across instances or runs.
+	// inc is the per-run incumbent store shared by every probe of one
+	// optimization run. Exported entry points attach a fresh store to
+	// their local Options copy (withRun), so a caller sharing one
+	// Options value across goroutines never shares a store across
+	// instances or runs.
 	inc *strategy.Incumbents
 }
 
@@ -186,34 +185,20 @@ func (o Options) validateStrategy() error {
 // portfolio reports whether the portfolio strategy is selected.
 func (o Options) portfolio() bool { return o.Strategy == strategy.NamePortfolio }
 
-// strategyEnv builds the strategy layer's run environment from the
-// options.
-func (o Options) strategyEnv() *strategy.Env {
-	return &strategy.Env{
+// pipeline resolves the configured strategy preset over this run's
+// environment. The zero value selects the staged preset, the
+// historical three-stage pipeline.
+func (o Options) pipeline() (*strategy.Pipeline, error) {
+	return strategy.Parse(o.Strategy, &strategy.Env{
 		SearchOpts:    o.searchOptions,
 		SkipBounds:    o.SkipBounds,
 		SkipHeuristic: o.SkipHeuristic,
-		Workers:       o.effectiveWorkers(),
 		Progress:      o.Progress,
 		Trace:         o.Trace,
 		Metrics:       o.Metrics,
 		Inc:           o.inc,
 		AnnealSeed:    o.AnnealSeed,
-	}
-}
-
-// pipeline resolves the configured strategy over this run's
-// environment. The zero value selects Staged, the historical
-// three-stage pipeline.
-func (o Options) pipeline() strategy.Strategy {
-	switch o.Strategy {
-	case strategy.NamePortfolio:
-		return strategy.NewPortfolio(o.strategyEnv())
-	case strategy.NameAnneal:
-		return strategy.NewAnneal(o.strategyEnv())
-	default:
-		return strategy.NewStaged(o.strategyEnv())
-	}
+	})
 }
 
 // effectiveWorkers resolves Options.Workers to a concrete pool size:
@@ -294,7 +279,7 @@ func ms(d time.Duration) float64 { return strategy.MS(d) }
 func stagesMS(s StageTimings) map[string]float64 { return strategy.StagesMS(s) }
 
 // OPPResult is the outcome of one orthogonal packing decision. Its
-// canonical definition lives in the strategy layer: a Strategy's Solve
+// canonical definition lives in the strategy layer: Pipeline.Solve
 // returns exactly this shape.
 type OPPResult = strategy.Result
 
@@ -327,11 +312,13 @@ func SolveOPPCtx(ctx context.Context, in *model.Instance, c model.Container, opt
 }
 
 // solveOPP decides one orthogonal packing question through the
-// configured strategy (internal/strategy): Staged reproduces the
-// historical bounds → heuristic → search pipeline bit for bit,
-// Portfolio adds incumbent dominance and prover-versus-search racing.
+// configured strategy preset (internal/strategy).
 func solveOPP(ctx context.Context, in *model.Instance, c model.Container, order *model.Order, opt Options) (*OPPResult, error) {
-	return opt.pipeline().Solve(ctx, &strategy.Problem{In: in, C: c, Order: order})
+	pl, err := opt.pipeline()
+	if err != nil {
+		return nil, err
+	}
+	return pl.Solve(ctx, &strategy.Problem{In: in, C: c, Order: order})
 }
 
 // buildProblem translates an instance+container into the engine's

@@ -30,11 +30,11 @@ func TestAnnealStrategyAgreesWithStaged(t *testing.T) {
 				continue
 			}
 			p := &Problem{In: in, C: c, Order: order}
-			rs, err := NewStaged(testEnv(1)).Solve(context.Background(), p)
+			rs, err := mustParse(t, NameStaged, testEnv()).Solve(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ra, err := NewAnneal(testEnv(1)).Solve(context.Background(), p)
+			ra, err := mustParse(t, NameAnneal, testEnv()).Solve(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +61,8 @@ func TestAnnealStrategyRecordsWitnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := testEnv(1)
-	a := NewAnneal(env)
+	env := testEnv()
+	a := mustParse(t, NameAnneal, env)
 	// A generous container the greedy heuristic certainly satisfies.
 	horizon := in.TotalDuration()
 	c := model.Container{W: 8, H: 8, T: horizon}
@@ -112,7 +112,7 @@ func TestAnnealStageDecides(t *testing.T) {
 		if in.MaxW() > W || in.MaxH() > H {
 			continue
 		}
-		env := testEnv(1)
+		env := testEnv()
 		_, greedyMk, ok, _ := env.Inc.MinMakespan(in, W, H, order)
 		if !ok {
 			continue
@@ -120,7 +120,7 @@ func TestAnnealStageDecides(t *testing.T) {
 		// Probe one cycle under the greedy makespan: stage 2 misses by
 		// construction.
 		c := model.Container{W: W, H: H, T: greedyMk - 1}
-		res, err := NewAnneal(env).Solve(context.Background(), &Problem{In: in, C: c, Order: order})
+		res, err := mustParse(t, NameAnneal, env).Solve(context.Background(), &Problem{In: in, C: c, Order: order})
 		if err != nil {
 			t.Fatal(err)
 		}

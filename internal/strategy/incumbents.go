@@ -8,13 +8,13 @@ import (
 	"fpga3d/internal/model"
 )
 
-// Incumbents is the incumbent store shared by every strategy
-// invocation of one optimization run. It memoizes the greedy
+// Incumbents is the incumbent store shared by every probe of one
+// optimization run. It memoizes the greedy
 // heuristic's minimum-makespan placement per chip footprint — the
 // sweeps' probes at different time budgets on the same chip then share
 // a single stage-2 computation — and records feasible witnesses so a
 // later probe whose container dominates a stored witness is answered
-// without any work (Portfolio mode).
+// without any work (the portfolio and anneal presets).
 //
 // A store is only meaningful for a single instance: the solver
 // attaches a fresh store to each optimization run, and rotation's
@@ -56,11 +56,6 @@ func NewIncumbents() *Incumbents {
 	}
 }
 
-// computeMinMakespan is the unmemoized stage-2 computation.
-func computeMinMakespan(in *model.Instance, W, H int, o *model.Order) (*model.Placement, int, bool) {
-	return heur.MinMakespan(in, W, H, o)
-}
-
 // MinMakespan returns the greedy minimum-makespan placement for a W×H
 // chip, computing it at most once per footprint. hit reports whether
 // the entry was served from the memo. The returned placement is the
@@ -77,7 +72,7 @@ func (s *Incumbents) MinMakespan(in *model.Instance, W, H int, o *model.Order) (
 	// Compute outside the lock; concurrent probes of the same chip may
 	// duplicate the work once, but the result is deterministic so
 	// whichever entry lands is the same.
-	p, m, k := computeMinMakespan(in, W, H, o)
+	p, m, k := heur.MinMakespan(in, W, H, o)
 	s.mu.Lock()
 	s.heur[key] = heurEntry{place: p, mk: m, ok: k}
 	s.heurComputes++

@@ -16,8 +16,8 @@ import (
 // dominance/memos concurrently with a background refiner that keeps
 // recording strictly improving incumbents. Run under -race (the CI
 // race set includes this package), this is the contention profile the
-// anytime tier introduces — before it, the store only saw the
-// portfolio's few racing goroutines.
+// anytime tier introduces — before it, the store only saw a few
+// concurrent sweep probes.
 func TestIncumbentsRaceStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := bench.Random(rng, 10, 3, 4, 0.3)

@@ -28,12 +28,21 @@ func twoBlocks(t *testing.T) (*model.Instance, *model.Order) {
 	return in, order
 }
 
-func testEnv(workers int) *Env {
+func testEnv() *Env {
 	return &Env{
 		SearchOpts: func(ctx context.Context) core.Options { return core.Options{Ctx: ctx} },
-		Workers:    workers,
 		Inc:        NewIncumbents(),
 	}
+}
+
+// mustParse resolves a preset name that the test knows is valid.
+func mustParse(t *testing.T, name string, env *Env) *Pipeline {
+	t.Helper()
+	pl, err := Parse(name, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
 }
 
 func TestValidAndNames(t *testing.T) {
@@ -54,7 +63,7 @@ func TestValidAndNames(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	env := testEnv(1)
+	env := testEnv()
 	for name, want := range map[string]string{
 		"":            NameStaged,
 		NameStaged:    NameStaged,
@@ -65,8 +74,8 @@ func TestParse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
 		}
-		if s.Name() != want {
-			t.Errorf("Parse(%q).Name() = %q, want %q", name, s.Name(), want)
+		if s.name != want {
+			t.Errorf("Parse(%q) runs preset %q, want %q", name, s.name, want)
 		}
 	}
 	if _, err := Parse("bogus", env); err == nil {
@@ -208,29 +217,25 @@ func TestStagedAndPortfolioAgree(t *testing.T) {
 		{model.Container{W: 1, H: 1, T: 10}, Infeasible},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2} {
-			staged := NewStaged(testEnv(workers))
-			port := NewPortfolio(testEnv(workers))
-			p := &Problem{In: in, C: tc.c, Order: order}
-			rs, err := staged.Solve(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
+		p := &Problem{In: in, C: tc.c, Order: order}
+		rs, err := mustParse(t, NameStaged, testEnv()).Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := mustParse(t, NamePortfolio, testEnv()).Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Decision != tc.want || rp.Decision != tc.want {
+			t.Errorf("container %+v: staged=%v portfolio=%v, want %v",
+				tc.c, rs.Decision, rp.Decision, tc.want)
+		}
+		if rs.Decision == Feasible {
+			if err := rs.Placement.Verify(in, tc.c, order); err != nil {
+				t.Errorf("staged witness invalid: %v", err)
 			}
-			rp, err := port.Solve(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.Decision != tc.want || rp.Decision != tc.want {
-				t.Errorf("container %+v workers=%d: staged=%v portfolio=%v, want %v",
-					tc.c, workers, rs.Decision, rp.Decision, tc.want)
-			}
-			if rs.Decision == Feasible {
-				if err := rs.Placement.Verify(in, tc.c, order); err != nil {
-					t.Errorf("staged witness invalid: %v", err)
-				}
-				if err := rp.Placement.Verify(in, tc.c, order); err != nil {
-					t.Errorf("portfolio witness invalid: %v", err)
-				}
+			if err := rp.Placement.Verify(in, tc.c, order); err != nil {
+				t.Errorf("portfolio witness invalid: %v", err)
 			}
 		}
 	}
@@ -238,8 +243,8 @@ func TestStagedAndPortfolioAgree(t *testing.T) {
 
 func TestPortfolioIncumbentDominance(t *testing.T) {
 	in, order := twoBlocks(t)
-	env := testEnv(1)
-	port := NewPortfolio(env)
+	env := testEnv()
+	port := mustParse(t, NamePortfolio, env)
 
 	c := model.Container{W: 2, H: 2, T: 4}
 	r1, err := port.Solve(context.Background(), &Problem{In: in, C: c, Order: order})
@@ -275,55 +280,71 @@ func TestPortfolioIncumbentDominance(t *testing.T) {
 	}
 }
 
+// TestPortfolioRaceDecides checks the portfolio preset's answers when
+// the exact search alone must decide (bounds and heuristic skipped),
+// and when the bounds refute the probe before the search runs.
 func TestPortfolioRaceDecides(t *testing.T) {
 	in, order := twoBlocks(t)
-	// SkipBounds + SkipHeuristic leaves an inconclusive prover, so the
-	// race resolves through the exact search on both outcomes.
-	env := testEnv(2)
+	env := testEnv()
 	env.SkipBounds = true
 	env.SkipHeuristic = true
-	port := NewPortfolio(env)
+	port := mustParse(t, NamePortfolio, env)
 	feas, err := port.Solve(context.Background(), &Problem{In: in, C: model.Container{W: 2, H: 2, T: 4}, Order: order})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if feas.Decision != Feasible || feas.DecidedBy != "search" {
-		t.Fatalf("feasible race: %v by %q", feas.Decision, feas.DecidedBy)
+		t.Fatalf("feasible probe: %v by %q", feas.Decision, feas.DecidedBy)
+	}
+	if err := feas.Placement.Verify(in, model.Container{W: 2, H: 2, T: 4}, order); err != nil {
+		t.Errorf("search witness invalid: %v", err)
 	}
 	inf, err := port.Solve(context.Background(), &Problem{In: in, C: model.Container{W: 4, H: 4, T: 3}, Order: order})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// T=3 < critical path: either the search refutes it, or (with
-	// bounds skipped here) only the search can — DecidedBy is search.
-	if inf.Decision != Infeasible {
-		t.Fatalf("infeasible race: %v by %q", inf.Decision, inf.DecidedBy)
+	// T=3 < critical path, and with the bounds skipped only the search
+	// can refute it.
+	if inf.Decision != Infeasible || inf.DecidedBy != "search" {
+		t.Fatalf("infeasible probe: %v by %q", inf.Decision, inf.DecidedBy)
 	}
 
-	// With the prover active, a bounds-refutable probe lets the prover
-	// win without waiting for the search.
-	env2 := testEnv(2)
-	port2 := NewPortfolio(env2)
-	r, err := port2.Solve(context.Background(), &Problem{In: in, C: model.Container{W: 4, H: 4, T: 2}, Order: order})
+	// With the bounds active, a bounds-refutable probe is decided
+	// without the search.
+	r, err := mustParse(t, NamePortfolio, testEnv()).Solve(context.Background(), &Problem{In: in, C: model.Container{W: 4, H: 4, T: 2}, Order: order})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Decision != Infeasible {
-		t.Fatalf("raced bound refutation: %v by %q", r.Decision, r.DecidedBy)
+		t.Fatalf("bound refutation: %v by %q", r.Decision, r.DecidedBy)
 	}
 }
 
+// TestPortfolioRaceCanceled checks that a dead context ends a portfolio
+// probe before any tier, a stored witness that dominates it included.
 func TestPortfolioRaceCanceled(t *testing.T) {
 	in, order := twoBlocks(t)
-	env := testEnv(2)
+	c := model.Container{W: 2, H: 2, T: 4}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := NewPortfolio(env).Solve(ctx, &Problem{In: in, C: model.Container{W: 2, H: 2, T: 4}, Order: order})
+	r, err := mustParse(t, NamePortfolio, testEnv()).Solve(ctx, &Problem{In: in, C: c, Order: order})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Decision != Unknown || r.DecidedBy != "canceled" {
 		t.Fatalf("pre-canceled solve: %v by %q", r.Decision, r.DecidedBy)
+	}
+
+	port := mustParse(t, NamePortfolio, testEnv())
+	if r, err := port.Solve(context.Background(), &Problem{In: in, C: c, Order: order}); err != nil || r.Decision != Feasible {
+		t.Fatalf("seeding solve: %v, %v", r, err)
+	}
+	r, err = port.Solve(ctx, &Problem{In: in, C: c, Order: order})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Decision != Unknown || r.DecidedBy != "canceled" {
+		t.Fatalf("pre-canceled solve with a stored witness: %v by %q", r.Decision, r.DecidedBy)
 	}
 }
 
@@ -343,7 +364,7 @@ func TestBuildProblemShapes(t *testing.T) {
 	}
 }
 
-// TestFixedScheduleStages: every strategy answers a fixed-schedule
+// TestFixedScheduleStages: every preset answers a fixed-schedule
 // question through the same stages — a dead context before any stage,
 // stage 1's slice bounds, stage 2's fixed-start placer, then the
 // search — with the DecidedBy strings and counters of the 3D pipeline,
@@ -376,13 +397,10 @@ func TestFixedScheduleStages(t *testing.T) {
 	}
 	for _, name := range Names() {
 		for _, tc := range cases {
-			env := testEnv(1)
+			env := testEnv()
 			env.Metrics = obs.NewRegistry()
 			env.SkipBounds, env.SkipHeuristic = tc.skipBounds, tc.skipHeur
-			s, err := Parse(name, env)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mustParse(t, name, env)
 			c := model.Container{W: tc.side, H: tc.side, T: 6}
 			res, err := s.Solve(tc.ctx, &Problem{In: de, C: c, Order: order, FixedStarts: starts})
 			if err != nil {
