@@ -200,11 +200,11 @@ type OptimizeResult struct {
 	LowerBound int
 	// BestBound is the best proven lower bound at exit: equal to Value
 	// on a completed run, and the refined bound (≥ LowerBound) on a
-	// partial MinimizeTime run.
+	// partial run.
 	BestBound int
 	// Gap is the relative optimality gap (Value−BestBound)/Value: 0 on
-	// a completed run, positive on a partial MinimizeTime run. Only
-	// MinimizeTime refines it; other modes report 0.
+	// a completed run, positive on a partial run that has proven some
+	// Value feasible (MinimizeTime always has, from its greedy start).
 	Gap     float64
 	Nodes   int64
 	Stats   Stats // engine statistics summed over all probes
@@ -247,8 +247,8 @@ func MinimizeTime(in *Instance, w, h int, o *Options) (*OptimizeResult, error) {
 
 // MinimizeTimeCtx is MinimizeTime under a context. With
 // Options.Workers > 1 the binary search's independent OPP decisions
-// race on that many goroutines (the optimum and its witness stay
-// bit-identical to the sequential sweep);
+// race on that many goroutines (the optimum and its witness equal the
+// sequential sweep's whenever no probe hits a node or time limit);
 // cancellation aborts the run promptly and returns the partial result —
 // with the merged statistics of every probe, including canceled ones —
 // together with ctx.Err().

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"time"
 
 	"fpga3d/internal/graph"
@@ -264,13 +266,25 @@ func newEngine(p *Problem, opt Options) *engine {
 		cc := 1
 		for dd := 0; dd < nd; dd++ {
 			if dd != d {
-				cc *= p.Dims[dd].Cap
+				cc = satMul(cc, p.Dims[dd].Cap)
 			}
 		}
 		e.coCap[d] = cc
 	}
 	e.computeSymmetry()
 	return e
+}
+
+// satMul returns a·b for non-negative a and b, or math.MaxInt when the
+// product does not fit: chip sides near 2^32 would otherwise wrap a
+// co-capacity product negative, which the clique rules read as a
+// conflict.
+func satMul(a, b int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(lo)
 }
 
 // initScratch allocates the engine's scratch buffers.

@@ -76,118 +76,58 @@ func (a *anytimeState) annotate(prev obs.ProgressFunc) obs.ProgressFunc {
 	}
 }
 
-// minTimeAnytime is the anytime continuation of minTime, entered with
-// the stage-1 bound and the verified greedy incumbent in hand. It
-// streams every improvement of the (incumbent, bound) pair —
-// annealing improvements first, then exact binary-search refinement —
-// and terminates with a Final update once the gap is proven closed.
-// The refinement is the same monotone predicate over the same
-// interval the staged sweep converges on, so the final Value equals
-// the staged pipeline's; only intermediate effort differs.
-func minTimeAnytime(ctx context.Context, in *model.Instance, W, H int, order *model.Order, opt Options, res *OptResult, start time.Time, lb, best int, bestPlace *model.Placement) (*OptResult, error) {
+// anytimeObserver attaches the anytime tier's stream to a MinTime run:
+// it wraps opt's Progress hook so every snapshot carries the run's
+// (incumbent, bound) pair, and returns the sweep observer that
+// publishes each improvement — gauges, an "anytime" trace event, an
+// AnytimeUpdate and a fresh snapshot, which keeps pull-based consumers
+// (SSE streams, tickers) current between node-cadence frames.
+func anytimeObserver(opt *Options, start time.Time) observer {
 	state := &anytimeState{}
-	state.set(best, lb)
 	opt.Progress = state.annotate(opt.Progress)
-
-	emit := func(best, lo int, source string, pl *model.Placement, final bool) {
+	o := *opt
+	return func(best, lo int, source string, pl *model.Placement, final bool) {
 		state.set(best, lo)
 		g := bounds.Gap(best, lo)
-		opt.Metrics.Gauge("anytime.best").Set(int64(best))
-		opt.Metrics.Gauge("anytime.lower_bound").Set(int64(lo))
-		opt.Trace.Emit("anytime", map[string]any{
+		o.Metrics.Gauge("anytime.best").Set(int64(best))
+		o.Metrics.Gauge("anytime.lower_bound").Set(int64(lo))
+		o.Trace.Emit("anytime", map[string]any{
 			"best": best, "lower_bound": lo, "gap": g, "source": source, "final": final,
 		})
-		if opt.OnImprovement != nil {
-			opt.OnImprovement(AnytimeUpdate{
+		if o.OnImprovement != nil {
+			o.OnImprovement(AnytimeUpdate{
 				Best: best, LowerBound: lo, Gap: g, Source: source,
 				Placement: pl, Elapsed: time.Since(start), Final: final,
 			})
 		}
-		// A fresh snapshot per improvement keeps pull-based consumers
-		// (SSE streams, tickers) current even between node-cadence
-		// frames.
-		if opt.Progress != nil {
-			opt.Progress(obs.Snapshot{Phase: obs.PhaseAnneal, Elapsed: time.Since(start)})
+		if o.Progress != nil {
+			o.Progress(obs.Snapshot{Phase: obs.PhaseAnneal, Elapsed: time.Since(start)})
 		}
 	}
+}
 
-	lo, hi := lb, best
-	emit(best, lo, "heuristic", bestPlace, false)
-
-	// Annealing tier: tighten the incumbent before any exact probe,
-	// streaming improvements as they land. Target lo stops the walk as
-	// soon as an incumbent matches the proven bound.
-	opt.notifyPhase(obs.PhaseAnneal)
+// annealIncumbent is the anytime tier's annealing stage: before any
+// exact probe it tightens the sweep's incumbent with the annealing
+// placer, each improvement reaching the observer as it lands. Target
+// stops the walk as soon as an incumbent matches the proven bound.
+func annealIncumbent(ctx context.Context, in *model.Instance, W, H int, order *model.Order, s *sweep[struct{}]) error {
+	s.opt.notifyPhase(obs.PhaseAnneal)
 	tAnneal := time.Now()
-	ap, amk, aok := heur.AnnealMinMakespan(ctx, in, W, H, order, heur.AnnealOptions{
-		Seed:   opt.AnnealSeed,
-		Target: lo,
+	_, _, ok := heur.AnnealMinMakespan(ctx, in, W, H, order, heur.AnnealOptions{
+		Seed:   s.opt.AnnealSeed,
+		Target: s.bound,
 		OnImprove: func(p *model.Placement, mk int) {
-			if mk < best {
-				best, bestPlace = mk, p.Clone()
-				hi = mk
-				opt.incumbent("spp", mk, "anneal")
-				emit(best, lo, "anneal", bestPlace, false)
+			if mk < s.best {
+				s.improve(mk, p.Clone(), struct{}{}, "anneal")
 			}
 		},
 	})
-	res.Stages.Anneal += time.Since(tAnneal)
-	if aok && amk < hi {
-		// Defensive: OnImprove should already have delivered this.
-		best, bestPlace, hi = amk, ap.Clone(), amk
+	s.Stages.Anneal += time.Since(tAnneal)
+	if !ok {
+		return nil
 	}
-	if aok && bestPlace != nil {
-		if err := bestPlace.Verify(in, model.Container{W: W, H: H, T: best}, order); err != nil {
-			return nil, fmt.Errorf("solver: annealer produced invalid schedule: %w", err)
-		}
-		opt.inc.RecordWitness(in, bestPlace, "anneal")
+	if err := s.witness.Verify(in, model.Container{W: W, H: H, T: s.best}, order); err != nil {
+		return fmt.Errorf("solver: annealer produced invalid schedule: %w", err)
 	}
-
-	// Exact refinement: sequential binary search on the monotone
-	// predicate "fits within T". Every infeasibility proof raises the
-	// proven bound, every witness lowers the incumbent; the interval
-	// converges on the same optimum the staged sweep finds.
-	for lo < hi {
-		mid := (lo + hi) / 2
-		r, err := solveOPP(ctx, in, model.Container{W: W, H: H, T: mid}, order, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.mergeProbe(r)
-		opt.probe("spp", map[string]any{"T": mid, "outcome": probeOutcomeLabel(r)})
-		switch r.Decision {
-		case Feasible:
-			hi = mid
-			best, bestPlace = mid, r.Placement
-			// The witness may finish earlier than the probed budget;
-			// its makespan is a certified feasible point.
-			if mk := r.Placement.Makespan(in); mk < hi {
-				hi = mk
-				best = mk
-			}
-			opt.incumbent("spp", best, r.DecidedBy)
-			emit(best, lo, r.DecidedBy, bestPlace, false)
-		case Infeasible:
-			lo = mid + 1
-			emit(best, lo, "bound", bestPlace, false)
-		default:
-			res.Decision = Unknown
-			res.Value = best
-			res.Placement = bestPlace
-			res.BestBound = lo
-			res.Gap = bounds.Gap(best, lo)
-			res.Elapsed = time.Since(start)
-			opt.traceSolveEnd("spp", res)
-			return res, ctx.Err()
-		}
-	}
-	res.Decision = Feasible
-	res.Value = best
-	res.Placement = bestPlace
-	res.BestBound = best
-	res.Gap = 0
-	res.Elapsed = time.Since(start)
-	emit(best, best, "proved", bestPlace, true)
-	opt.traceSolveEnd("spp", res)
-	return res, nil
+	return nil
 }

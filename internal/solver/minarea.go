@@ -8,6 +8,7 @@ import (
 	"fpga3d/internal/bounds"
 	"fpga3d/internal/core"
 	"fpga3d/internal/model"
+	"fpga3d/internal/strategy"
 )
 
 // MinArea is an extension of the paper's BMP: instead of restricting the
@@ -17,19 +18,22 @@ import (
 // W = H.
 //
 // Algorithm: sweep the width from the widest module upwards; for each
-// width, the minimal feasible height is monotone, so a binary search
-// with a known-feasible upper bound applies. Widths whose best possible
-// area (width × largest module height) cannot beat the incumbent are
-// pruned, and the sweep stops when width × maxH alone exceeds the best
-// area found.
+// width, the minimal feasible height is monotone, so it is found by an
+// ascent over the doubling heights hLo, 2·hLo, … (capped at ΣH) up to
+// the first feasible one, then a binary search between hLo and it that
+// skips the heights the ascent refuted. Heights whose area cannot beat
+// the incumbent are never probed, and the sweep stops when width × maxH
+// alone exceeds the best area found.
 func MinArea(in *model.Instance, T int, opt Options) (*OptRectResult, error) {
 	return MinAreaCtx(context.Background(), in, T, opt)
 }
 
 // MinAreaCtx is MinArea under a context. The width sweep prunes on the
-// incumbent area, so it stays sequential; cancellation aborts the
-// current probe on the engine's node cadence and returns the partial
-// result together with ctx.Err().
+// incumbent area, so widths are visited in order and their heights
+// probed one at a time (with Options.Workers > 1 each probe steals work
+// inside its own search); cancellation aborts the current probe on the
+// engine's node cadence and returns the partial result together with
+// ctx.Err().
 func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*OptRectResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -42,120 +46,86 @@ func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res := &OptRectResult{}
+	ctx, run := opt.begin(ctx, "minarea", in, map[string]any{"T": T})
+	bestW, bestH, bestArea := 0, 0, -1
+	var bestP *model.Placement
+	done := func(d Decision, err error) (*OptRectResult, error) {
+		bound := 0 // an undecided run proves no area floor
+		if d == Feasible {
+			bound = bestArea
+		}
+		r := run.finish(d, max(bestArea, 0), bound, bestP)
+		return &OptRectResult{Decision: d, W: bestW, H: bestH, Area: r.Value, Placement: bestP,
+			Probes: r.Probes, Stats: r.Stats, Stages: r.Stages, Elapsed: r.Elapsed}, err
+	}
 	if order.CriticalPath() > T {
-		res.Decision = Infeasible
-		res.Elapsed = time.Since(start)
-		return res, nil
+		return done(Infeasible, nil)
 	}
 
 	minW, minH := in.MaxW(), in.MaxH()
 	// A generous width cap: at that width every pair can sit side by
 	// side, so H = maxH works whenever the schedule alone is feasible.
-	maxW := 0
+	maxW, sumH := 0, 0
 	for _, t := range in.Tasks {
 		maxW += t.W
+		sumH += t.H
 	}
 	volume := in.Volume()
 
-	feasibleAt := func(w, h int) (Decision, *model.Placement, error) {
-		r, err := solveOPP(ctx, in, model.Container{W: w, H: h, T: T}, order, opt)
-		if err != nil {
-			return Unknown, nil, err
-		}
-		res.Probes++
-		res.Stats.Add(r.Stats)
-		res.Stages.Add(r.Stages)
-		opt.probe("minarea", map[string]any{"W": w, "H": h, "outcome": probeOutcomeLabel(r)})
-		return r.Decision, r.Placement, nil
-	}
-
-	bestArea := -1
 	for w := minW; w <= maxW; w++ {
 		if bestArea >= 0 && bounds.SatMul(w, minH) >= bestArea {
 			break // no width this large can improve the area
 		}
-		// Height lower bound for this width from volume and geometry.
-		hLo := max(minH, bounds.CeilDiv(volume, bounds.SatMul(w, T)))
-		// Find a feasible height by doubling, bounded by ΣH.
-		hHi := hLo
-		sumH := 0
-		for _, t := range in.Tasks {
-			sumH += t.H
+		probe := func(height func(int) int) probeFunc[struct{}] {
+			return func(ctx context.Context, opt Options, v int) (*OPPResult, struct{}, error) {
+				h := height(v)
+				r, err := solveOPP(ctx, &strategy.Problem{In: in, C: model.Container{W: w, H: h, T: T}, Order: order}, opt)
+				if err == nil {
+					opt.probe("minarea", map[string]any{"W": w, "H": h, "outcome": probeOutcomeLabel(r)})
+				}
+				return r, struct{}{}, err
+			}
 		}
-		var hiPlace *model.Placement
-		for {
-			if bestArea >= 0 && bounds.SatMul(w, hHi) >= bestArea {
-				hiPlace = nil
+		// The doubling heights from the volume bound for this width,
+		// cut where the area can no longer beat the incumbent.
+		var ladder []int
+		for h := max(minH, bounds.CeilDiv(volume, bounds.SatMul(w, T))); bestArea < 0 || bounds.SatMul(w, h) < bestArea; h = min(2*h, sumH) {
+			ladder = append(ladder, h)
+			if h >= sumH {
 				break
 			}
-			d, p, err := feasibleAt(w, hHi)
-			if err != nil {
-				return nil, err
-			}
-			if d == Unknown {
-				res.Decision = Unknown
-				res.Elapsed = time.Since(start)
-				return res, ctx.Err()
-			}
-			if d == Feasible {
-				hiPlace = p
-				break
-			}
-			if hHi >= sumH {
-				hiPlace = nil
-				break
-			}
-			hHi *= 2
-			if hHi > sumH {
-				hHi = sumH
-			}
 		}
-		if hiPlace == nil {
-			continue // this width cannot beat the incumbent
+		if len(ladder) == 0 {
+			continue
 		}
-		// Binary search the minimal feasible height in [hLo, hHi].
-		lo, hi := hLo, hHi
-		bestH, bestP := hHi, hiPlace
-		for lo < hi {
-			mid := (lo + hi) / 2
-			d, p, err := feasibleAt(w, mid)
-			if err != nil {
-				return nil, err
-			}
-			if d == Unknown {
-				res.Decision = Unknown
-				res.Elapsed = time.Since(start)
-				return res, ctx.Err()
-			}
-			if d == Feasible {
-				hi, bestH, bestP = mid, mid, p
-			} else {
-				lo = mid + 1
-			}
+		up := newSweep(run, "", 0, len(ladder)-1, true, probe(func(k int) int { return ladder[k] }))
+		if err := up.search(ctx); err != nil || up.decision() == Unknown {
+			return done(Unknown, err)
 		}
-		area := bounds.SatMul(w, bestH)
-		better := bestArea < 0 || area < bestArea
-		if !better && area == bestArea {
-			// Prefer the squarer chip on equal area.
-			if diff(w, bestH) < diff(res.W, res.H) {
-				better = true
-			}
+		if up.decision() == Infeasible {
+			continue // no height this width can improve with
 		}
-		if better {
-			bestArea = area
-			res.W, res.H = w, bestH
-			res.Placement = bestP
+		// Bisect between the first doubling height and the first feasible
+		// one, skipping the points the doubling already refuted.
+		down := newSweep(run, "", ladder[0], ladder[up.best], false, probe(func(h int) int { return h }))
+		if up.best > 0 {
+			down.floor = ladder[up.best-1] + 1
+		}
+		down.improve(ladder[up.best], up.witness, struct{}{}, "")
+		if err := down.search(ctx); err != nil || down.decision() == Unknown {
+			return done(Unknown, err)
+		}
+		area := bounds.SatMul(w, down.best)
+		// Prefer the squarer chip on equal area.
+		if bestArea < 0 || area < bestArea || (area == bestArea && diff(w, down.best) < diff(bestW, bestH)) {
+			bestW, bestH, bestArea, bestP = w, down.best, area, down.witness
+			opt.incumbent("minarea", area, "search")
 		}
 	}
 	if bestArea < 0 {
-		return nil, fmt.Errorf("solver: no feasible rectangle found for %q (internal bound error)", in.Name)
+		return done(Unknown, fmt.Errorf("solver: no feasible rectangle found for %q (internal bound error)", in.Name))
 	}
-	res.Decision = Feasible
-	res.Area = bestArea
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return done(Feasible, nil)
 }
 
 func diff(a, b int) int {

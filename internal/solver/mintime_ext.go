@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"time"
 
 	"fpga3d/internal/model"
 )
@@ -29,74 +28,36 @@ func MinTimeWithRotationCtx(ctx context.Context, in *model.Instance, W, H int, o
 	if err := opt.validateStrategy(); err != nil {
 		return nil, nil, err
 	}
-	start := time.Now()
-	res := &OptResult{}
+	ctx, run := opt.begin(ctx, "spp_rotate", in, map[string]any{"W": W, "H": H})
 	// A module fits (in some orientation) iff its smaller side fits the
 	// smaller chip side and its larger side the larger one.
+	cLo, cHi := min(W, H), max(W, H)
 	for _, t := range in.Tasks {
-		lo, hi := t.W, t.H
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cLo, cHi := W, H
-		if cLo > cHi {
-			cLo, cHi = cHi, cLo
-		}
-		if lo > cLo || hi > cHi {
-			res.Decision = Infeasible
-			res.Elapsed = time.Since(start)
-			return res, nil, nil
+		if min(t.W, t.H) > cLo || max(t.W, t.H) > cHi {
+			return run.finish(Infeasible, 0, 0, nil), nil, nil
 		}
 	}
-	lb := order.CriticalPath()
-	res.LowerBound = lb
-	ub := in.TotalDuration() // serialization always fits once each task does
+	run.LowerBound = order.CriticalPath()
+	// Serialization always fits once each task does. The sweep stays
+	// outside the portfolio's witness jumps: every orientation probe
+	// keeps an incumbent store of its own.
+	s := newSweep(run, "T", run.LowerBound, in.TotalDuration(), false, rotationProbe(in, func(T int) model.Container {
+		return model.Container{W: W, H: H, T: T}
+	}))
+	res, err := s.finish(s.search(ctx))
+	return res, s.payload, err
+}
 
-	lo, hi := lb, ub
-	probe := func(T int) (Decision, *model.Placement, []bool, error) {
-		r, err := SolveOPPWithRotationCtx(ctx, in, model.Container{W: W, H: H, T: T}, opt)
-		if err != nil {
-			return Unknown, nil, nil, err
-		}
-		res.Probes++
-		res.Stats.Add(r.Stats)
-		res.Stages.Add(r.Stages)
-		opt.probe("spp_rotate", map[string]any{"T": T, "outcome": probeOutcomeLabel(&r.OPPResult)})
-		return r.Decision, r.Placement, r.Rotations, nil
-	}
-	// Establish the upper end.
-	d, p, rots, err := probe(ub)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d != Feasible {
-		res.Decision = Unknown
-		res.Elapsed = time.Since(start)
-		return res, nil, ctx.Err()
-	}
-	best, bestPlace, bestRot := ub, p, rots
-	for lo < hi {
-		mid := (lo + hi) / 2
-		d, p, rots, err := probe(mid)
+// rotationProbe builds the probe of a sweep over orientation-free
+// OPP decisions; its payload is the witness's rotation mask.
+func rotationProbe(in *model.Instance, container func(v int) model.Container) probeFunc[[]bool] {
+	return func(ctx context.Context, opt Options, v int) (*OPPResult, []bool, error) {
+		r, err := SolveOPPWithRotationCtx(ctx, in, container(v), opt)
 		if err != nil {
 			return nil, nil, err
 		}
-		switch d {
-		case Feasible:
-			hi, best, bestPlace, bestRot = mid, mid, p, rots
-		case Infeasible:
-			lo = mid + 1
-		default:
-			res.Decision = Unknown
-			res.Elapsed = time.Since(start)
-			return res, nil, ctx.Err()
-		}
+		return &r.OPPResult, r.Rotations, nil
 	}
-	res.Decision = Feasible
-	res.Value = best
-	res.Placement = bestPlace
-	res.Elapsed = time.Since(start)
-	return res, bestRot, nil
 }
 
 // MinTimeMultiChip computes the smallest execution time on k identical
@@ -119,74 +80,22 @@ func MinTimeMultiChipCtx(ctx context.Context, in *model.Instance, chipW, chipH, 
 	if err := opt.validateStrategy(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res := &MultiChipResult{Chips: k}
+	ctx, run := opt.begin(ctx, "spp_multichip", in, map[string]any{"W": chipW, "H": chipH, "chips": k})
 	if in.MaxW() > chipW || in.MaxH() > chipH || k < 1 {
-		res.Decision = Infeasible
-		res.Elapsed = time.Since(start)
-		return res, nil
+		return multiChipResult(run.finish(Infeasible, 0, 0, nil), nil, k), nil
 	}
-	lo, hi := order.CriticalPath(), in.TotalDuration()
 	// The serialized horizon is feasible on a single chip, a fortiori
-	// on k.
-	var best *MultiChipResult
-	r, err := solveMultiChip(ctx, in, chipW, chipH, hi, k, order, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Probes++
-	res.Stats.Add(r.Stats)
-	res.Stages.Add(r.Stages)
-	if r.Decision != Feasible {
-		res.Decision = Unknown
-		res.Elapsed = time.Since(start)
-		return res, ctx.Err()
-	}
-	best = r
-	bestT := hi
-	// Multi-chip probes have no bounds or heuristic stage: every probe is
-	// pure exact search, so the sweep-level incumbent mechanisms carry the
-	// whole pruning burden. Under the portfolio strategy a feasible
-	// witness tightens the upper end to its own makespan — the engine's
-	// first solution within a budget of T cycles typically finishes well
-	// before T, so each feasible probe skips the budgets in between.
-	if opt.portfolio() {
-		if mk := r.Placement.Makespan(in); mk < hi {
-			hi, bestT = mk, mk
-			opt.incumbent("spp_multichip", mk, "witness")
-		}
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		r, err := solveMultiChip(ctx, in, chipW, chipH, mid, k, order, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.Probes++
-		res.Stats.Add(r.Stats)
-		res.Stages.Add(r.Stages)
-		opt.probe("spp_multichip", map[string]any{"T": mid, "outcome": r.Decision.String()})
-		switch r.Decision {
-		case Feasible:
-			hi, best, bestT = mid, r, mid
-			if opt.portfolio() {
-				if mk := r.Placement.Makespan(in); mk < hi {
-					hi, bestT = mk, mk
-					opt.incumbent("spp_multichip", mk, "witness")
-				}
-			}
-		case Infeasible:
-			lo = mid + 1
-		default:
-			res.Decision = Unknown
-			res.Elapsed = time.Since(start)
-			return res, ctx.Err()
-		}
-	}
-	best.Probes = res.Probes
-	best.Stats = res.Stats
-	best.Stages = res.Stages
-	best.Elapsed = time.Since(start)
-	best.MinTime = bestT
-	return best, nil
+	// on k. Multi-chip probes have no bounds or heuristic stage: every
+	// probe is pure exact search, so under the portfolio preset the
+	// witness-makespan jumps carry the whole pruning burden — the
+	// engine's first solution within a budget of T cycles typically
+	// finishes well before T.
+	s := newSweep(run, "T", order.CriticalPath(), in.TotalDuration(), false, func(ctx context.Context, opt Options, T int) (*OPPResult, []int, error) {
+		return solveMultiChip(ctx, opt, in, chipW, chipH, T, k, order)
+	})
+	s.objective = func(p *model.Placement) int { return p.Makespan(in) }
+	res, err := s.finish(s.search(ctx))
+	out := multiChipResult(res, s.payload, k)
+	out.MinTime = res.Value
+	return out, err
 }

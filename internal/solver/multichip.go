@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"fpga3d/internal/bounds"
 	"fpga3d/internal/core"
 	"fpga3d/internal/model"
 	"fpga3d/internal/obs"
@@ -61,24 +62,23 @@ func SolveMultiChipCtx(ctx context.Context, in *model.Instance, chipW, chipH, T,
 	if err := opt.validateStrategy(); err != nil {
 		return nil, err
 	}
-	return solveMultiChip(ctx, in, chipW, chipH, T, k, order, opt)
+	r, chip, err := solveMultiChip(ctx, opt, in, chipW, chipH, T, k, order)
+	if err != nil {
+		return nil, err
+	}
+	return &MultiChipResult{Decision: r.Decision, Chips: k, Chip: chip, Placement: r.Placement,
+		Stats: r.Stats, Stages: r.Stages, Elapsed: r.Elapsed}, nil
 }
 
-func solveMultiChip(ctx context.Context, in *model.Instance, chipW, chipH, T, k int, order *model.Order, opt Options) (*MultiChipResult, error) {
+// solveMultiChip decides one multi-chip question; it returns the chip
+// assignment beside the decision, as the payload of a sweep probe.
+func solveMultiChip(ctx context.Context, opt Options, in *model.Instance, chipW, chipH, T, k int, order *model.Order) (*OPPResult, []int, error) {
 	start := time.Now()
-	res := &MultiChipResult{Chips: k}
-	n := in.N()
-	if in.MaxW() > chipW || in.MaxH() > chipH {
-		res.Decision = Infeasible
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-	if order.CriticalPath() > T {
-		res.Decision = Infeasible
-		res.Elapsed = time.Since(start)
-		return res, nil
+	if in.MaxW() > chipW || in.MaxH() > chipH || order.CriticalPath() > T {
+		return &OPPResult{Decision: Infeasible, DecidedBy: "bound", Elapsed: time.Since(start)}, nil, nil
 	}
 
+	n := in.N()
 	ws := make([]int, n)
 	hs := make([]int, n)
 	ds := make([]int, n)
@@ -110,12 +110,11 @@ func solveMultiChip(ctx context.Context, in *model.Instance, chipW, chipH, T, k 
 	})
 	opt.notifyPhase(obs.PhaseSearch)
 	r := core.Solve(prob, opt.searchOptions(ctx))
-	res.Stats = r.Stats
-	res.Elapsed = time.Since(start)
+	res := &OPPResult{Decision: Unknown, DecidedBy: "search", Stats: r.Stats, Elapsed: time.Since(start)}
 	res.Stages.Search = res.Elapsed
 	opt.Metrics.Counter(obs.MetricSearchNodes).Add(r.Stats.Nodes)
 	opt.Metrics.Counter(obs.MetricSearchPropagations).Add(r.Stats.Propagations)
-	decidedBy := "search"
+	var chip []int
 	switch r.Status {
 	case core.StatusFeasible:
 		res.Decision = Feasible
@@ -124,24 +123,22 @@ func solveMultiChip(ctx context.Context, in *model.Instance, chipW, chipH, T, k 
 			Y: append([]int(nil), r.Solution.Coords[1]...),
 			S: append([]int(nil), r.Solution.Coords[2]...),
 		}
-		res.Chip = append([]int(nil), r.Solution.Coords[3]...)
-		if err := verifyMultiChip(in, chipW, chipH, T, k, res, order); err != nil {
-			return nil, fmt.Errorf("solver: multi-chip placement invalid: %w", err)
+		chip = append([]int(nil), r.Solution.Coords[3]...)
+		if err := verifyMultiChip(in, chipW, chipH, T, k, res.Placement, chip, order); err != nil {
+			return nil, nil, fmt.Errorf("solver: multi-chip placement invalid: %w", err)
 		}
 	case core.StatusInfeasible:
 		res.Decision = Infeasible
 	case core.StatusCanceled:
-		res.Decision = Unknown
-		decidedBy = "canceled"
+		res.DecidedBy = "canceled"
 	default:
-		res.Decision = Unknown
-		decidedBy = "limit"
+		res.DecidedBy = "limit"
 	}
 	opt.Metrics.Counter("opp." + res.Decision.String()).Inc()
 	if opt.Trace != nil {
 		opt.Trace.Emit("opp_end", map[string]any{
 			"decision":   res.Decision.String(),
-			"decided_by": decidedBy,
+			"decided_by": res.DecidedBy,
 			"chips":      k,
 			"nodes":      res.Stats.Nodes,
 			"elapsed_ms": ms(res.Elapsed),
@@ -149,7 +146,7 @@ func solveMultiChip(ctx context.Context, in *model.Instance, chipW, chipH, T, k 
 			"stats":      res.Stats,
 		})
 	}
-	return res, nil
+	return res, chip, nil
 }
 
 // MinChips finds the minimal number of identical W×H chips on which the
@@ -173,51 +170,36 @@ func MinChipsCtx(ctx context.Context, in *model.Instance, chipW, chipH, T int, o
 	if err := opt.validateStrategy(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	ctx, run := opt.begin(ctx, "multichip", in, map[string]any{"W": chipW, "H": chipH, "T": T})
 	if in.MaxW() > chipW || in.MaxH() > chipH || order.CriticalPath() > T {
-		return &MultiChipResult{Decision: Infeasible, Elapsed: time.Since(start)}, nil
+		return multiChipResult(run.finish(Infeasible, 0, 0, nil), nil, 0), nil
 	}
 	// Lower bound: total volume over one chip's space-time volume.
-	kLo := (in.Volume() + chipW*chipH*T - 1) / (chipW * chipH * T)
-	if kLo < 1 {
-		kLo = 1
-	}
 	// Upper bound: one chip per task always works (critical path fits).
-	probes := 0
-	var agg core.Stats
-	var aggStages StageTimings
-	for k := kLo; k <= in.N(); k++ {
-		r, err := solveMultiChip(ctx, in, chipW, chipH, T, k, order, opt)
-		if err != nil {
-			return nil, err
-		}
-		probes++
-		agg.Add(r.Stats)
-		aggStages.Add(r.Stages)
-		opt.probe("multichip", map[string]any{"chips": k, "outcome": r.Decision.String()})
-		switch r.Decision {
-		case Feasible:
-			r.Probes = probes
-			r.Stats = agg
-			r.Stages = aggStages
-			r.Elapsed = time.Since(start)
-			opt.incumbent("multichip", k, "search")
-			return r, nil
-		case Unknown:
-			return &MultiChipResult{Decision: Unknown, Probes: probes, Stats: agg,
-				Stages: aggStages, Elapsed: time.Since(start)}, ctx.Err()
-		}
+	kLo := max(1, bounds.CeilDiv(in.Volume(), bounds.SatMul(bounds.SatMul(chipW, chipH), T)))
+	s := newSweep(run, "chips", kLo, in.N(), true, func(ctx context.Context, opt Options, k int) (*OPPResult, []int, error) {
+		return solveMultiChip(ctx, opt, in, chipW, chipH, T, k, order)
+	})
+	res, err := s.finish(s.search(ctx))
+	if res.Decision == Infeasible {
+		return nil, fmt.Errorf("solver: %q infeasible even with one chip per task (internal error)", in.Name)
 	}
-	return nil, fmt.Errorf("solver: %q infeasible even with one chip per task (internal error)", in.Name)
+	return multiChipResult(res, s.payload, res.Value), err
+}
+
+// multiChipResult reports a multi-chip sweep's outcome on chips chips
+// (the minimized or the given count) with the witness's assignment.
+func multiChipResult(r *OptResult, chip []int, chips int) *MultiChipResult {
+	return &MultiChipResult{Decision: r.Decision, Chips: chips, Chip: chip, Placement: r.Placement,
+		Probes: r.Probes, Stats: r.Stats, Stages: r.Stages, Elapsed: r.Elapsed}
 }
 
 // verifyMultiChip checks bounds, same-chip non-overlap and precedence.
-func verifyMultiChip(in *model.Instance, chipW, chipH, T, k int, r *MultiChipResult, order *model.Order) error {
+func verifyMultiChip(in *model.Instance, chipW, chipH, T, k int, p *model.Placement, chip []int, order *model.Order) error {
 	n := in.N()
-	p := r.Placement
 	for i, t := range in.Tasks {
-		if r.Chip[i] < 0 || r.Chip[i] >= k {
-			return fmt.Errorf("task %d on chip %d of %d", i, r.Chip[i], k)
+		if chip[i] < 0 || chip[i] >= k {
+			return fmt.Errorf("task %d on chip %d of %d", i, chip[i], k)
 		}
 		if p.X[i] < 0 || p.Y[i] < 0 || p.S[i] < 0 ||
 			p.X[i]+t.W > chipW || p.Y[i]+t.H > chipH || p.S[i]+t.Dur > T {
@@ -226,14 +208,14 @@ func verifyMultiChip(in *model.Instance, chipW, chipH, T, k int, r *MultiChipRes
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if r.Chip[u] != r.Chip[v] {
+			if chip[u] != chip[v] {
 				continue
 			}
 			tu, tv := in.Tasks[u], in.Tasks[v]
 			if p.X[u] < p.X[v]+tv.W && p.X[v] < p.X[u]+tu.W &&
 				p.Y[u] < p.Y[v]+tv.H && p.Y[v] < p.Y[u]+tu.H &&
 				p.S[u] < p.S[v]+tv.Dur && p.S[v] < p.S[u]+tu.Dur {
-				return fmt.Errorf("tasks %d and %d collide on chip %d", u, v, r.Chip[u])
+				return fmt.Errorf("tasks %d and %d collide on chip %d", u, v, chip[u])
 			}
 		}
 	}

@@ -194,3 +194,27 @@ func TestMinTimeMultiChip(t *testing.T) {
 	}
 	t.Logf("DE on 16x16 chips: k=1→T=%d, k=2→T=%d, k=3→T=%d", r1.MinTime, r2.MinTime, r3.MinTime)
 }
+
+// TestMultiChipHugeChips: chip sides near 2^32 must not overflow the
+// engine's co-capacity products (which read as a false conflict) or
+// MinChips's volume bound (which divided by zero). One chip of any of
+// these sides holds DE within 20 cycles.
+func TestMultiChipHugeChips(t *testing.T) {
+	de := bench.DE()
+	for _, side := range []int{1 << 30, 1 << 31, 1 << 32, 1 << 33} {
+		r, err := SolveMultiChip(de, side, side, 20, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Decision != Feasible {
+			t.Errorf("SolveMultiChip on %d×%d: %v after %d nodes, want feasible", side, side, r.Decision, r.Stats.Nodes)
+		}
+	}
+	r, err := MinChips(de, 1<<32, 1<<32, 20, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Decision != Feasible || r.Chips != 1 {
+		t.Fatalf("MinChips on 2^32×2^32 = %d chips (%v), want 1", r.Chips, r.Decision)
+	}
+}

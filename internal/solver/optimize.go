@@ -15,18 +15,20 @@ import (
 
 // OptResult is the outcome of an optimization run (MinTime / MinBase).
 type OptResult struct {
-	Decision  Decision
-	Value     int              // the optimal T (MinTime) or h (MinBase)
-	Placement *model.Placement // a witness for the optimum
+	Decision Decision
+	// Value is the optimal T (MinTime) or h (MinBase); on a partial
+	// result, the best value proven feasible so far (0 if none).
+	Value     int
+	Placement *model.Placement // a witness for Value
 	// LowerBound is the stage-1 bound the search started from.
 	LowerBound int
 	// BestBound is the best proven lower bound on the objective at
 	// exit: the optimum itself once the run completes, the refined
-	// bound (≥ LowerBound) on a partial MinTime exit.
+	// bound (≥ LowerBound) on a partial exit.
 	BestBound int
 	// Gap is the relative optimality gap at exit (see bounds.Gap):
 	// 0 on a completed run, (Value − BestBound)/Value on a partial
-	// MinTime result. Meaningful for MinTime; 0 elsewhere.
+	// result with a Value.
 	Gap float64
 	// Probes counts the OPP decision calls made (with Workers > 1 this
 	// includes probes that were canceled as redundant mid-flight).
@@ -88,18 +90,9 @@ func (o Options) heurMinMakespan(in *model.Instance, W, H int, order *model.Orde
 }
 
 func minTime(ctx context.Context, in *model.Instance, W, H int, order *model.Order, opt Options) (*OptResult, error) {
-	start := time.Now()
-	res := &OptResult{}
-	ctx, dspan := opt.driverSpan(ctx, "spp", in.Name)
-	defer func() { opt.endDriverSpan(dspan, res) }()
-	opt.Trace.Emit("solve_start", map[string]any{
-		"mode": "spp", "instance": in.Name, "n": in.N(), "W": W, "H": H,
-	})
+	ctx, run := opt.begin(ctx, "spp", in, map[string]any{"W": W, "H": H})
 	if in.MaxW() > W || in.MaxH() > H {
-		res.Decision = Infeasible
-		res.Elapsed = time.Since(start)
-		opt.traceSolveEnd("spp", res)
-		return res, nil
+		return run.finish(Infeasible, 0, 0, nil), nil
 	}
 	// With a tracer attached, compute the full per-bound breakdown (and
 	// its per-bound timings) instead of just the maximum.
@@ -113,190 +106,49 @@ func minTime(ctx context.Context, in *model.Instance, W, H int, order *model.Ord
 	} else {
 		lb = bounds.MinTimeLB(in, W, H, order)
 	}
-	res.LowerBound = lb
-	res.Stages.Bounds += time.Since(tBounds)
+	run.LowerBound = lb
+	run.Stages.Bounds += time.Since(tBounds)
 
 	// Upper bound from the greedy placer; a serialized schedule always
 	// exists, so this cannot fail given the spatial fit check above.
 	opt.notifyPhase(obs.PhaseHeuristic)
 	tHeur := time.Now()
 	ubPlace, ub, ok := opt.heurMinMakespan(in, W, H, order)
-	res.Stages.Heuristic += time.Since(tHeur)
+	run.Stages.Heuristic += time.Since(tHeur)
 	if !ok {
-		return nil, fmt.Errorf("solver: heuristic failed to serialize instance %q", in.Name)
+		return run.finish(Unknown, 0, 0, nil), fmt.Errorf("solver: heuristic failed to serialize instance %q", in.Name)
 	}
 	if err := ubPlace.Verify(in, model.Container{W: W, H: H, T: ub}, order); err != nil {
-		return nil, fmt.Errorf("solver: heuristic produced invalid schedule: %w", err)
-	}
-	best, bestPlace := ub, ubPlace
-	opt.incumbent("spp", ub, "heuristic")
-	if opt.portfolio() {
-		opt.inc.RecordWitness(in, ubPlace, "heuristic")
-	}
-
-	// The anytime tier takes over from here: annealing tightens the
-	// incumbent, then a sequential exact refinement streams every
-	// improvement of the (incumbent, bound) pair until the gap closes.
-	if opt.Anytime {
-		return minTimeAnytime(ctx, in, W, H, order, opt, res, start, lb, best, bestPlace)
-	}
-
-	if workers := opt.effectiveWorkers(); workers > 1 {
-		probe := oppProbe(in, order, opt, func(T int) model.Container {
-			return model.Container{W: W, H: H, T: T}
-		})
-		onProbe := func(T int, r *OPPResult) {
-			res.mergeProbe(r)
-			opt.probe("spp", map[string]any{"T": T, "outcome": probeOutcomeLabel(r)})
-		}
-		d, value, witness, err := raceBinary(ctx, workers, lb, ub, probe, onProbe, opt.Metrics)
-		if err != nil {
-			res.Decision = Unknown
-			res.Value = best
-			res.Placement = bestPlace
-			res.BestBound = lb
-			res.Gap = bounds.Gap(best, lb)
-			res.Elapsed = time.Since(start)
-			opt.traceSolveEnd("spp", res)
-			return res, err
-		}
-		if d == Feasible && witness != nil {
-			best, bestPlace = value, witness.Placement
-		} else if d == Feasible {
-			best = value // == ub; the heuristic witness stands
-		}
-		res.Decision = d
-		res.Value = best
-		res.Placement = bestPlace
-		res.Elapsed = time.Since(start)
-		if d == Feasible {
-			res.BestBound = best
-			opt.incumbent("spp", best, "search")
-		} else {
-			res.BestBound = lb
-			res.Gap = bounds.Gap(best, lb)
-		}
-		opt.traceSolveEnd("spp", res)
-		return res, nil
+		return run.finish(Unknown, 0, 0, nil), fmt.Errorf("solver: heuristic produced invalid schedule: %w", err)
 	}
 
 	// Binary search on the monotone predicate "fits within T".
-	lo, hi := lb, ub // hi is known feasible
-	firstProbe := true
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if opt.portfolio() && firstProbe && mid < hi-1 {
-			// Incumbent-optimality probe: attack the point directly
-			// below the heuristic incumbent first. If it is infeasible,
-			// monotonicity of "fits within T" closes the whole interval
-			// in one probe; otherwise the witness tightens hi below.
-			mid = hi - 1
-		}
-		firstProbe = false
-		r, err := solveOPP(ctx, in, model.Container{W: W, H: H, T: mid}, order, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.mergeProbe(r)
-		opt.probe("spp", map[string]any{"T": mid, "outcome": probeOutcomeLabel(r)})
-		switch r.Decision {
-		case Feasible:
-			hi = mid
-			best, bestPlace = mid, r.Placement
-			opt.incumbent("spp", mid, r.DecidedBy)
-			if opt.portfolio() {
-				// The witness may finish earlier than the probed budget;
-				// its makespan is a certified feasible point, so the
-				// sweep jumps straight down to it.
-				if mk := r.Placement.Makespan(in); mk < hi {
-					hi = mk
-					best, bestPlace = mk, r.Placement
-					opt.incumbent("spp", mk, r.DecidedBy)
-				}
-			}
-		case Infeasible:
-			lo = mid + 1
-		default:
-			res.Decision = Unknown
-			res.Value = best
-			res.Placement = bestPlace
-			res.BestBound = lo
-			res.Gap = bounds.Gap(best, lo)
-			res.Elapsed = time.Since(start)
-			opt.traceSolveEnd("spp", res)
-			return res, ctx.Err()
+	s := newSweep(run, "T", lb, ub, false, oppProbe(in, order, nil, func(T int) model.Container {
+		return model.Container{W: W, H: H, T: T}
+	}))
+	s.objective = func(p *model.Placement) int { return p.Makespan(in) }
+	s.raced = true
+	if opt.Anytime {
+		s.observe = anytimeObserver(&s.opt, run.start)
+	}
+	s.improve(ub, ubPlace, struct{}{}, "heuristic")
+	// The anytime tier tightens the incumbent by annealing before the
+	// exact refinement, streaming every improvement.
+	if opt.Anytime {
+		if err := annealIncumbent(ctx, in, W, H, order, s); err != nil {
+			return run.finish(Unknown, 0, 0, nil), err
 		}
 	}
-	res.Decision = Feasible
-	res.Value = best
-	res.Placement = bestPlace
-	res.BestBound = best
-	res.Elapsed = time.Since(start)
-	opt.traceSolveEnd("spp", res)
-	return res, nil
+	return s.finish(s.search(ctx))
 }
 
-// driverSpan opens the span of one optimization run (mode "spp",
-// "bmp", "bmp_fixed", …) as a child of the span carried by ctx — in
-// fpgad, the request span — rooted in the run's tracer otherwise. Nil
-// (and free beyond one context lookup) when no tracer is reachable.
-func (o Options) driverSpan(ctx context.Context, mode, instance string) (context.Context, *obs.Span) {
-	ctx, sp := obs.StartSpan(ctx, o.Trace, mode)
-	if sp != nil {
-		sp.SetAttr("instance", instance)
+// oppProbe builds the probe of a FeasAT&FindS sweep in which the sweep
+// value selects the container (with starts, the FeasA&FixedS question).
+func oppProbe(in *model.Instance, order *model.Order, starts []int, container func(v int) model.Container) probeFunc[struct{}] {
+	return func(ctx context.Context, opt Options, v int) (*OPPResult, struct{}, error) {
+		r, err := solveOPP(ctx, &strategy.Problem{In: in, C: container(v), Order: order, FixedStarts: starts}, opt)
+		return r, struct{}{}, err
 	}
-	return ctx, sp
-}
-
-// endDriverSpan finishes an optimization run's span with its outcome.
-func (o Options) endDriverSpan(sp *obs.Span, res *OptResult) {
-	if sp == nil {
-		return
-	}
-	sp.SetAttr("decision", res.Decision.String())
-	sp.SetAttr("value", res.Value)
-	sp.SetAttr("probes", res.Probes)
-	sp.End()
-}
-
-// probe records one optimization-loop probe in the trace.
-func (o Options) probe(mode string, fields map[string]any) {
-	if o.Trace == nil {
-		return
-	}
-	f := map[string]any{"mode": mode}
-	for k, v := range fields {
-		f[k] = v
-	}
-	o.Trace.Emit("probe", f)
-	o.Metrics.Counter("probes").Inc()
-}
-
-// incumbent records a new best objective value with its source stage.
-func (o Options) incumbent(mode string, value int, source string) {
-	o.Metrics.Gauge("incumbent." + mode).Set(int64(value))
-	o.Trace.Emit("incumbent", map[string]any{"mode": mode, "value": value, "source": source})
-}
-
-// traceSolveEnd closes an optimization run in the trace with its
-// aggregated effort.
-func (o Options) traceSolveEnd(mode string, res *OptResult) {
-	if o.Trace == nil {
-		return
-	}
-	o.Trace.Emit("solve_end", map[string]any{
-		"mode":        mode,
-		"decision":    res.Decision.String(),
-		"value":       res.Value,
-		"lower_bound": res.LowerBound,
-		"best_bound":  res.BestBound,
-		"gap":         res.Gap,
-		"probes":      res.Probes,
-		"nodes":       res.Stats.Nodes,
-		"elapsed_ms":  ms(res.Elapsed),
-		"stages_ms":   stagesMS(res.Stages),
-		"stats":       res.Stats,
-	})
 }
 
 // MinBase solves MinA&FindS (the base minimization problem BMP): the
@@ -328,97 +180,39 @@ func MinBaseCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 }
 
 func minBase(ctx context.Context, in *model.Instance, T int, order *model.Order, opt Options) (*OptResult, error) {
-	start := time.Now()
-	res := &OptResult{}
-	ctx, dspan := opt.driverSpan(ctx, "bmp", in.Name)
-	defer func() { opt.endDriverSpan(dspan, res) }()
-	opt.Trace.Emit("solve_start", map[string]any{
-		"mode": "bmp", "instance": in.Name, "n": in.N(), "T": T,
-	})
+	ctx, run := opt.begin(ctx, "bmp", in, map[string]any{"T": T})
 	if order.CriticalPath() > T {
 		// No chip of any size can beat the dependency chains.
-		res.Decision = Infeasible
-		res.Elapsed = time.Since(start)
-		opt.traceSolveEnd("bmp", res)
-		return res, nil
+		return run.finish(Infeasible, 0, 0, nil), nil
 	}
 	opt.notifyPhase(obs.PhaseBounds)
 	tBounds := time.Now()
 	lb := bounds.MinBaseLB(in, T, order)
-	res.LowerBound = lb
-	res.Stages.Bounds += time.Since(tBounds)
+	run.LowerBound = lb
+	run.Stages.Bounds += time.Since(tBounds)
 	opt.Trace.Emit("lower_bound", map[string]any{"mode": "bmp", "value": lb})
 
-	// With every task spatially disjoint (a huge chip), only the
-	// critical path matters, so a finite upper bound always exists.
-	hMax := 0
-	for _, t := range in.Tasks {
-		m := t.W
-		if t.H > m {
-			m = t.H
-		}
-		hMax += m
-	}
-
-	if workers := opt.effectiveWorkers(); workers > 1 {
-		probe := oppProbe(in, order, opt, func(h int) model.Container {
-			return model.Container{W: h, H: h, T: T}
-		})
-		onProbe := func(h int, r *OPPResult) {
-			res.mergeProbe(r)
-			opt.probe("bmp", map[string]any{"h": h, "outcome": probeOutcomeLabel(r)})
-		}
-		d, value, witness, err := raceAscending(ctx, workers, lb, hMax, probe, onProbe, opt.Metrics)
-		res.Elapsed = time.Since(start)
-		if err != nil {
-			res.Decision = Unknown
-			opt.traceSolveEnd("bmp", res)
-			return res, err
-		}
-		switch d {
-		case Feasible:
-			res.Decision = Feasible
-			res.Value = value
-			res.Placement = witness.Placement
-			opt.incumbent("bmp", value, witness.DecidedBy)
-			opt.traceSolveEnd("bmp", res)
-			return res, nil
-		case Unknown:
-			res.Decision = Unknown
-			opt.traceSolveEnd("bmp", res)
-			return res, nil
-		}
+	s := newSweep(run, "h", lb, maxSideSum(in), true, oppProbe(in, order, nil, func(h int) model.Container {
+		return model.Container{W: h, H: h, T: T}
+	}))
+	s.raced = true
+	res, err := s.finish(s.search(ctx))
+	if res.Decision == Infeasible {
 		return nil, fmt.Errorf("solver: no feasible chip up to %dx%d for instance %q (internal bound error)",
-			hMax, hMax, in.Name)
+			s.hi, s.hi, in.Name)
 	}
+	return res, err
+}
 
-	for h := lb; h <= hMax; h++ {
-		r, err := solveOPP(ctx, in, model.Container{W: h, H: h, T: T}, order, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.mergeProbe(r)
-		opt.probe("bmp", map[string]any{"h": h, "outcome": probeOutcomeLabel(r)})
-		switch r.Decision {
-		case Feasible:
-			res.Decision = Feasible
-			res.Value = h
-			res.Placement = r.Placement
-			res.Elapsed = time.Since(start)
-			opt.incumbent("bmp", h, r.DecidedBy)
-			opt.traceSolveEnd("bmp", res)
-			return res, nil
-		case Infeasible:
-			// keep growing h
-		default:
-			res.Decision = Unknown
-			res.Elapsed = time.Since(start)
-			opt.traceSolveEnd("bmp", res)
-			return res, ctx.Err()
-		}
+// maxSideSum is the chip side on which every task fits spatially
+// disjoint from every other (only the critical path then matters), so
+// a chip-side ascent always ends by it.
+func maxSideSum(in *model.Instance) int {
+	h := 0
+	for _, t := range in.Tasks {
+		h += max(t.W, t.H)
 	}
-	return nil, fmt.Errorf("solver: no feasible chip up to %dx%d for instance %q (internal bound error)",
-		hMax, hMax, in.Name)
+	return h
 }
 
 // FeasibleFixedSchedule solves FeasA&FixedS: given start times for every
@@ -449,11 +243,7 @@ func FeasibleFixedScheduleCtx(ctx context.Context, in *model.Instance, c model.C
 	if err != nil {
 		return nil, err
 	}
-	pl, err := opt.pipeline()
-	if err != nil {
-		return nil, err
-	}
-	return pl.Solve(ctx, &strategy.Problem{In: in, C: c, Order: order, FixedStarts: starts})
+	return solveOPP(ctx, &strategy.Problem{In: in, C: c, Order: order, FixedStarts: starts}, opt)
 }
 
 // MinBaseFixedSchedule solves MinA&FixedS: the smallest square chip that
@@ -485,77 +275,17 @@ func MinBaseFixedScheduleCtx(ctx context.Context, in *model.Instance, starts []i
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res := &OptResult{}
-	ctx, dspan := opt.driverSpan(ctx, "bmp_fixed", in.Name)
-	defer func() { opt.endDriverSpan(dspan, res) }()
+	ctx, run := opt.begin(ctx, "bmp_fixed", in, map[string]any{"T": T})
 	// Every side below the slice-area bound is one that stage 1 refutes,
 	// so the ascent starts there.
-	lb := bounds.MinBaseFixedLB(in, starts)
-	res.LowerBound = lb
-	hMax := 0
-	for _, t := range in.Tasks {
-		m := t.W
-		if t.H > m {
-			m = t.H
-		}
-		hMax += m
-	}
-
-	if workers := opt.effectiveWorkers(); workers > 1 {
-		probe := func(pctx context.Context, h int) (*OPPResult, error) {
-			return FeasibleFixedScheduleCtx(pctx, in, model.Container{W: h, H: h, T: T}, starts, opt)
-		}
-		onProbe := func(h int, r *OPPResult) {
-			res.mergeProbe(r)
-			opt.probe("bmp_fixed", map[string]any{"h": h, "outcome": probeOutcomeLabel(r)})
-		}
-		d, value, witness, err := raceAscending(ctx, workers, lb, hMax, probe, onProbe, opt.Metrics)
-		res.Elapsed = time.Since(start)
-		if err != nil {
-			res.Decision = Unknown
-			opt.traceSolveEnd("bmp_fixed", res)
-			return res, err
-		}
-		switch d {
-		case Feasible:
-			res.Decision = Feasible
-			res.Value = value
-			res.Placement = witness.Placement
-			opt.incumbent("bmp_fixed", value, witness.DecidedBy)
-			opt.traceSolveEnd("bmp_fixed", res)
-			return res, nil
-		case Unknown:
-			res.Decision = Unknown
-			opt.traceSolveEnd("bmp_fixed", res)
-			return res, nil
-		}
+	run.LowerBound = bounds.MinBaseFixedLB(in, starts)
+	s := newSweep(run, "h", run.LowerBound, maxSideSum(in), true, oppProbe(in, order, starts, func(h int) model.Container {
+		return model.Container{W: h, H: h, T: T}
+	}))
+	s.raced = true
+	res, err := s.finish(s.search(ctx))
+	if res.Decision == Infeasible {
 		return nil, fmt.Errorf("solver: no feasible chip for fixed schedule of %q", in.Name)
 	}
-
-	for h := lb; h <= hMax; h++ {
-		r, err := FeasibleFixedScheduleCtx(ctx, in, model.Container{W: h, H: h, T: T}, starts, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.mergeProbe(r)
-		opt.probe("bmp_fixed", map[string]any{"h": h, "outcome": probeOutcomeLabel(r)})
-		switch r.Decision {
-		case Feasible:
-			res.Decision = Feasible
-			res.Value = h
-			res.Placement = r.Placement
-			res.Elapsed = time.Since(start)
-			opt.incumbent("bmp_fixed", h, r.DecidedBy)
-			opt.traceSolveEnd("bmp_fixed", res)
-			return res, nil
-		case Infeasible:
-		default:
-			res.Decision = Unknown
-			res.Elapsed = time.Since(start)
-			opt.traceSolveEnd("bmp_fixed", res)
-			return res, ctx.Err()
-		}
-	}
-	return nil, fmt.Errorf("solver: no feasible chip for fixed schedule of %q", in.Name)
+	return res, err
 }

@@ -9,6 +9,7 @@ import (
 	"fpga3d/internal/bench"
 	"fpga3d/internal/geomsearch"
 	"fpga3d/internal/model"
+	"fpga3d/internal/strategy"
 )
 
 // oracleCase solves one random instance with both the packing-class
@@ -46,7 +47,7 @@ func oracleCase(t *testing.T, seed int64, withPrec bool, opt Options) {
 	if want.Status != geomsearch.Feasible && want.Status != geomsearch.Infeasible {
 		return // oracle hit its cap; skip this case
 	}
-	got, err := solveOPP(context.Background(), in, c, order, opt)
+	got, err := solveOPP(context.Background(), &strategy.Problem{In: in, C: c, Order: order}, opt)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -206,7 +207,7 @@ func TestOracleStructuredDAGs(t *testing.T) {
 		if want.Status != geomsearch.Feasible && want.Status != geomsearch.Infeasible {
 			continue
 		}
-		got, err := solveOPP(context.Background(), in, c, order, opt)
+		got, err := solveOPP(context.Background(), &strategy.Problem{In: in, C: c, Order: order}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -19,12 +21,12 @@ import (
 // values >= threshold are feasible, smaller ones infeasible. Each call
 // burns a little wall time so cancellation actually races, and honors
 // ctx like the real solveOPP (returning a "canceled" result, nil error).
-func fakeProbe(threshold int, delay time.Duration, calls *atomic.Int64) probeFunc {
-	return func(ctx context.Context, v int) (*OPPResult, error) {
+func fakeProbe(threshold int, delay time.Duration, calls *atomic.Int64) probeFunc[struct{}] {
+	return func(ctx context.Context, _ Options, v int) (*OPPResult, struct{}, error) {
 		calls.Add(1)
 		select {
 		case <-ctx.Done():
-			return &OPPResult{Decision: Unknown, DecidedBy: "canceled"}, nil
+			return &OPPResult{Decision: Unknown, DecidedBy: "canceled"}, struct{}{}, nil
 		case <-time.After(delay):
 		}
 		r := &OPPResult{DecidedBy: "search"}
@@ -35,30 +37,37 @@ func fakeProbe(threshold int, delay time.Duration, calls *atomic.Int64) probeFun
 		} else {
 			r.Decision = Infeasible
 		}
-		return r, nil
+		return r, struct{}{}, nil
 	}
+}
+
+// testSweep is a raced sweep over [lo, hi] on a bare run at the given
+// worker count.
+func testSweep[P any](workers, lo, hi int, ascend bool, probe probeFunc[P]) *sweep[P] {
+	r := &driverRun{opt: Options{Workers: workers}, mode: "test", start: time.Now()}
+	s := newSweep(r, "v", lo, hi, ascend, probe)
+	s.raced = true
+	return s
 }
 
 func TestRaceAscendingFindsThreshold(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, threshold := range []int{3, 7, 15, 20} {
 			var calls atomic.Int64
-			probe := fakeProbe(threshold, time.Millisecond, &calls)
-			merged := 0
-			d, v, res, err := raceAscending(context.Background(), workers, 3, 20, probe,
-				func(int, *OPPResult) { merged++ }, nil)
+			s := testSweep(workers, 3, 20, true, fakeProbe(threshold, time.Millisecond, &calls))
+			err := s.search(context.Background())
 			if err != nil {
 				t.Fatalf("workers=%d threshold=%d: %v", workers, threshold, err)
 			}
-			if d != Feasible || v != threshold {
-				t.Fatalf("workers=%d threshold=%d: got %v at %d", workers, threshold, d, v)
+			if d := s.decision(); d != Feasible || s.best != threshold {
+				t.Fatalf("workers=%d threshold=%d: got %v at %d", workers, threshold, d, s.best)
 			}
-			if res == nil || res.Placement.X[0] != threshold {
-				t.Fatalf("workers=%d threshold=%d: witness from wrong probe: %+v", workers, threshold, res)
+			if s.witness == nil || s.witness.X[0] != threshold {
+				t.Fatalf("workers=%d threshold=%d: witness from wrong probe: %+v", workers, threshold, s.witness)
 			}
-			if int64(merged) != calls.Load() {
+			if int64(s.Probes) != calls.Load() {
 				t.Fatalf("workers=%d threshold=%d: %d probes launched but %d merged",
-					workers, threshold, calls.Load(), merged)
+					workers, threshold, calls.Load(), s.Probes)
 			}
 		}
 	}
@@ -66,10 +75,9 @@ func TestRaceAscendingFindsThreshold(t *testing.T) {
 
 func TestRaceAscendingInfeasibleRange(t *testing.T) {
 	var calls atomic.Int64
-	probe := fakeProbe(100, time.Millisecond, &calls)
-	d, _, _, err := raceAscending(context.Background(), 4, 3, 20, probe, func(int, *OPPResult) {}, nil)
-	if err != nil || d != Infeasible {
-		t.Fatalf("got %v, %v; want infeasible", d, err)
+	s := testSweep(4, 3, 20, true, fakeProbe(100, time.Millisecond, &calls))
+	if err := s.search(context.Background()); err != nil || s.decision() != Infeasible {
+		t.Fatalf("got %v, %v; want infeasible", s.decision(), err)
 	}
 }
 
@@ -77,9 +85,8 @@ func TestRaceAscendingParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	probe := fakeProbe(100, time.Millisecond, &calls)
-	_, _, _, err := raceAscending(ctx, 4, 3, 20, probe, func(int, *OPPResult) {}, nil)
-	if !errors.Is(err, context.Canceled) {
+	s := testSweep(4, 3, 20, true, fakeProbe(100, time.Millisecond, &calls))
+	if err := s.search(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -88,24 +95,27 @@ func TestRaceBinaryFindsThreshold(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, threshold := range []int{3, 7, 19, 20} {
 			var calls atomic.Int64
-			probe := fakeProbe(threshold, time.Millisecond, &calls)
-			merged := 0
-			d, v, res, err := raceBinary(context.Background(), workers, 3, 20, probe,
-				func(int, *OPPResult) { merged++ }, nil)
-			if err != nil {
+			s := testSweep(workers, 3, 20, false, fakeProbe(threshold, time.Millisecond, &calls))
+			seed := &model.Placement{X: []int{-1}} // the caller's witness at hi
+			s.improve(20, seed, struct{}{}, "heuristic")
+			if err := s.search(context.Background()); err != nil {
 				t.Fatalf("workers=%d threshold=%d: %v", workers, threshold, err)
 			}
-			if d != Feasible || v != threshold {
-				t.Fatalf("workers=%d threshold=%d: got %v at %d", workers, threshold, d, v)
+			if d := s.decision(); d != Feasible || s.best != threshold {
+				t.Fatalf("workers=%d threshold=%d: got %v at %d", workers, threshold, d, s.best)
 			}
-			// The witness is nil exactly when hi itself is optimal (the
-			// caller's pre-existing upper-bound witness stands).
-			if threshold < 20 && (res == nil || res.Placement.X[0] != threshold) {
-				t.Fatalf("workers=%d threshold=%d: witness from wrong probe: %+v", workers, threshold, res)
+			// The caller's witness stands exactly when hi itself is
+			// optimal; otherwise the witness is the probe's at the optimum.
+			want := threshold
+			if threshold == 20 {
+				want = -1
 			}
-			if int64(merged) != calls.Load() {
+			if s.witness.X[0] != want {
+				t.Fatalf("workers=%d threshold=%d: witness from wrong probe: %+v", workers, threshold, s.witness)
+			}
+			if int64(s.Probes) != calls.Load() {
 				t.Fatalf("workers=%d threshold=%d: %d probes launched but %d merged",
-					workers, threshold, calls.Load(), merged)
+					workers, threshold, calls.Load(), s.Probes)
 			}
 		}
 	}
@@ -119,17 +129,18 @@ func TestRaceBinaryProbePanic(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var calls atomic.Int64
 	inner := fakeProbe(7, 5*time.Millisecond, &calls)
-	probe := func(ctx context.Context, v int) (*OPPResult, error) {
+	probe := func(ctx context.Context, opt Options, v int) (*OPPResult, struct{}, error) {
 		if v == 11 { // the first bisection point
 			calls.Add(1)
 			panic("boom")
 		}
-		return inner(ctx, v)
+		return inner(ctx, opt, v)
 	}
 	reg := obs.NewRegistry()
-	merged := 0
-	_, _, _, err := raceBinary(context.Background(), 4, 3, 20, probe,
-		func(int, *OPPResult) { merged++ }, reg)
+	s := testSweep(4, 3, 20, false, probe)
+	s.opt.Metrics = reg
+	s.improve(20, &model.Placement{X: []int{-1}}, struct{}{}, "heuristic")
+	err := s.search(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "probe at 11 panicked: boom") ||
 		!strings.Contains(err.Error(), "runtime/debug.Stack") {
 		t.Fatalf("err = %v, want the panic with its stack", err)
@@ -137,9 +148,9 @@ func TestRaceBinaryProbePanic(t *testing.T) {
 	if n := reg.Snapshot()[obs.MetricProbePanics]; n != 1 {
 		t.Errorf("%s = %d, want 1", obs.MetricProbePanics, n)
 	}
-	if merged == 0 || int64(merged) != calls.Load()-1 {
+	if s.Probes == 0 || int64(s.Probes) != calls.Load()-1 {
 		t.Errorf("%d probes launched, %d merged; want every probe but the panicking one merged",
-			calls.Load(), merged)
+			calls.Load(), s.Probes)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -151,23 +162,26 @@ func TestRaceBinaryProbePanic(t *testing.T) {
 }
 
 func TestBisectPoints(t *testing.T) {
-	running := map[int]context.CancelFunc{}
-	pts := bisectPoints(3, 20, running, 3)
+	s := testSweep(3, 3, 20, false, fakeProbe(0, 0, new(atomic.Int64)))
+	s.improve(20, &model.Placement{}, struct{}{}, "heuristic")
+	running := map[int]bool{}
+	busy := func(v int) bool { return running[v] }
+	pts := s.picks(3, busy)
 	if len(pts) != 3 || pts[0] != 11 {
-		t.Fatalf("bisectPoints = %v, want midpoint 11 first and 3 points", pts)
+		t.Fatalf("picks = %v, want midpoint 11 first and 3 points", pts)
 	}
 	seen := map[int]bool{}
 	for _, p := range pts {
 		if p < 3 || p >= 20 || seen[p] {
-			t.Fatalf("bisectPoints produced out-of-range or duplicate value %d in %v", p, pts)
+			t.Fatalf("picks produced out-of-range or duplicate value %d in %v", p, pts)
 		}
 		seen[p] = true
 	}
 	// In-flight values are skipped.
-	running[11] = func() {}
-	for _, p := range bisectPoints(3, 20, running, 3) {
+	running[11] = true
+	for _, p := range s.picks(3, busy) {
 		if p == 11 {
-			t.Fatalf("bisectPoints re-proposed in-flight value 11: %v", pts)
+			t.Fatalf("picks re-proposed in-flight value 11: %v", pts)
 		}
 	}
 }
@@ -234,6 +248,156 @@ func TestParetoParallelParity(t *testing.T) {
 	for i := range seq.Points {
 		if seq.Points[i] != par.Points[i] {
 			t.Fatalf("point %d differs: %+v vs %+v", i, seq.Points[i], par.Points[i])
+		}
+	}
+}
+
+// TestStealingDriversParallelParity: the drivers that run their probes
+// one at a time (MinArea, MinChips, MinTimeMultiChip and the rotation
+// sweeps) steal work inside each probe at Workers > 1. Their answer
+// must be the sequential one; stealing may pick another witness, so the
+// witness must verify on the answer's container.
+func TestStealingDriversParallelParity(t *testing.T) {
+	de := bench.DE()
+	r654 := bench.Random(rand.New(rand.NewSource(654)), 9, 4, 4, 0.15)
+	verify := func(in *model.Instance, p *model.Placement, c model.Container, rot []bool) error {
+		in = in.Clone()
+		for i, r := range rot {
+			if r {
+				in.Tasks[i].W, in.Tasks[i].H = in.Tasks[i].H, in.Tasks[i].W
+			}
+		}
+		order, err := in.Order()
+		if err != nil {
+			return err
+		}
+		return p.Verify(in, c, order)
+	}
+	verifyChips := func(in *model.Instance, chipW, chipH, T, k int, r *MultiChipResult) error {
+		order, err := in.Order()
+		if err != nil {
+			return err
+		}
+		return verifyMultiChip(in, chipW, chipH, T, k, r.Placement, r.Chip, order)
+	}
+	cases := []struct {
+		name string
+		// run answers at the given worker count and checks the witness.
+		run func(workers int) (string, error)
+	}{
+		{"MinArea/DE/T13", func(w int) (string, error) {
+			r, err := MinArea(de, 13, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v %dx%d area %d", r.Decision, r.W, r.H, r.Area),
+				verify(de, r.Placement, model.Container{W: r.W, H: r.H, T: 13}, nil)
+		}},
+		{"MinArea/rand654/T6", func(w int) (string, error) {
+			r, err := MinArea(r654, 6, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v %dx%d area %d", r.Decision, r.W, r.H, r.Area),
+				verify(r654, r.Placement, model.Container{W: r.W, H: r.H, T: 6}, nil)
+		}},
+		{"MinChips/DE/16x16/T6", func(w int) (string, error) {
+			r, err := MinChips(de, 16, 16, 6, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v %d chips", r.Decision, r.Chips), verifyChips(de, 16, 16, 6, r.Chips, r)
+		}},
+		{"MinChips/rand654/4x4/T6", func(w int) (string, error) {
+			r, err := MinChips(r654, 4, 4, 6, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v %d chips", r.Decision, r.Chips), verifyChips(r654, 4, 4, 6, r.Chips, r)
+		}},
+		{"MinTimeMultiChip/DE/16x16/k2", func(w int) (string, error) {
+			r, err := MinTimeMultiChip(de, 16, 16, 2, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v T=%d", r.Decision, r.MinTime), verifyChips(de, 16, 16, r.MinTime, 2, r)
+		}},
+		{"MinTimeMultiChip/rand654/4x4/k2", func(w int) (string, error) {
+			r, err := MinTimeMultiChip(r654, 4, 4, 2, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v T=%d", r.Decision, r.MinTime), verifyChips(r654, 4, 4, r.MinTime, 2, r)
+		}},
+		{"MinTimeWithRotation/DE/17x17", func(w int) (string, error) {
+			r, rot, err := MinTimeWithRotation(de, 17, 17, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v T=%d", r.Decision, r.Value),
+				verify(de, r.Placement, model.Container{W: 17, H: 17, T: r.Value}, rot)
+		}},
+		{"MinBaseWithRotation/DE/T13", func(w int) (string, error) {
+			r, rot, err := MinBaseWithRotation(de, 13, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v h=%d", r.Decision, r.Value),
+				verify(de, r.Placement, model.Container{W: r.Value, H: r.Value, T: 13}, rot)
+		}},
+		{"MinBaseWithRotation/rand654/T8", func(w int) (string, error) {
+			r, rot, err := MinBaseWithRotation(r654, 8, searchOnly(w))
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v h=%d", r.Decision, r.Value),
+				verify(r654, r.Placement, model.Container{W: r.Value, H: r.Value, T: 8}, rot)
+		}},
+	}
+	for _, c := range cases {
+		seq, err := c.run(1)
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", c.name, err)
+		}
+		par, err := c.run(8)
+		if err != nil {
+			t.Fatalf("%s workers=8: %v", c.name, err)
+		}
+		if seq != par {
+			t.Errorf("%s: sequential %s vs parallel %s", c.name, seq, par)
+		}
+	}
+}
+
+// TestAnytimeParallelStream: at Workers > 1 the anytime refinement
+// steals inside each probe; its stream stays monotone (the gap never
+// grows and the last update is the final proof) and it ends at the
+// sequential optimum.
+func TestAnytimeParallelStream(t *testing.T) {
+	in := bench.Biquad(3)
+	run := func(workers int) (*OptResult, []AnytimeUpdate) {
+		var ups []AnytimeUpdate
+		r, err := MinTime(in, 17, 17, Options{
+			Workers:       workers,
+			Anytime:       true,
+			OnImprovement: func(u AnytimeUpdate) { ups = append(ups, u) },
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return r, ups
+	}
+	seq, _ := run(1)
+	par, ups := run(2)
+	if par.Decision != Feasible || par.Value != seq.Value {
+		t.Fatalf("workers=2: (%v, %d), workers=1: (%v, %d)", par.Decision, par.Value, seq.Decision, seq.Value)
+	}
+	if len(ups) == 0 || !ups[len(ups)-1].Final || ups[len(ups)-1].Gap != 0 || ups[len(ups)-1].Best != seq.Value {
+		t.Fatalf("stream %+v does not end in the final proof at %d", ups, seq.Value)
+	}
+	for i := 1; i < len(ups); i++ {
+		if ups[i].Gap > ups[i-1].Gap || ups[i].Best > ups[i-1].Best || ups[i].LowerBound < ups[i-1].LowerBound {
+			t.Fatalf("update %d (%+v) regresses from %+v", i, ups[i], ups[i-1])
 		}
 	}
 }

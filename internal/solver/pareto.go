@@ -59,16 +59,16 @@ func ParetoFrontCtx(ctx context.Context, in *model.Instance, opt Options) (*Pare
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	ctx, run := opt.begin(ctx, "pareto", in, nil)
 	res := &ParetoResult{}
-	opt.Trace.Emit("solve_start", map[string]any{
-		"mode": "pareto", "instance": in.Name, "n": in.N(),
-	})
-
-	hFloor := in.MaxW()
-	if h := in.MaxH(); h > hFloor {
-		hFloor = h
+	// done stamps the walk's merged effort on res.
+	done := func(d Decision, err error) (*ParetoResult, error) {
+		o := run.finish(d, 0, 0, nil)
+		res.Probes, res.Stats, res.Stages, res.Elapsed = o.Probes, o.Stats, o.Stages, o.Elapsed
+		return res, err
 	}
+
+	hFloor := max(in.MaxW(), in.MaxH())
 	tMin := order.CriticalPath()
 	tCap := tMin + in.TotalDuration() // every instance serializes by then
 
@@ -76,16 +76,15 @@ func ParetoFrontCtx(ctx context.Context, in *model.Instance, opt Options) (*Pare
 	for T := tMin; T <= tCap; T++ {
 		r, err := minBase(ctx, in, T, order, opt)
 		if r != nil {
-			res.Probes += r.Probes
-			res.Stats.Add(r.Stats)
-			res.Stages.Add(r.Stages)
+			run.Probes += r.Probes
+			run.Stats.Add(r.Stats)
+			run.Stages.Add(r.Stages)
 		}
 		if err != nil {
-			res.Elapsed = time.Since(start)
-			return res, err
+			return done(Unknown, err)
 		}
 		if r.Decision != Feasible {
-			return nil, fmt.Errorf("solver: pareto probe at T=%d undecided", T)
+			return done(Unknown, fmt.Errorf("solver: pareto probe at T=%d undecided", T))
 		}
 		res.Curve = append(res.Curve, ParetoPoint{T: T, H: r.Value})
 		if prevH == -1 || r.Value < prevH {
@@ -97,18 +96,5 @@ func ParetoFrontCtx(ctx context.Context, in *model.Instance, opt Options) (*Pare
 			break
 		}
 	}
-	res.Elapsed = time.Since(start)
-	if opt.Trace != nil {
-		opt.Trace.Emit("solve_end", map[string]any{
-			"mode":       "pareto",
-			"decision":   Feasible.String(),
-			"points":     len(res.Points),
-			"probes":     res.Probes,
-			"nodes":      res.Stats.Nodes,
-			"elapsed_ms": ms(res.Elapsed),
-			"stages_ms":  stagesMS(res.Stages),
-			"stats":      res.Stats,
-		})
-	}
-	return res, nil
+	return done(Feasible, nil)
 }

@@ -119,45 +119,23 @@ func MinBaseWithRotation(in *model.Instance, T int, opt Options) (*OptResult, []
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &OptResult{}
+	ctx, run := opt.begin(context.Background(), "bmp_rotate", in, map[string]any{"T": T})
 	if order.CriticalPath() > T {
-		res.Decision = Infeasible
-		return res, nil, nil
+		return run.finish(Infeasible, 0, 0, nil), nil, nil
 	}
-	// With rotation the per-module floor is min(w,h)… but both extents
-	// must fit, so the floor is max over modules of min(w, h).
+	// Both extents of every module must fit whichever way it turns, so
+	// the floor is the largest smaller side.
 	lb := 1
-	hMax := 0
 	for _, t := range in.Tasks {
-		lo, hi := t.W, t.H
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo > lb {
-			lb = lo
-		}
-		hMax += hi
+		lb = max(lb, min(t.W, t.H))
 	}
-	lb = max(lb, bounds.MinSquareSide(in.Volume(), T))
-	res.LowerBound = lb
-	for h := lb; h <= hMax; h++ {
-		r, err := SolveOPPWithRotation(in, model.Container{W: h, H: h, T: T}, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Probes++
-		res.Stats.Add(r.Stats)
-		res.Stages.Add(r.Stages)
-		switch r.Decision {
-		case Feasible:
-			res.Decision = Feasible
-			res.Value = h
-			res.Placement = r.Placement
-			return res, r.Rotations, nil
-		case Unknown:
-			res.Decision = Unknown
-			return res, nil, nil
-		}
+	run.LowerBound = max(lb, bounds.MinSquareSide(in.Volume(), T))
+	s := newSweep(run, "h", run.LowerBound, maxSideSum(in), true, rotationProbe(in, func(h int) model.Container {
+		return model.Container{W: h, H: h, T: T}
+	}))
+	res, err := s.finish(s.search(ctx))
+	if res.Decision == Infeasible {
+		return nil, nil, fmt.Errorf("solver: no feasible chip up to %d with rotation", s.hi)
 	}
-	return nil, nil, fmt.Errorf("solver: no feasible chip up to %d with rotation", hMax)
+	return res, s.payload, err
 }

@@ -51,25 +51,27 @@ type Options struct {
 	// sequentially, and only Workers > 1 spends goroutines, at two
 	// levels that never multiply:
 	//
-	// Sweep racing. The optimization drivers (MinTime, MinBase,
-	// ParetoFront and their Ctx variants) race up to Workers
-	// per-container OPP decisions concurrently. The decisions are
-	// independent certificates, so they parallelize without changing
-	// the answer: the optimum, and the witness placement at the
-	// optimum, are bit-identical to the sequential sweep (the lowest
-	// container wins ties, exactly as in the sequential ascent). Each
-	// raced probe runs a sequential engine, so a sweep uses at most
-	// Workers goroutines in total. Within a probe every strategy preset
-	// runs its tiers in order, whatever Workers is.
+	// Sweep racing. The optimization drivers MinTime, MinBase,
+	// MinBaseFixedSchedule and ParetoFront (and their Ctx variants)
+	// race up to Workers of their OPP decisions concurrently, each on a
+	// sequential engine, so a sweep uses at most Workers goroutines in
+	// total. The decisions are independent certificates, so racing
+	// matches the sequential answer — the optimum and the witness
+	// placement at the optimum — whenever no probe hits a node or time
+	// limit. When one does, a race may decide values the sequential
+	// sweep gives up before; either way a partial result carries the
+	// best proven pair (Value and BestBound). Within a probe every
+	// strategy preset runs its tiers in order, whatever Workers is.
 	//
-	// Intra-probe work stealing. A single decision that is not part of
-	// a sweep — SolveOPP, FeasibleFixedSchedule, SolveMultiChip, each
-	// k-step of MinChips — explores its one branch-and-bound tree on a
-	// work-stealing pool of Workers engine clones (core.Options.Workers).
-	// The verdict and the witness validity are unchanged, but the
-	// statistics become the sum over shards (core.Stats.Steals counts
-	// the hand-offs) and the specific witness found may vary between
-	// runs.
+	// Intra-probe work stealing. Every other decision — SolveOPP,
+	// FeasibleFixedSchedule, SolveMultiChip, and each probe of MinArea,
+	// MinChips, MinTimeMultiChip, the rotation sweeps and the anytime
+	// refinement, which run their probes one at a time — explores its
+	// one branch-and-bound tree on a work-stealing pool of Workers
+	// engine clones (core.Options.Workers). The verdict and the witness
+	// validity are unchanged, but the statistics become the sum over
+	// shards (core.Stats.Steals counts the hand-offs) and the specific
+	// witness found may vary between runs.
 	//
 	// Racing pays only when the sweep's probes are expensive: on the
 	// paper's benchmarks the bounds and the greedy placer settle every
@@ -109,14 +111,14 @@ type Options struct {
 	// Anytime enables the anytime tier for MinTime (mode spp): after
 	// the greedy upper bound, a randomized annealing placer tightens
 	// the incumbent (streaming each improvement through OnImprovement
-	// and the Progress hook), then the exact refinement runs a
-	// sequential binary search that raises the proven lower bound with
-	// every infeasibility proof and lowers the incumbent with every
-	// witness — so the optimality gap reported along the way is
-	// non-increasing and reaches 0 exactly when the run proves its
-	// incumbent optimal. The final answer equals the staged pipeline's
-	// (same monotone predicate, same interval convergence); only the
-	// path there differs. Other modes ignore the flag.
+	// and the Progress hook), then the exact refinement runs the binary
+	// search, which raises the proven lower bound with every
+	// infeasibility proof and lowers the incumbent with every witness —
+	// so the optimality gap reported along the way is non-increasing
+	// and reaches 0 exactly when the run proves its incumbent optimal.
+	// The final answer equals the staged pipeline's (same monotone
+	// predicate, same interval convergence); only the path there
+	// differs. Other modes ignore the flag.
 	Anytime bool
 	// AnnealSeed seeds the randomized annealing placer used by the
 	// "anneal" strategy and by Anytime runs; zero means seed 1. The
@@ -182,9 +184,6 @@ func (o Options) validateStrategy() error {
 	return nil
 }
 
-// portfolio reports whether the portfolio strategy is selected.
-func (o Options) portfolio() bool { return o.Strategy == strategy.NamePortfolio }
-
 // pipeline resolves the configured strategy preset over this run's
 // environment. The zero value selects the staged preset, the
 // historical three-stage pipeline.
@@ -201,10 +200,6 @@ func (o Options) pipeline() (*strategy.Pipeline, error) {
 	})
 }
 
-// effectiveWorkers resolves Options.Workers to a concrete pool size:
-// parallelism is opt-in, so anything below 2 means one.
-func (o Options) effectiveWorkers() int { return max(o.Workers, 1) }
-
 func (o Options) coreOptions(ctx context.Context) core.Options {
 	c := core.Options{
 		Ctx:                ctx,
@@ -219,8 +214,8 @@ func (o Options) coreOptions(ctx context.Context) core.Options {
 		ReferenceRules:     o.ReferenceRules,
 	}
 	// Intra-probe work stealing is opt-in: only an explicit Workers > 1
-	// parallelizes a single engine search. Sweep racers pin their probes
-	// to Workers = 1 (oppProbe), so the two levels never multiply.
+	// parallelizes a single engine search. Raced sweeps pin their probes
+	// to Workers = 1 (sweep.search), so the two levels never multiply.
 	if o.Workers > 1 {
 		c.Workers = o.Workers
 	}
@@ -308,17 +303,17 @@ func SolveOPPCtx(ctx context.Context, in *model.Instance, c model.Container, opt
 	if err != nil {
 		return nil, err
 	}
-	return solveOPP(ctx, in, c, order, opt)
+	return solveOPP(ctx, &strategy.Problem{In: in, C: c, Order: order}, opt)
 }
 
 // solveOPP decides one orthogonal packing question through the
 // configured strategy preset (internal/strategy).
-func solveOPP(ctx context.Context, in *model.Instance, c model.Container, order *model.Order, opt Options) (*OPPResult, error) {
+func solveOPP(ctx context.Context, p *strategy.Problem, opt Options) (*OPPResult, error) {
 	pl, err := opt.pipeline()
 	if err != nil {
 		return nil, err
 	}
-	return pl.Solve(ctx, &strategy.Problem{In: in, C: c, Order: order})
+	return pl.Solve(ctx, p)
 }
 
 // buildProblem translates an instance+container into the engine's
