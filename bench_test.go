@@ -409,7 +409,7 @@ func BenchmarkFixedSchedule_DE(b *testing.B) {
 	}
 }
 
-// --- Parallel sweeps (Options.Workers racing, BENCH_parallel.json) ----
+// --- Parallel sweeps (Options.Workers racing) ----
 
 // benchParallelBMP runs the hardest Table-1 row search-only — the one
 // configuration on the shipped benchmarks where the raced probes expend

@@ -1,35 +1,20 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"fpga3d/internal/bench"
+	"fpga3d/internal/benchgate"
 	"fpga3d/internal/model"
 	"fpga3d/internal/solver"
 )
 
-// AnytimeReportSchema identifies the anytime quality-vs-time report
-// format; bump it on incompatible changes so a stale committed
-// baseline fails loudly.
-const AnytimeReportSchema = "fpgabench/anytime/v1"
+// AnytimeReportSchema identifies the anytime report format; bump it on
+// incompatible changes so a stale committed baseline fails loudly.
+const AnytimeReportSchema = "fpgabench/anytime/v2"
 
-// anytimeDeadlines are the curve sample points: how good is the
-// incumbent this long after the solve started? They match the serving
-// tiers the anytime mode exists for — interactive (10ms), online
-// admission (100ms), batch planning (1s).
-var anytimeDeadlines = []time.Duration{10 * time.Millisecond, 100 * time.Millisecond, time.Second}
-
-// gapSlack is the absolute slack on gap-at-deadline comparisons
-// against the baseline. The improvement timeline is wall-clock
-// sampled, so where a deadline falls in it shifts with machine load;
-// a gap only counts as regressed when it worsens past this slack.
-const gapSlack = 0.25
-
-// anytimeCase is one minimize-time question measured in anytime mode.
+// anytimeCase is one minimize-time question solved in anytime mode.
 type anytimeCase struct {
 	name  string
 	quick bool
@@ -37,10 +22,10 @@ type anytimeCase struct {
 	w, h  int
 }
 
-// anytimeSuite returns the quality-vs-time cases: the paper's
-// evaluation instances on their benchmark chips. Every case must run
-// to proven optimality (final gap 0), so only tractable minimize-time
-// sweeps belong here.
+// anytimeSuite returns the anytime cases: the paper's evaluation
+// instances on their benchmark chips. Every case must run to proven
+// optimality (final gap 0), so only tractable minimize-time sweeps
+// belong here.
 func anytimeSuite() []anytimeCase {
 	return []anytimeCase{
 		{name: "de/anytime/17x17", quick: true, mk: bench.DE, w: 17, h: 17},
@@ -50,75 +35,37 @@ func anytimeSuite() []anytimeCase {
 	}
 }
 
-// AnytimeEntry is the measured quality-vs-time curve of one case.
+// AnytimeEntry is the final answer of one anytime run. The anytime
+// refinement is gated to land on the staged answer, so every field is
+// deterministic and diffed exactly against the baseline.
 type AnytimeEntry struct {
-	Name string `json:"name"`
-	// Status, Value and LowerBound are deterministic (the anytime
-	// refinement is gated to land on the staged answer) and diffed
-	// exactly against the baseline. FinalGap must be 0 — a completed
-	// anytime run proves its incumbent — and is checked at measurement
-	// time, before any baseline enters the picture.
-	Status     string  `json:"status"`
-	Value      int     `json:"value"`
-	LowerBound int     `json:"lower_bound"`
-	FinalGap   float64 `json:"final_gap"`
-	// GapAt and BestAt sample the improvement timeline at the curve
-	// deadlines (index-aligned with anytimeDeadlines): the incumbent's
-	// optimality gap and makespan as of that much wall time into the
-	// run. A deadline that falls before the first incumbent records
-	// gap 1 and makespan 0. Best over -runs repetitions; gaps are
-	// diffed with absolute slack, makespans recorded for inspection.
-	GapAt  []float64 `json:"gap_at"`
-	BestAt []int     `json:"best_at"`
-	// TimeToOptNS is the elapsed wall time at which the incumbent
-	// first reached the optimum (not yet proven); TimeToProofNS the
-	// full run wall time, proof included. Both are best-of -runs and
-	// tolerance-gated like every other wall time.
-	TimeToOptNS   int64 `json:"time_to_opt_ns"`
-	TimeToProofNS int64 `json:"time_to_proof_ns"`
-	// Updates counts improvement notifications of the best run —
-	// recorded for inspection, never diffed (the annealer's
-	// notification points are timing-dependent).
-	Updates int `json:"updates,omitempty"`
+	Name   string `json:"name"`
+	Status string `json:"status"`
+	// Value is the optimum; LowerBound the stage-1 bound the run
+	// started from.
+	Value      int `json:"value"`
+	LowerBound int `json:"lower_bound"`
+	// FinalGap must be 0: a completed anytime run proves its incumbent.
+	// It is checked at measurement time, before any baseline enters the
+	// picture.
+	FinalGap float64 `json:"final_gap"`
 }
 
 // AnytimeReport is the machine-readable output of fpgabench -anytime.
-type AnytimeReport struct {
-	Schema    string         `json:"schema"`
-	Generated string         `json:"generated"`
-	Env       Env            `json:"env"`
-	Runs      int            `json:"runs"`
-	Quick     bool           `json:"quick,omitempty"`
-	Deadlines []string       `json:"deadlines"`
-	Entries   []AnytimeEntry `json:"entries"`
-}
+type AnytimeReport = benchgate.Report[AnytimeEntry]
 
 // runAnytime is the -anytime entry point: solve every suite case in
-// anytime mode, sample its quality-vs-time curve, gate the final
-// answer's determinism and proven gap, and optionally diff against a
-// committed baseline.
-func runAnytime(stdout, stderr io.Writer, quick, list bool, runs int, out, baseline string, tol float64, floor time.Duration) int {
+// anytime mode, gate the final answer's determinism and proven gap, and
+// optionally diff against a committed baseline.
+func runAnytime(stdout, stderr io.Writer, quick, list bool, runs int, out, baseline string) int {
 	cases := anytimeSuite()
 	if list {
 		for _, c := range cases {
-			tag := ""
-			if c.quick {
-				tag = " [quick]"
-			}
-			fmt.Fprintf(stdout, "%-24s anytime%s\n", c.name, tag)
+			listCase(stdout, c.name, "anytime", c.quick)
 		}
 		return 0
 	}
-	rep := &AnytimeReport{
-		Schema:    AnytimeReportSchema,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Env:       envStamp(),
-		Runs:      runs,
-		Quick:     quick,
-	}
-	for _, d := range anytimeDeadlines {
-		rep.Deadlines = append(rep.Deadlines, d.String())
-	}
+	rep := newReport[AnytimeEntry](AnytimeReportSchema, runs, quick)
 	for _, c := range cases {
 		if quick && !c.quick {
 			continue
@@ -129,209 +76,31 @@ func runAnytime(stdout, stderr io.Writer, quick, list bool, runs int, out, basel
 			return 1
 		}
 		rep.Entries = append(rep.Entries, e)
-		fmt.Fprintf(stdout, "%-24s opt %3d  lb %3d  gap@10ms %.3f  @100ms %.3f  @1s %.3f  opt in %10v  proof %10v\n",
-			e.Name, e.Value, e.LowerBound, e.GapAt[0], e.GapAt[1], e.GapAt[2],
-			time.Duration(e.TimeToOptNS).Round(time.Microsecond),
-			time.Duration(e.TimeToProofNS).Round(time.Microsecond))
+		fmt.Fprintf(stdout, "%-24s opt %3d  lb %3d  gap %g\n", e.Name, e.Value, e.LowerBound, e.FinalGap)
 	}
-
-	if out != "" {
-		if err := writeAnytimeReport(rep, out); err != nil {
-			fmt.Fprintf(stderr, "fpgabench: write report: %v\n", err)
-			return 1
-		}
-	}
-	if baseline != "" {
-		base, err := readAnytimeReport(baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "fpgabench: baseline: %v\n", err)
-			return 1
-		}
-		msgs := diffAnytimeReports(base, rep, tol, floor)
-		for _, m := range msgs {
-			fmt.Fprintf(stderr, "fpgabench: REGRESSION: %s\n", m)
-		}
-		if len(msgs) > 0 {
-			return 2
-		}
-		fmt.Fprintf(stdout, "baseline %s: %d anytime cases compared, no regressions\n", baseline, len(rep.Entries))
-	}
-	return 0
+	return finish(rep, out, baseline, stdout, stderr)
 }
 
-// anytimeSample is one point of the improvement timeline.
-type anytimeSample struct {
-	best, lower int
-	gap         float64
-	at          time.Duration
-}
-
-// measureAnytimeCase solves one case `runs` times in anytime mode and
-// folds the repetitions: the final answer must agree across all of
-// them (determinism gate) and must be proven (gap 0); per-deadline
-// gaps and the wall times keep their best observation, so the curve
-// reflects what the machine can do rather than its worst hiccup.
+// measureAnytimeCase solves one case `runs` times in anytime mode. Every
+// run must be proven (gap 0) and every repetition must give the same
+// entry.
 func measureAnytimeCase(c anytimeCase, runs int) (AnytimeEntry, error) {
-	e := AnytimeEntry{Name: c.name}
+	var first AnytimeEntry
 	for r := 0; r < runs; r++ {
-		var timeline []anytimeSample
-		opt := solver.Options{
-			Workers: 1,
-			Anytime: true,
-			OnImprovement: func(u solver.AnytimeUpdate) {
-				timeline = append(timeline, anytimeSample{best: u.Best, lower: u.LowerBound, gap: u.Gap, at: u.Elapsed})
-			},
-		}
-		start := time.Now()
-		res, err := solver.MinTime(c.mk(), c.w, c.h, opt)
-		wall := time.Since(start)
+		res, err := solver.MinTime(c.mk(), c.w, c.h, solver.Options{Workers: 1, Anytime: true})
 		if err != nil {
-			return e, err
+			return first, err
 		}
 		if res.Gap != 0 || res.BestBound != res.Value {
-			return e, fmt.Errorf("completed anytime run not proven: gap %v, best bound %d, value %d",
+			return first, fmt.Errorf("completed anytime run not proven: gap %v, best bound %d, value %d",
 				res.Gap, res.BestBound, res.Value)
 		}
-		gapAt := make([]float64, len(anytimeDeadlines))
-		bestAt := make([]int, len(anytimeDeadlines))
-		for i, d := range anytimeDeadlines {
-			gapAt[i] = 1 // no incumbent yet
-			for _, s := range timeline {
-				if s.at > d {
-					break
-				}
-				gapAt[i], bestAt[i] = s.gap, s.best
-			}
-			// The whole run may beat the deadline: then the curve is
-			// flat at the proven optimum from the finish onward.
-			if wall <= d {
-				gapAt[i], bestAt[i] = 0, res.Value
-			}
-		}
-		toOpt := wall
-		for _, s := range timeline {
-			if s.best == res.Value {
-				toOpt = s.at
-				break
-			}
-		}
+		e := AnytimeEntry{Name: c.name, Status: res.Decision.String(), Value: res.Value, LowerBound: res.LowerBound, FinalGap: res.Gap}
 		if r == 0 {
-			e.Status = res.Decision.String()
-			e.Value = res.Value
-			e.LowerBound = res.LowerBound
-			e.FinalGap = res.Gap
-			e.GapAt, e.BestAt = gapAt, bestAt
-			e.TimeToOptNS = int64(toOpt)
-			e.TimeToProofNS = int64(wall)
-			e.Updates = len(timeline)
-			continue
-		}
-		if res.Decision.String() != e.Status || res.Value != e.Value || res.LowerBound != e.LowerBound {
-			return e, fmt.Errorf("nondeterministic answer: run %d %s/%d (lb %d), run 0 %s/%d (lb %d)",
-				r, res.Decision, res.Value, res.LowerBound, e.Status, e.Value, e.LowerBound)
-		}
-		for i := range gapAt {
-			if gapAt[i] < e.GapAt[i] {
-				e.GapAt[i], e.BestAt[i] = gapAt[i], bestAt[i]
-			}
-		}
-		if int64(toOpt) < e.TimeToOptNS {
-			e.TimeToOptNS = int64(toOpt)
-		}
-		if int64(wall) < e.TimeToProofNS {
-			e.TimeToProofNS = int64(wall)
-			e.Updates = len(timeline)
+			first = e
+		} else if e != first {
+			return first, fmt.Errorf("nondeterministic answer: run %d gave %+v, run 0 gave %+v", r, e, first)
 		}
 	}
-	return e, nil
-}
-
-// writeAnytimeReport marshals the report to path (or stdout for "-").
-func writeAnytimeReport(r *AnytimeReport, path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// readAnytimeReport loads a committed anytime report, checking its
-// schema.
-func readAnytimeReport(path string) (*AnytimeReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r AnytimeReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != AnytimeReportSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, AnytimeReportSchema)
-	}
-	return &r, nil
-}
-
-// diffAnytimeReports compares a run against the committed baseline.
-// The answer (status, optimum, stage-1 bound) matches exactly; each
-// gap-at-deadline may not worsen past gapSlack; the wall times regress
-// only past the relative tolerance and the absolute floor, like the
-// core suite.
-func diffAnytimeReports(base, cur *AnytimeReport, tol float64, floor time.Duration) []string {
-	baseByName := make(map[string]AnytimeEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseByName[e.Name] = e
-	}
-	var msgs []string
-	seen := make(map[string]bool, len(cur.Entries))
-	for _, e := range cur.Entries {
-		b, ok := baseByName[e.Name]
-		if !ok {
-			continue // new case, nothing to compare yet
-		}
-		seen[e.Name] = true
-		if e.Status != b.Status || e.Value != b.Value || e.LowerBound != b.LowerBound {
-			msgs = append(msgs, fmt.Sprintf("%s: answer changed: %s/%d (lb %d), baseline %s/%d (lb %d)",
-				e.Name, e.Status, e.Value, e.LowerBound, b.Status, b.Value, b.LowerBound))
-			continue
-		}
-		for i := range e.GapAt {
-			if i >= len(b.GapAt) {
-				break
-			}
-			if e.GapAt[i] > b.GapAt[i]+gapSlack {
-				msgs = append(msgs, fmt.Sprintf("%s: gap at %s worsened: %.3f, baseline %.3f (+%.2f slack)",
-					e.Name, cur.Deadlines[i], e.GapAt[i], b.GapAt[i], gapSlack))
-			}
-		}
-		for _, tc := range []struct {
-			what      string
-			cur, base int64
-		}{
-			{"time to optimum", e.TimeToOptNS, b.TimeToOptNS},
-			{"time to proof", e.TimeToProofNS, b.TimeToProofNS},
-		} {
-			slack := int64(float64(tc.base) * tol)
-			if s := int64(floor); s > slack {
-				slack = s
-			}
-			if tc.cur > tc.base+slack {
-				msgs = append(msgs, fmt.Sprintf("%s: %s regressed: %v, baseline %v (tolerance %.0f%%, floor %v)",
-					e.Name, tc.what, time.Duration(tc.cur), time.Duration(tc.base), tol*100, floor))
-			}
-		}
-	}
-	if !cur.Quick {
-		for _, b := range base.Entries {
-			if !seen[b.Name] {
-				msgs = append(msgs, fmt.Sprintf("%s: present in baseline but not measured", b.Name))
-			}
-		}
-	}
-	return msgs
+	return first, nil
 }

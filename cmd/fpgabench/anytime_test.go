@@ -2,28 +2,23 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
+
+	"fpga3d/internal/benchgate"
 )
 
 func sampleAnytimeReport() *AnytimeReport {
 	return &AnytimeReport{
 		Schema:    AnytimeReportSchema,
 		Generated: "2026-08-08T00:00:00Z",
-		Env:       envStamp(),
+		Env:       benchgate.Stamp(),
 		Runs:      3,
-		Deadlines: []string{"10ms", "100ms", "1s"},
 		Entries: []AnytimeEntry{
-			{Name: "de/anytime/17x17", Status: "feasible", Value: 13, LowerBound: 13,
-				GapAt: []float64{0, 0, 0}, BestAt: []int{13, 13, 13},
-				TimeToOptNS: 80_000, TimeToProofNS: 180_000, Updates: 2},
-			{Name: "de/anytime/33x16", Status: "feasible", Value: 8, LowerBound: 7,
-				GapAt: []float64{0.125, 0.125, 0}, BestAt: []int{8, 8, 8},
-				TimeToOptNS: 100_000, TimeToProofNS: 230_000_000, Updates: 3},
+			{Name: "de/anytime/17x17", Status: "feasible", Value: 13, LowerBound: 13},
+			{Name: "de/anytime/33x16", Status: "feasible", Value: 8, LowerBound: 7},
 		},
 	}
 }
@@ -31,87 +26,84 @@ func sampleAnytimeReport() *AnytimeReport {
 func TestAnytimeReportRoundTrip(t *testing.T) {
 	r := sampleAnytimeReport()
 	path := filepath.Join(t.TempDir(), "anytime.json")
-	if err := writeAnytimeReport(r, path); err != nil {
+	if err := benchgate.Write(r, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readAnytimeReport(path)
-	if err != nil {
+	var got AnytimeReport
+	if err := benchgate.Read(path, AnytimeReportSchema, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r, got) {
+	if !reflect.DeepEqual(r, &got) {
 		t.Fatalf("round trip changed the report:\nwrote %+v\nread  %+v", r, got)
 	}
-	if msgs := diffAnytimeReports(r, got, 0, 0); len(msgs) != 0 {
+	if msgs := benchgate.Diff(r, &got); len(msgs) != 0 {
 		t.Fatalf("self-diff not clean: %v", msgs)
 	}
 
-	r.Schema = "fpgabench/anytime/v0"
-	if err := writeAnytimeReport(r, path); err != nil {
+	r.Schema = "fpgabench/anytime/v1"
+	if err := benchgate.Write(r, path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readAnytimeReport(path); err == nil {
+	if err := benchgate.Read(path, AnytimeReportSchema, &got); err == nil {
 		t.Fatal("wrong schema accepted")
 	}
 }
 
 // TestDiffAnytimeRegressions exercises each class the anytime gate can
-// raise: answer drift, gap-at-deadline regressions past the slack, wall
-// regressions past the floor, and vanished cases.
+// raise: drift in any field of any entry (the answer, its lower bound,
+// the final gap), and vanished cases.
 func TestDiffAnytimeRegressions(t *testing.T) {
 	base := sampleAnytimeReport()
 
+	t.Run("every field", func(t *testing.T) { perturbEach(t, sampleAnytimeReport) })
+	t.Run("gap regression past slack", func(t *testing.T) {
+		// The final gap is exact: any gap above the proven 0 is a
+		// regression, with no slack.
+		cur := sampleAnytimeReport()
+		cur.Entries[1].FinalGap = 0.01
+		msgs := benchgate.Diff(base, cur)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "final_gap 0.01, baseline 0") {
+			t.Fatalf("msgs = %v", msgs)
+		}
+	})
+	t.Run("gap noise under slack ignored", func(t *testing.T) {
+		// What may differ between runs on different hosts is the
+		// machine stamp alone, and the gate does not read it.
+		if msgs := benchgate.Diff(base, otherMachine(sampleAnytimeReport())); len(msgs) != 0 {
+			t.Fatalf("machine stamp gated: %v", msgs)
+		}
+	})
+	t.Run("micro wall noise under floor ignored", func(t *testing.T) {
+		// A quick rerun of the same suite on another host: the subset
+		// and the stamp differ, the exact fields do not.
+		cur := otherMachine(sampleAnytimeReport())
+		cur.Quick = true
+		cur.Entries = cur.Entries[1:]
+		if msgs := benchgate.Diff(base, cur); len(msgs) != 0 {
+			t.Fatalf("quick rerun elsewhere flagged: %v", msgs)
+		}
+	})
 	t.Run("answer drift", func(t *testing.T) {
 		cur := sampleAnytimeReport()
 		cur.Entries[0].Value++
-		msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "answer changed") {
+		msgs := benchgate.Diff(base, cur)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "value 14, baseline 13") {
 			t.Fatalf("msgs = %v", msgs)
 		}
 	})
 	t.Run("lower bound drift", func(t *testing.T) {
 		cur := sampleAnytimeReport()
 		cur.Entries[1].LowerBound--
-		msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "answer changed") {
+		msgs := benchgate.Diff(base, cur)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "lower_bound 6, baseline 7") {
 			t.Fatalf("msgs = %v", msgs)
-		}
-	})
-	t.Run("gap regression past slack", func(t *testing.T) {
-		cur := sampleAnytimeReport()
-		cur.Entries[1].GapAt[2] = gapSlack + 0.01
-		msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "gap at 1s worsened") {
-			t.Fatalf("msgs = %v", msgs)
-		}
-	})
-	t.Run("gap noise under slack ignored", func(t *testing.T) {
-		cur := sampleAnytimeReport()
-		cur.Entries[0].GapAt[0] = gapSlack - 0.01
-		if msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond); len(msgs) != 0 {
-			t.Fatalf("sub-slack gap noise flagged: %v", msgs)
-		}
-	})
-	t.Run("proof wall regression past floor", func(t *testing.T) {
-		cur := sampleAnytimeReport()
-		cur.Entries[1].TimeToProofNS *= 3
-		msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "time to proof regressed") {
-			t.Fatalf("msgs = %v", msgs)
-		}
-	})
-	t.Run("micro wall noise under floor ignored", func(t *testing.T) {
-		cur := sampleAnytimeReport()
-		cur.Entries[0].TimeToOptNS *= 10
-		cur.Entries[0].TimeToProofNS *= 10
-		if msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond); len(msgs) != 0 {
-			t.Fatalf("micro-case noise flagged: %v", msgs)
 		}
 	})
 	t.Run("missing case in full run", func(t *testing.T) {
 		cur := sampleAnytimeReport()
 		cur.Entries = cur.Entries[:1]
-		msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "not measured") {
+		msgs := benchgate.Diff(base, cur)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "not in this run") {
 			t.Fatalf("msgs = %v", msgs)
 		}
 	})
@@ -119,26 +111,28 @@ func TestDiffAnytimeRegressions(t *testing.T) {
 		cur := sampleAnytimeReport()
 		cur.Entries = cur.Entries[:1]
 		cur.Quick = true
-		if msgs := diffAnytimeReports(base, cur, 0.5, 25*time.Millisecond); len(msgs) != 0 {
+		if msgs := benchgate.Diff(base, cur); len(msgs) != 0 {
 			t.Fatalf("quick run flagged for subsetting: %v", msgs)
 		}
 	})
 }
 
 // TestRunAnytimeQuick runs the real quick subset end to end: every
-// case must prove its optimum (final gap 0) and the report must be
-// parseable with curve samples for every deadline.
+// case must prove its optimum (final gap 0), the report must be
+// parseable, a run must diff clean against its own report, and a
+// tampered optimum must trip exit 2.
 func TestRunAnytimeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves real instances")
 	}
 	var stdout, stderr bytes.Buffer
-	path := filepath.Join(t.TempDir(), "anytime.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "anytime.json")
 	if code := run([]string{"-anytime", "-quick", "-runs", "1", "-out", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
-	rep, err := readAnytimeReport(path)
-	if err != nil {
+	var rep AnytimeReport
+	if err := benchgate.Read(path, AnytimeReportSchema, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Entries) == 0 {
@@ -148,20 +142,23 @@ func TestRunAnytimeQuick(t *testing.T) {
 		if e.FinalGap != 0 {
 			t.Errorf("%s: final gap %v, want proven 0", e.Name, e.FinalGap)
 		}
-		if len(e.GapAt) != len(anytimeDeadlines) || len(e.BestAt) != len(anytimeDeadlines) {
-			t.Errorf("%s: curve has %d/%d samples, want %d", e.Name, len(e.GapAt), len(e.BestAt), len(anytimeDeadlines))
-		}
-		for i := 1; i < len(e.GapAt); i++ {
-			if e.GapAt[i] > e.GapAt[i-1] {
-				t.Errorf("%s: gap increased along the curve: %v", e.Name, e.GapAt)
-			}
-		}
 	}
 	// Diffing a run against its own report is clean.
 	stdout.Reset()
 	stderr.Reset()
 	if code := run([]string{"-anytime", "-quick", "-runs", "1", "-baseline", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("self-baseline exit %d\nstderr: %s", code, stderr.String())
+	}
+	// A baseline with a different optimum fails the gate.
+	tampered := filepath.Join(dir, "tampered.json")
+	rep.Entries[0].Value++
+	if err := benchgate.Write(&rep, tampered); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-anytime", "-quick", "-runs", "1", "-baseline", tampered}, &stdout, &stderr); code != 2 {
+		t.Fatalf("tampered baseline: exit %d, want 2; stderr: %s", code, stderr.String())
 	}
 }
 
@@ -178,8 +175,8 @@ func TestAnytimeAndOnlineExclusive(t *testing.T) {
 // TestCommittedAnytimeBaseline keeps the committed BENCH_anytime.json
 // honest: right schema, all suite cases present, every entry proven.
 func TestCommittedAnytimeBaseline(t *testing.T) {
-	rep, err := readAnytimeReport("../../BENCH_anytime.json")
-	if err != nil {
+	var rep AnytimeReport
+	if err := benchgate.Read("../../BENCH_anytime.json", AnytimeReportSchema, &rep); err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]AnytimeEntry{}
@@ -193,10 +190,5 @@ func TestCommittedAnytimeBaseline(t *testing.T) {
 		if _, ok := byName[c.name]; !ok {
 			t.Errorf("suite case %s missing from committed baseline", c.name)
 		}
-	}
-	var raw map[string]json.RawMessage
-	data, _ := json.Marshal(rep)
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,19 +2,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sort"
-	"time"
 
+	"fpga3d/internal/benchgate"
 	"fpga3d/internal/online"
 )
 
 // OnlineReportSchema identifies the online replay report format; bump
 // it on incompatible changes so a stale committed baseline fails loudly.
-const OnlineReportSchema = "fpgabench/online/v1"
+const OnlineReportSchema = "fpgabench/online/v2"
 
 // onlineCase is one seeded event script replayed against a fresh
 // session. Everything the generator samples is pinned here, so the
@@ -26,9 +23,7 @@ type onlineCase struct {
 	quick  bool
 }
 
-// onlineSuite returns the online replay cases. Counts (admissions,
-// rejections, defrag moves, probe nodes) are deterministic and diffed
-// exactly against the baseline; latencies are tolerance-gated.
+// onlineSuite returns the online replay cases.
 func onlineSuite() []onlineCase {
 	return []onlineCase{
 		{name: "online/steady/8x8", quick: true, params: online.GenParams{
@@ -44,64 +39,37 @@ func onlineSuite() []onlineCase {
 	}
 }
 
-// OnlineEntry is the measured outcome of one script replay.
+// OnlineEntry is the exact outcome of one script replay: workload
+// counts that depend only on the seeded script and the deterministic
+// engine, every one diffed exactly against the baseline.
 type OnlineEntry struct {
-	Name string `json:"name"`
-	Seed int64  `json:"seed"`
-	// Events through DefragMoves are workload counts: deterministic per
-	// case (the engine is deterministic and the script is seeded), so
-	// the baseline diff matches them exactly.
-	Events      int   `json:"events"`
-	Admitted    int   `json:"admitted"`
-	Rejected    int   `json:"rejected"`
-	Unknown     int   `json:"unknown,omitempty"`
-	Departed    int   `json:"departed"`
-	Defrags     int   `json:"defrags"`
-	DefragMoves int   `json:"defrag_moves"`
-	ProbeNodes  int64 `json:"probe_nodes"`
-	// WallNS is the best (minimum) whole-replay wall time over -runs
-	// repetitions; AdmitP50NS/AdmitP99NS the matching admission latency
-	// percentiles of that best run. AdmissionsPerSec is arrivals decided
-	// per second of replay wall time. All timing fields are
-	// tolerance-gated, never diffed exactly.
-	WallNS           int64   `json:"wall_ns"`
-	AdmitP50NS       int64   `json:"admit_p50_ns"`
-	AdmitP99NS       int64   `json:"admit_p99_ns"`
-	AdmissionsPerSec float64 `json:"admissions_per_sec"`
+	Name        string `json:"name"`
+	Seed        int64  `json:"seed"`
+	Events      int    `json:"events"`
+	Admitted    int    `json:"admitted"`
+	Rejected    int    `json:"rejected"`
+	Unknown     int    `json:"unknown,omitempty"`
+	Departed    int    `json:"departed"`
+	Defrags     int    `json:"defrags"`
+	DefragMoves int    `json:"defrag_moves"`
+	ProbeNodes  int64  `json:"probe_nodes"`
 }
 
 // OnlineReport is the machine-readable output of fpgabench -online.
-type OnlineReport struct {
-	Schema    string        `json:"schema"`
-	Generated string        `json:"generated"`
-	Env       Env           `json:"env"`
-	Runs      int           `json:"runs"`
-	Quick     bool          `json:"quick,omitempty"`
-	Entries   []OnlineEntry `json:"entries"`
-}
+type OnlineReport = benchgate.Report[OnlineEntry]
 
 // runOnline is the -online entry point: replay every suite script
 // against a fresh session per repetition, gate determinism across
 // repetitions, and optionally diff against a committed baseline.
-func runOnline(stdout, stderr io.Writer, quick, list bool, runs int, out, baseline string, tol float64, floor time.Duration) int {
+func runOnline(stdout, stderr io.Writer, quick, list bool, runs int, out, baseline string) int {
 	cases := onlineSuite()
 	if list {
 		for _, c := range cases {
-			tag := ""
-			if c.quick {
-				tag = " [quick]"
-			}
-			fmt.Fprintf(stdout, "%-24s online%s\n", c.name, tag)
+			listCase(stdout, c.name, "online", c.quick)
 		}
 		return 0
 	}
-	rep := &OnlineReport{
-		Schema:    OnlineReportSchema,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Env:       envStamp(),
-		Runs:      runs,
-		Quick:     quick,
-	}
+	rep := newReport[OnlineEntry](OnlineReportSchema, runs, quick)
 	for _, c := range cases {
 		if quick && !c.quick {
 			continue
@@ -112,187 +80,38 @@ func runOnline(stdout, stderr io.Writer, quick, list bool, runs int, out, baseli
 			return 1
 		}
 		rep.Entries = append(rep.Entries, e)
-		fmt.Fprintf(stdout, "%-24s admitted %3d  rejected %3d  moves %3d  nodes %8d  %10v  p99 %10v  %8.0f adm/s\n",
-			e.Name, e.Admitted, e.Rejected, e.DefragMoves, e.ProbeNodes,
-			time.Duration(e.WallNS).Round(time.Microsecond),
-			time.Duration(e.AdmitP99NS).Round(time.Microsecond), e.AdmissionsPerSec)
+		fmt.Fprintf(stdout, "%-24s admitted %3d  rejected %3d  moves %3d  nodes %8d\n",
+			e.Name, e.Admitted, e.Rejected, e.DefragMoves, e.ProbeNodes)
 	}
-
-	if out != "" {
-		if err := writeOnlineReport(rep, out); err != nil {
-			fmt.Fprintf(stderr, "fpgabench: write report: %v\n", err)
-			return 1
-		}
-	}
-	if baseline != "" {
-		base, err := readOnlineReport(baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "fpgabench: baseline: %v\n", err)
-			return 1
-		}
-		msgs := diffOnlineReports(base, rep, tol, floor)
-		for _, m := range msgs {
-			fmt.Fprintf(stderr, "fpgabench: REGRESSION: %s\n", m)
-		}
-		if len(msgs) > 0 {
-			return 2
-		}
-		fmt.Fprintf(stdout, "baseline %s: %d online cases compared, no regressions\n", baseline, len(rep.Entries))
-	}
-	return 0
+	return finish(rep, out, baseline, stdout, stderr)
 }
 
 // measureOnlineCase replays one script `runs` times, each against a
-// fresh session, and returns the entry with the minimum wall time. The
-// decision counts must agree across repetitions — the engine is
-// deterministic, so any drift is a hard error.
+// fresh session. Every repetition must give the same entry — the engine
+// is deterministic, so any drift is a hard error.
 func measureOnlineCase(c onlineCase, runs int) (OnlineEntry, error) {
-	e := OnlineEntry{Name: c.name, Seed: c.params.Seed}
+	var first OnlineEntry
 	sc := online.Generate(c.params)
 	for r := 0; r < runs; r++ {
 		sess, err := online.NewSession(online.Config{W: sc.Device.W, H: sc.Device.H})
 		if err != nil {
-			return e, err
+			return first, err
 		}
-		start := time.Now()
 		stats, err := online.Replay(context.Background(), sess, sc, nil)
-		wall := time.Since(start)
 		if err != nil {
-			return e, err
+			return first, err
 		}
-		nodes := sess.Counters().ProbeNodes
+		e := OnlineEntry{
+			Name: c.name, Seed: c.params.Seed, Events: stats.Events,
+			Admitted: stats.Admitted, Rejected: stats.Rejected, Unknown: stats.Unknown,
+			Departed: stats.Departed, Defrags: stats.Defrags, DefragMoves: stats.DefragMoves,
+			ProbeNodes: sess.Counters().ProbeNodes,
+		}
 		if r == 0 {
-			e.Events = stats.Events
-			e.Admitted, e.Rejected, e.Unknown = stats.Admitted, stats.Rejected, stats.Unknown
-			e.Departed, e.Defrags, e.DefragMoves = stats.Departed, stats.Defrags, stats.DefragMoves
-			e.ProbeNodes = nodes
-			e.WallNS = int64(wall)
-			e.AdmitP50NS, e.AdmitP99NS = latencyPercentiles(stats.AdmitLatency)
-			e.AdmissionsPerSec = admissionsPerSec(stats, wall)
-			continue
-		}
-		if stats.Admitted != e.Admitted || stats.Rejected != e.Rejected || stats.Unknown != e.Unknown ||
-			stats.DefragMoves != e.DefragMoves || nodes != e.ProbeNodes {
-			return e, fmt.Errorf("nondeterministic replay: run %d admitted %d/rejected %d/unknown %d/moves %d/nodes %d, run 0 %d/%d/%d/%d/%d",
-				r, stats.Admitted, stats.Rejected, stats.Unknown, stats.DefragMoves, nodes,
-				e.Admitted, e.Rejected, e.Unknown, e.DefragMoves, e.ProbeNodes)
-		}
-		if int64(wall) < e.WallNS {
-			e.WallNS = int64(wall)
-			e.AdmitP50NS, e.AdmitP99NS = latencyPercentiles(stats.AdmitLatency)
-			e.AdmissionsPerSec = admissionsPerSec(stats, wall)
+			first = e
+		} else if e != first {
+			return first, fmt.Errorf("nondeterministic replay: run %d gave %+v, run 0 gave %+v", r, e, first)
 		}
 	}
-	return e, nil
-}
-
-// latencyPercentiles returns the p50 and p99 of the sample set (zeros
-// when empty). Percentiles use the nearest-rank method.
-func latencyPercentiles(samples []time.Duration) (p50, p99 int64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := func(p float64) time.Duration {
-		i := int(p*float64(len(s))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
-	return int64(rank(0.50)), int64(rank(0.99))
-}
-
-// admissionsPerSec is decided arrivals per second of replay wall time.
-func admissionsPerSec(stats *online.ReplayStats, wall time.Duration) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	return float64(len(stats.AdmitLatency)) / wall.Seconds()
-}
-
-// writeOnlineReport marshals the report to path (or stdout for "-").
-func writeOnlineReport(r *OnlineReport, path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// readOnlineReport loads a committed online report, checking its schema.
-func readOnlineReport(path string) (*OnlineReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r OnlineReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != OnlineReportSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, OnlineReportSchema)
-	}
-	return &r, nil
-}
-
-// diffOnlineReports compares a run against the committed baseline.
-// Decision counts and probe nodes match exactly (determinism gate);
-// replay wall time and p99 admission latency regress only past the
-// relative tolerance and the absolute floor, like the core suite.
-func diffOnlineReports(base, cur *OnlineReport, tol float64, floor time.Duration) []string {
-	baseByName := make(map[string]OnlineEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseByName[e.Name] = e
-	}
-	var msgs []string
-	seen := make(map[string]bool, len(cur.Entries))
-	for _, e := range cur.Entries {
-		b, ok := baseByName[e.Name]
-		if !ok {
-			continue // new case, nothing to compare yet
-		}
-		seen[e.Name] = true
-		if e.Admitted != b.Admitted || e.Rejected != b.Rejected || e.Unknown != b.Unknown ||
-			e.Departed != b.Departed || e.Defrags != b.Defrags || e.DefragMoves != b.DefragMoves {
-			msgs = append(msgs, fmt.Sprintf("%s: decisions changed: admitted %d rejected %d unknown %d departed %d defrags %d moves %d, baseline %d/%d/%d/%d/%d/%d",
-				e.Name, e.Admitted, e.Rejected, e.Unknown, e.Departed, e.Defrags, e.DefragMoves,
-				b.Admitted, b.Rejected, b.Unknown, b.Departed, b.Defrags, b.DefragMoves))
-			continue
-		}
-		if e.ProbeNodes != b.ProbeNodes {
-			msgs = append(msgs, fmt.Sprintf("%s: probe node count changed: %d, baseline %d (determinism gate)",
-				e.Name, e.ProbeNodes, b.ProbeNodes))
-		}
-		for _, tc := range []struct {
-			what      string
-			cur, base int64
-		}{
-			{"replay wall time", e.WallNS, b.WallNS},
-			{"p99 admit latency", e.AdmitP99NS, b.AdmitP99NS},
-		} {
-			slack := int64(float64(tc.base) * tol)
-			if d := tc.cur - tc.base; d > slack && d > int64(floor) {
-				msgs = append(msgs, fmt.Sprintf("%s: %s regressed: %v, baseline %v (tolerance %.0f%% + %v floor)",
-					e.Name, tc.what, time.Duration(tc.cur), time.Duration(tc.base), tol*100, floor))
-			}
-		}
-	}
-	if !cur.Quick {
-		for _, b := range base.Entries {
-			if !seen[b.Name] {
-				msgs = append(msgs, fmt.Sprintf("%s: case present in baseline but not in this run", b.Name))
-			}
-		}
-	}
-	return msgs
+	return first, nil
 }

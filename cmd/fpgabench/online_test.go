@@ -2,25 +2,25 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
+
+	"fpga3d/internal/benchgate"
 )
 
 func sampleOnlineReport() *OnlineReport {
 	return &OnlineReport{
 		Schema:    OnlineReportSchema,
 		Generated: "2026-08-06T00:00:00Z",
-		Env:       envStamp(),
+		Env:       benchgate.Stamp(),
 		Runs:      3,
 		Entries: []OnlineEntry{
-			{Name: "online/steady/8x8", Seed: 1, Events: 62, Admitted: 48, Departed: 14,
-				WallNS: 1_000_000, AdmitP50NS: 10_000, AdmitP99NS: 40_000, AdmissionsPerSec: 48000},
+			{Name: "online/steady/8x8", Seed: 1, Events: 62, Admitted: 48, Departed: 14},
 			{Name: "online/tight/6x6", Seed: 5, Events: 70, Admitted: 48, Rejected: 8, Departed: 9,
-				Defrags: 4, DefragMoves: 21, ProbeNodes: 6,
-				WallNS: 60_000_000, AdmitP50NS: 20_000, AdmitP99NS: 90_000, AdmissionsPerSec: 900},
+				Defrags: 4, DefragMoves: 21, ProbeNodes: 6},
 		},
 	}
 }
@@ -28,80 +28,72 @@ func sampleOnlineReport() *OnlineReport {
 func TestOnlineReportRoundTrip(t *testing.T) {
 	r := sampleOnlineReport()
 	path := filepath.Join(t.TempDir(), "online.json")
-	if err := writeOnlineReport(r, path); err != nil {
+	if err := benchgate.Write(r, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readOnlineReport(path)
-	if err != nil {
+	var got OnlineReport
+	if err := benchgate.Read(path, OnlineReportSchema, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r, got) {
+	if !reflect.DeepEqual(r, &got) {
 		t.Fatalf("round trip changed the report:\nwrote %+v\nread  %+v", r, got)
 	}
-	if msgs := diffOnlineReports(r, got, 0, 0); len(msgs) != 0 {
+	if msgs := benchgate.Diff(r, &got); len(msgs) != 0 {
 		t.Fatalf("self-diff not clean: %v", msgs)
 	}
 
-	r.Schema = "fpgabench/online/v0"
-	if err := writeOnlineReport(r, path); err != nil {
+	r.Schema = "fpgabench/online/v1"
+	if err := benchgate.Write(r, path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readOnlineReport(path); err == nil {
+	if err := benchgate.Read(path, OnlineReportSchema, &got); err == nil {
 		t.Fatal("wrong schema accepted")
 	}
 }
 
 // TestDiffOnlineRegressions exercises each class the online gate can
-// raise: decision drift, probe-node drift, latency regressions past the
-// floor, and vanished cases.
+// raise: drift in any field of any entry (decisions, defrag moves,
+// probe nodes, the script's event count and seed), and vanished cases.
 func TestDiffOnlineRegressions(t *testing.T) {
 	base := sampleOnlineReport()
 
+	t.Run("every field", func(t *testing.T) { perturbEach(t, sampleOnlineReport) })
+	t.Run("micro latency noise under floor ignored", func(t *testing.T) {
+		// Between hosts only the machine stamp differs, and it is not
+		// gated.
+		if msgs := benchgate.Diff(base, otherMachine(sampleOnlineReport())); len(msgs) != 0 {
+			t.Fatalf("machine stamp gated: %v", msgs)
+		}
+	})
 	t.Run("decision drift", func(t *testing.T) {
 		cur := sampleOnlineReport()
 		cur.Entries[0].Admitted--
 		cur.Entries[0].Rejected++
-		msgs := diffOnlineReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "decisions changed") {
+		msgs := benchgate.Diff(base, cur)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "admitted 47, baseline 48; rejected 1, baseline 0") {
 			t.Fatalf("msgs = %v", msgs)
 		}
 	})
 	t.Run("defrag move drift", func(t *testing.T) {
 		cur := sampleOnlineReport()
 		cur.Entries[1].DefragMoves++
-		msgs := diffOnlineReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "decisions changed") {
+		msgs := benchgate.Diff(base, cur)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "defrag_moves 22, baseline 21") {
 			t.Fatalf("msgs = %v", msgs)
 		}
 	})
 	t.Run("probe node drift", func(t *testing.T) {
 		cur := sampleOnlineReport()
 		cur.Entries[1].ProbeNodes++
-		msgs := diffOnlineReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "probe node count changed") {
+		msgs := benchgate.Diff(base, cur)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "probe_nodes 7, baseline 6") {
 			t.Fatalf("msgs = %v", msgs)
-		}
-	})
-	t.Run("wall regression past floor", func(t *testing.T) {
-		cur := sampleOnlineReport()
-		cur.Entries[1].WallNS *= 3
-		msgs := diffOnlineReports(base, cur, 0.5, 25*time.Millisecond)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "replay wall time regressed") {
-			t.Fatalf("msgs = %v", msgs)
-		}
-	})
-	t.Run("micro latency noise under floor ignored", func(t *testing.T) {
-		cur := sampleOnlineReport()
-		cur.Entries[0].WallNS *= 3
-		cur.Entries[0].AdmitP99NS *= 5
-		if msgs := diffOnlineReports(base, cur, 0.5, 25*time.Millisecond); len(msgs) != 0 {
-			t.Fatalf("micro-case noise flagged: %v", msgs)
 		}
 	})
 	t.Run("missing case in full run", func(t *testing.T) {
 		cur := sampleOnlineReport()
 		cur.Entries = cur.Entries[:1]
-		msgs := diffOnlineReports(base, cur, 0.5, 25*time.Millisecond)
+		msgs := benchgate.Diff(base, cur)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "not in this run") {
 			t.Fatalf("msgs = %v", msgs)
 		}
@@ -110,23 +102,33 @@ func TestDiffOnlineRegressions(t *testing.T) {
 		cur := sampleOnlineReport()
 		cur.Entries = cur.Entries[:1]
 		cur.Quick = true
-		if msgs := diffOnlineReports(base, cur, 0.5, 25*time.Millisecond); len(msgs) != 0 {
+		if msgs := benchgate.Diff(base, cur); len(msgs) != 0 {
 			t.Fatalf("quick run flagged for subsetting: %v", msgs)
 		}
 	})
 }
 
+// TestLatencyPercentiles checks that the online report is exact:
+// repeated -online replays give identical entries, and each report
+// diffs clean against the other.
 func TestLatencyPercentiles(t *testing.T) {
-	if p50, p99 := latencyPercentiles(nil); p50 != 0 || p99 != 0 {
-		t.Fatalf("empty samples: p50=%d p99=%d", p50, p99)
+	dir := t.TempDir()
+	var reps [2]OnlineReport
+	for i := range reps {
+		path := filepath.Join(dir, fmt.Sprintf("online%d.json", i))
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-online", "-quick", "-runs", "1", "-out", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("replay %d: exit %d, stderr: %s", i, code, stderr.String())
+		}
+		if err := benchgate.Read(path, OnlineReportSchema, &reps[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	samples := make([]time.Duration, 100)
-	for i := range samples {
-		samples[i] = time.Duration(i+1) * time.Microsecond
+	if !reflect.DeepEqual(reps[0].Entries, reps[1].Entries) {
+		t.Fatalf("repeated replays differ:\n%+v\n%+v", reps[0].Entries, reps[1].Entries)
 	}
-	p50, p99 := latencyPercentiles(samples)
-	if p50 != int64(50*time.Microsecond) || p99 != int64(99*time.Microsecond) {
-		t.Fatalf("p50=%v p99=%v, want 50µs/99µs", time.Duration(p50), time.Duration(p99))
+	if msgs := benchgate.Diff(&reps[0], &reps[1]); len(msgs) != 0 {
+		t.Fatalf("repeated replays diff: %v", msgs)
 	}
 }
 
@@ -140,17 +142,14 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 	if code := run([]string{"-online", "-quick", "-runs", "2", "-out", out}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	rep, err := readOnlineReport(out)
-	if err != nil {
+	var rep OnlineReport
+	if err := benchgate.Read(out, OnlineReportSchema, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Entries) == 0 || !rep.Quick {
 		t.Fatalf("bad report: %+v", rep)
 	}
 	for _, e := range rep.Entries {
-		if e.WallNS <= 0 || e.AdmitP99NS <= 0 || e.AdmissionsPerSec <= 0 {
-			t.Fatalf("%s: missing timing fields: %+v", e.Name, e)
-		}
 		if e.Admitted == 0 {
 			t.Fatalf("%s: script admitted nothing", e.Name)
 		}
@@ -163,12 +162,12 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 	}
 
 	tampered := filepath.Join(dir, "tampered.json")
-	bad := *rep
+	bad := rep
 	bad.Entries = append([]OnlineEntry(nil), rep.Entries...)
 	for i := range bad.Entries {
 		bad.Entries[i].Admitted++
 	}
-	if err := writeOnlineReport(&bad, tampered); err != nil {
+	if err := benchgate.Write(&bad, tampered); err != nil {
 		t.Fatal(err)
 	}
 	stdout.Reset()
@@ -176,7 +175,7 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 	if code := run([]string{"-online", "-quick", "-runs", "1", "-baseline", tampered}, &stdout, &stderr); code != 2 {
 		t.Fatalf("tampered baseline: exit %d, want 2; stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "decisions changed") {
+	if !strings.Contains(stderr.String(), "admitted") {
 		t.Fatalf("stderr missing regression message: %s", stderr.String())
 	}
 }
@@ -187,8 +186,8 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 // but strong enough to re-derive the counts because each script runs in
 // well under a second.
 func TestCommittedOnlineBaselineMatches(t *testing.T) {
-	rep, err := readOnlineReport("../../BENCH_online.json")
-	if err != nil {
+	var rep OnlineReport
+	if err := benchgate.Read("../../BENCH_online.json", OnlineReportSchema, &rep); err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]OnlineEntry{}
@@ -205,9 +204,7 @@ func TestCommittedOnlineBaselineMatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if e.Admitted != b.Admitted || e.Rejected != b.Rejected || e.Unknown != b.Unknown ||
-			e.Departed != b.Departed || e.Defrags != b.Defrags || e.DefragMoves != b.DefragMoves ||
-			e.ProbeNodes != b.ProbeNodes {
+		if e != b {
 			t.Errorf("%s: replay disagrees with committed baseline:\nnow      %+v\nbaseline %+v", c.name, e, b)
 		}
 	}

@@ -1,31 +1,14 @@
 package main
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"strings"
-	"time"
-)
+import "fpga3d/internal/benchgate"
 
-// ReportSchema identifies the on-disk report format; bump it on
+// ReportSchema identifies the core suite's report format; bump it on
 // incompatible changes so a stale committed baseline fails loudly
 // instead of diffing garbage.
-const ReportSchema = "fpgabench/v1"
+const ReportSchema = "fpgabench/v2"
 
-// Env stamps the machine a report was recorded on. Wall times are only
-// comparable within the same environment; node counts are comparable
-// everywhere.
-type Env struct {
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	CPU        string `json:"cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-}
-
-// Entry is the measured outcome of one benchmark case.
+// Entry is the exact outcome of one benchmark case. Every field is
+// deterministic per case and diffed exactly against the baseline.
 type Entry struct {
 	// Name identifies the case ("de/opp/32x32x6", "rand/layered/42", …).
 	Name string `json:"name"`
@@ -36,169 +19,11 @@ type Entry struct {
 	Status string `json:"status"`
 	// Value is the optimum (minimal T or h) for optimization cases.
 	Value int `json:"value,omitempty"`
-	// Nodes is the branch-and-bound node count — deterministic per
-	// case, diffed exactly against the baseline.
+	// Nodes is the branch-and-bound node count.
 	Nodes int64 `json:"nodes"`
-	// Propagations counts constraint-propagation events — also
-	// deterministic.
+	// Propagations counts constraint-propagation events.
 	Propagations int64 `json:"propagations"`
-	// WallNS is the best (minimum) wall time over -runs repetitions of
-	// the optimized engine, in nanoseconds.
-	WallNS int64 `json:"wall_ns"`
-	// RefWallNS is the best wall time of the reference rule paths
-	// (present only in -compare-ref reports).
-	RefWallNS int64 `json:"ref_wall_ns,omitempty"`
-	// WorkersWallNS is the best wall time of the optimization sweep
-	// with a -workers pool (present only for optimization cases when
-	// -workers > 1 was given).
-	WorkersWallNS int64 `json:"workers_wall_ns,omitempty"`
-	// PortfolioNodes is the node count of the same case under the
-	// portfolio strategy (present only in -compare-strategy reports; a
-	// pointer so a pruned-to-zero count still serializes). The harness
-	// enforces PortfolioNodes ≤ Nodes: incumbent sharing may only prune.
-	PortfolioNodes *int64 `json:"portfolio_nodes,omitempty"`
-	// PortfolioWallNS is the best wall time under the portfolio
-	// strategy (present only in -compare-strategy reports).
-	PortfolioWallNS int64 `json:"portfolio_wall_ns,omitempty"`
-	// GoMaxProcs is the scheduler width actually in effect while this
-	// case was measured. The env block records the global value, but a
-	// per-case stamp keeps single-core-container runs honest: a
-	// parallel column measured at gomaxprocs 1 is time-slicing, not
-	// speedup.
-	GoMaxProcs int `json:"gomaxprocs,omitempty"`
-	// Steals counts work-stealing subtree hand-offs during the measured
-	// run (run 0 of the repetitions; scheduling-dependent). Zero — and
-	// omitted — for sequential measurements.
-	Steals int64 `json:"steals,omitempty"`
-	// ParallelWorkers, ParallelNodes, ParallelSteals, ParallelWallNS
-	// and ParallelSpeedup describe the same decision re-run with an
-	// intra-probe work-stealing pool (-compare-parallel N; opp cases
-	// only). The answer is gated equal to the sequential run; nodes and
-	// steals are sum-of-shards and scheduling-dependent, recorded for
-	// inspection, never diffed. ParallelSpeedup is sequential wall over
-	// parallel wall.
-	ParallelWorkers int     `json:"parallel_workers,omitempty"`
-	ParallelNodes   int64   `json:"parallel_nodes,omitempty"`
-	ParallelSteals  int64   `json:"parallel_steals,omitempty"`
-	ParallelWallNS  int64   `json:"parallel_wall_ns,omitempty"`
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 }
 
-// Report is the machine-readable output of a fpgabench run.
-type Report struct {
-	Schema    string  `json:"schema"`
-	Generated string  `json:"generated"`
-	Env       Env     `json:"env"`
-	Runs      int     `json:"runs"`
-	Quick     bool    `json:"quick,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
-	Entries   []Entry `json:"entries"`
-}
-
-// envStamp collects the environment fingerprint for a report.
-func envStamp() Env {
-	return Env{
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		CPU:        cpuModel(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
-}
-
-// cpuModel extracts the CPU model name from /proc/cpuinfo, falling back
-// to the architecture string on other platforms.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, "model name") {
-				if _, after, ok := strings.Cut(line, ":"); ok {
-					return strings.TrimSpace(after)
-				}
-			}
-		}
-	}
-	return runtime.GOARCH
-}
-
-// writeReport marshals the report to path (or stdout for "-").
-func writeReport(r *Report, path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// readReport loads a previously written report and checks its schema.
-func readReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, ReportSchema)
-	}
-	return &r, nil
-}
-
-// diffReports compares the current run against a baseline and returns
-// one message per regression. Node and propagation counts must match
-// exactly — they are deterministic, so any drift means the engine's
-// search behaviour changed. Wall times regress only when slower than
-// baseline by more than tol (relative) and by more than floor
-// (absolute), so micro-cases under scheduler noise cannot flap the
-// gate. Cases present only on one side are compared over the
-// intersection; in full (non-quick) runs a baseline case missing from
-// the current run is itself a regression.
-func diffReports(base, cur *Report, tol float64, floor time.Duration) []string {
-	baseByName := make(map[string]Entry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseByName[e.Name] = e
-	}
-	var msgs []string
-	seen := make(map[string]bool, len(cur.Entries))
-	for _, e := range cur.Entries {
-		b, ok := baseByName[e.Name]
-		if !ok {
-			continue // new case, nothing to compare yet
-		}
-		seen[e.Name] = true
-		if e.Status != b.Status || e.Value != b.Value {
-			msgs = append(msgs, fmt.Sprintf("%s: answer changed: %s/%d, baseline %s/%d",
-				e.Name, e.Status, e.Value, b.Status, b.Value))
-			continue
-		}
-		if e.Nodes != b.Nodes {
-			msgs = append(msgs, fmt.Sprintf("%s: node count changed: %d, baseline %d (determinism gate)",
-				e.Name, e.Nodes, b.Nodes))
-		}
-		if e.Propagations != b.Propagations {
-			msgs = append(msgs, fmt.Sprintf("%s: propagation count changed: %d, baseline %d (determinism gate)",
-				e.Name, e.Propagations, b.Propagations))
-		}
-		slack := int64(float64(b.WallNS) * tol)
-		if d := e.WallNS - b.WallNS; d > slack && d > int64(floor) {
-			msgs = append(msgs, fmt.Sprintf("%s: wall time regressed: %v, baseline %v (tolerance %.0f%% + %v floor)",
-				e.Name, time.Duration(e.WallNS), time.Duration(b.WallNS), tol*100, floor))
-		}
-	}
-	if !cur.Quick {
-		for _, b := range base.Entries {
-			if !seen[b.Name] {
-				msgs = append(msgs, fmt.Sprintf("%s: case present in baseline but not in this run", b.Name))
-			}
-		}
-	}
-	return msgs
-}
+// Report is the machine-readable output of a core suite run.
+type Report = benchgate.Report[Entry]

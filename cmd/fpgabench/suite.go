@@ -16,8 +16,8 @@ type benchCase struct {
 	name  string
 	kind  string // "opp", "mintime" or "minbase"
 	quick bool   // member of the -quick subset
-	// nodeLimit caps the per-decision node budget: throughput cases
-	// measure engine speed over a fixed amount of search work on
+	// nodeLimit caps the per-decision node budget: node-capped cases
+	// gate the propagation count over a fixed amount of search work on
 	// instances whose full decision would be intractable.
 	nodeLimit int64
 	// full runs all three framework stages instead of search-only;
@@ -149,9 +149,9 @@ func suite() []benchCase {
 		minBaseCase("de/minbase/t13", false, bench.DE, 13),
 
 		// H.261 video codec, Table 2. The full feasible-side decision
-		// is intractable search-only, so the engine's throughput on it
-		// is measured over a fixed node budget; the paper's Table 2
-		// optimum itself is gated through the full framework.
+		// is intractable search-only, so it runs under a fixed node
+		// budget; the paper's Table 2 optimum itself is gated through
+		// the full framework.
 		capped(oppCase("codec/opp/64x64x59", true, bench.VideoCodec, cnt(64, 64, 59)), 50_000),
 		capped(oppCase("codec/opp/64x64x58", false, bench.VideoCodec, cnt(64, 64, 58)), 50_000),
 		fullStages(minTimeCase("codec/mintime/64x64", false, bench.VideoCodec, 64, 64)),
@@ -182,8 +182,8 @@ func suite() []benchCase {
 			return bench.RandomSeriesParallel(rng, 14, 10, 4)
 		}, 3002, 3, 1, 6),
 
-		// Throughput cases: instances past the tractable frontier,
-		// measured over a fixed node budget.
+		// Node-capped cases: instances past the tractable frontier, run
+		// under a fixed node budget.
 		capped(randomCase("rand/flat/n18/cap25k", false, func(rng *rand.Rand) *model.Instance {
 			return bench.Random(rng, 18, 10, 4, 0.2)
 		}, 1003, 3, 1, 6), 25_000),

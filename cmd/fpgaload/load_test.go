@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"fpga3d/internal/benchgate"
 	"fpga3d/internal/server"
 )
 
@@ -44,9 +49,6 @@ func TestLoadReplayCleanAndDeterministic(t *testing.T) {
 	if len(rep.Entries) != len(kinds) {
 		t.Fatalf("entries: %d, want one per kind (%d)", len(rep.Entries), len(kinds))
 	}
-	if rep.CacheHitRate <= 0 {
-		t.Errorf("duplicate-heavy mix should produce cache hits, rate %v", rep.CacheHitRate)
-	}
 
 	// Same seed → same mix, even against a fresh daemon.
 	ts2 := startDaemon(t)
@@ -62,44 +64,84 @@ func TestLoadReplayCleanAndDeterministic(t *testing.T) {
 		}
 	}
 
-	// The gating pattern: a run diffs clean against itself, and the
-	// diff refuses cross-workload comparisons.
-	if msgs := diffReports(rep, rep2, 1.0, 50*time.Millisecond); len(msgs) != 0 {
+	// The gating pattern: a run diffs clean against itself, the CLI
+	// passes against its own report, and refuses a baseline with a
+	// drifted count or one recorded under another workload.
+	if msgs := benchgate.Diff(&rep.Report, &rep2.Report); len(msgs) != 0 {
 		t.Errorf("self-diff reported regressions: %v", msgs)
 	}
-	other := *rep2
+	dir := t.TempDir()
+	args := []string{"-addr", ts2.URL, "-seed", "7", "-clients", "3", "-requests", "12"}
+	gate := func(base *ServeReport) (int, string) {
+		path := filepath.Join(dir, "base.json")
+		if err := benchgate.Write(base, path); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := run(append(args, "-baseline", path), &stdout, &stderr)
+		return code, stderr.String()
+	}
+	if code, stderr := gate(rep); code != 0 {
+		t.Errorf("self baseline: exit %d, stderr: %s", code, stderr)
+	}
+	drifted := *rep
+	drifted.Entries = append([]ServeEntry(nil), rep.Entries...)
+	drifted.Entries[0].Count++
+	if code, stderr := gate(&drifted); code != 2 || !strings.Contains(stderr, drifted.Entries[0].Name+": count") {
+		t.Errorf("drifted count: exit %d, stderr: %s", code, stderr)
+	}
+	other := *rep
 	other.Seed++
-	if msgs := diffReports(rep, &other, 1.0, 50*time.Millisecond); len(msgs) != 1 {
-		t.Errorf("workload mismatch must be exactly one gate message, got %v", msgs)
+	if code, stderr := gate(&other); code != 2 || !strings.Contains(stderr, "not comparable") {
+		t.Errorf("workload mismatch: exit %d, stderr: %s", code, stderr)
 	}
 }
 
+// TestDiffCatchesRegressions: the exact diff reports a count drift and
+// a client-visible error, and a change to any one field of an entry
+// reports exactly that entry.
 func TestDiffCatchesRegressions(t *testing.T) {
-	base := &ServeReport{
-		Schema: ServeReportSchema, Seed: 1, Clients: 2, Requests: 10,
-		Entries: []ServeEntry{
-			{Name: "serve/solve", Count: 12, P99NS: int64(time.Millisecond)},
-			{Name: "serve/job", Count: 8, P99NS: int64(time.Millisecond)},
-		},
+	sample := func() *benchgate.Report[ServeEntry] {
+		return &benchgate.Report[ServeEntry]{
+			Schema: ServeReportSchema,
+			Entries: []ServeEntry{
+				{Name: "serve/solve", Count: 12},
+				{Name: "serve/job", Count: 8},
+			},
+		}
 	}
-	cur := &ServeReport{
-		Schema: ServeReportSchema, Seed: 1, Clients: 2, Requests: 10,
-		Entries: []ServeEntry{
-			{Name: "serve/solve", Count: 11, P99NS: int64(time.Millisecond)},    // count drift
-			{Name: "serve/job", Count: 8, Errors: 1, P99NS: int64(time.Second)}, // errors + latency
-		},
+	base, cur := sample(), sample()
+	cur.Entries[0].Count = 11 // count drift
+	cur.Entries[1].Errors = 1 // a failed operation
+	if msgs := benchgate.Diff(base, cur); len(msgs) != 2 {
+		t.Fatalf("want 2 regressions (count, errors), got %d: %v", len(msgs), msgs)
 	}
-	msgs := diffReports(base, cur, 0.5, 10*time.Millisecond)
-	if len(msgs) != 3 {
-		t.Fatalf("want 3 regressions (count, errors, p99), got %d: %v", len(msgs), msgs)
+
+	perturb := []func(*ServeEntry){
+		func(e *ServeEntry) { e.Name += "~" },
+		func(e *ServeEntry) { e.Count++ },
+		func(e *ServeEntry) { e.Errors++ },
+	}
+	if n := reflect.TypeOf(ServeEntry{}).NumField(); n != len(perturb) {
+		t.Fatalf("ServeEntry has %d fields, the table perturbs %d", n, len(perturb))
+	}
+	for i := range base.Entries {
+		for f, p := range perturb {
+			cur := sample()
+			p(&cur.Entries[i])
+			msgs := benchgate.Diff(base, cur)
+			if len(msgs) != 1 || !strings.HasPrefix(msgs[0], base.Entries[i].Name+":") {
+				t.Errorf("entry %s, field %d perturbed: msgs = %v", base.Entries[i].Name, f, msgs)
+			}
+		}
 	}
 }
 
 // TestCommittedServeBaselineParses keeps the committed baseline honest:
 // it must stay schema-compatible with the reader the gate uses.
 func TestCommittedServeBaselineParses(t *testing.T) {
-	rep, err := readReport("../../BENCH_serve.json")
-	if err != nil {
+	var rep ServeReport
+	if err := benchgate.Read("../../BENCH_serve.json", ServeReportSchema, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Entries) == 0 {

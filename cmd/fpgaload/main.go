@@ -1,9 +1,10 @@
 // Command fpgaload is the serving-layer load generator: it replays a
 // seeded mix of synchronous solves, optimizations, batches and async
-// jobs against a live fpgad daemon and reports client-side latency
-// percentiles, throughput, cache hit rate and queue wait as a
-// schema-stamped JSON report, gated against a committed baseline in the
-// same way fpgabench gates the solver (BENCHMARKS.md, "Serving load").
+// jobs against a live fpgad daemon and reports per-kind operation and
+// error counts as a schema-stamped JSON report, gated against a
+// committed baseline with the same exact diff fpgabench uses
+// (BENCHMARKS.md, "Serving load"). Serving latency and throughput are
+// judged by cmd/fpgaperf's serve-hot and serve-cold workloads.
 //
 // Usage:
 //
@@ -13,10 +14,10 @@
 //
 // The op mix is a pure function of (-seed, -clients, -requests): client
 // i draws from its own rand.NewSource(seed+i), so per-kind operation
-// counts are identical on every machine and diffed exactly, while
-// latencies are tolerance-gated. Exit status: 0 ok, 1 usage or I/O
-// error, 2 gate failure (client-visible errors or a latency
-// regression).
+// counts are identical on every machine and diffed exactly. Exit
+// status: 0 ok, 1 usage or I/O error, 2 gate failure (a client-visible
+// error, a count that differs from the baseline, or a baseline recorded
+// under another workload).
 package main
 
 import (
@@ -28,12 +29,12 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"fpga3d/internal/bench"
+	"fpga3d/internal/benchgate"
 	"fpga3d/internal/model"
 )
 
@@ -84,27 +85,26 @@ func buildWorkload(seed int64) (*workload, error) {
 	return w, nil
 }
 
-// tally accumulates one client's outcomes per kind.
+// tally accumulates one client's operation and error counts per kind.
 type tally struct {
-	samples map[string][]time.Duration
-	errors  map[string]int
+	ops, errors map[string]int
 }
 
 func newTally() *tally {
-	return &tally{samples: make(map[string][]time.Duration), errors: make(map[string]int)}
+	return &tally{ops: make(map[string]int), errors: make(map[string]int)}
 }
 
 // record stores one operation's outcome.
-func (t *tally) record(kind string, d time.Duration, err error) {
-	t.samples[kind] = append(t.samples[kind], d)
+func (t *tally) record(kind string, err error) {
+	t.ops[kind]++
 	if err != nil {
 		t.errors[kind]++
 	}
 }
 
-// runLoad executes the whole replay and assembles the report (metrics
-// scrape included). It is the programmatic core behind the CLI, called
-// directly by the in-process tests.
+// runLoad executes the whole replay and assembles the report. It is the
+// programmatic core behind the CLI, called directly by the in-process
+// tests.
 func runLoad(cfg loadConfig) (*ServeReport, []string, error) {
 	w, err := buildWorkload(cfg.seed)
 	if err != nil {
@@ -114,7 +114,6 @@ func runLoad(cfg loadConfig) (*ServeReport, []string, error) {
 
 	tallies := make([]*tally, cfg.clients)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for c := 0; c < cfg.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -123,40 +122,24 @@ func runLoad(cfg loadConfig) (*ServeReport, []string, error) {
 		}(c)
 	}
 	wg.Wait()
-	wall := time.Since(start)
 
 	rep := &ServeReport{
-		Schema:    ServeReportSchema,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Env:       envStamp(),
-		Seed:      cfg.seed,
-		Clients:   cfg.clients,
-		Requests:  cfg.requests,
-		WallNS:    int64(wall),
+		Report:   benchgate.New[ServeEntry](ServeReportSchema),
+		Workload: Workload{Seed: cfg.seed, Clients: cfg.clients, Requests: cfg.requests},
 	}
-	total := 0
-	var sampleErrs []string
+	var opErrs []string
 	for _, kind := range kinds {
-		var all []time.Duration
-		errs := 0
+		e := ServeEntry{Name: kind}
 		for _, t := range tallies {
-			all = append(all, t.samples[kind]...)
-			errs += t.errors[kind]
+			e.Count += t.ops[kind]
+			e.Errors += t.errors[kind]
 		}
-		p50, p99 := percentiles(all)
-		rep.Entries = append(rep.Entries, ServeEntry{
-			Name: kind, Count: len(all), Errors: errs, P50NS: p50, P99NS: p99,
-		})
-		total += len(all)
-		if errs > 0 {
-			sampleErrs = append(sampleErrs, fmt.Sprintf("%s: %d of %d operations failed", kind, errs, len(all)))
+		rep.Entries = append(rep.Entries, e)
+		if e.Errors > 0 {
+			opErrs = append(opErrs, fmt.Sprintf("%s: %d of %d operations failed", kind, e.Errors, e.Count))
 		}
 	}
-	if wall > 0 {
-		rep.RequestsPerSec = float64(total) / wall.Seconds()
-	}
-	scrapeMetrics(client, cfg.baseURL, rep)
-	return rep, sampleErrs, nil
+	return rep, opErrs, nil
 }
 
 // runClient replays one client's seeded op stream. Every random draw
@@ -170,7 +153,6 @@ func runClient(cfg loadConfig, w *workload, client *http.Client, idx int) *tally
 		pick := rng.Intn(100)
 		inst := w.instances[rng.Intn(len(w.instances))]
 		alt := w.instances[rng.Intn(len(w.instances))]
-		start := time.Now()
 		var kind string
 		var err error
 		switch {
@@ -192,7 +174,7 @@ func runClient(cfg loadConfig, w *workload, client *http.Client, idx int) *tally
 			kind = "serve/job"
 			err = runJob(client, cfg, inst, name)
 		}
-		t.record(kind, time.Since(start), err)
+		t.record(kind, err)
 	}
 	return t
 }
@@ -307,47 +289,6 @@ func runJob(client *http.Client, cfg loadConfig, inst []byte, clientName string)
 	return nil
 }
 
-// scrapeMetrics annotates the report with the daemon's own view of the
-// run: result-cache hit rate and p99 admission queue wait. Failures are
-// ignored — these fields are informational.
-func scrapeMetrics(client *http.Client, baseURL string, rep *ServeReport) {
-	resp, err := client.Get(baseURL + "/metrics")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return
-	}
-	hits, misses := m["server.cache.hits"], m["server.cache.misses"]
-	if hits+misses > 0 {
-		rep.CacheHitRate = hits / (hits + misses)
-	}
-	rep.QueueWaitP99MS = m["server.queue.wait.p99_ms"]
-}
-
-// percentiles returns the nearest-rank p50 and p99 of the sample set
-// (zeros when empty).
-func percentiles(samples []time.Duration) (p50, p99 int64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := func(p float64) time.Duration {
-		i := int(p*float64(len(s))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
-	return int64(rank(0.50)), int64(rank(0.99))
-}
-
 // newFlagSet builds the CLI flag set, reporting usage to stderr.
 func newFlagSet(stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("fpgaload", flag.ContinueOnError)
@@ -367,8 +308,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-operation solve deadline (timeout_ms on every request)")
 		out      = fs.String("out", "", "write the JSON report here (\"-\" for stdout)")
 		baseline = fs.String("baseline", "", "gate against this committed report")
-		tol      = fs.Float64("tolerance", 1.0, "relative p99 latency slack against the baseline (1.0 = 100%)")
-		floor    = fs.Duration("floor", 50*time.Millisecond, "absolute p99 latency slack; regressions must exceed both")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -394,15 +333,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	for _, e := range rep.Entries {
-		fmt.Fprintf(stdout, "%-14s count %4d  errors %d  p50 %10v  p99 %10v\n",
-			e.Name, e.Count, e.Errors, time.Duration(e.P50NS).Round(time.Microsecond), time.Duration(e.P99NS).Round(time.Microsecond))
+		fmt.Fprintf(stdout, "%-14s count %4d  errors %d\n", e.Name, e.Count, e.Errors)
 	}
-	fmt.Fprintf(stdout, "%d ops in %v (%.0f op/s), cache hit rate %.2f, queue wait p99 %.2fms\n",
-		*clients**requests, time.Duration(rep.WallNS).Round(time.Millisecond),
-		rep.RequestsPerSec, rep.CacheHitRate, rep.QueueWaitP99MS)
 
 	if *out != "" {
-		if err := writeReport(rep, *out); err != nil {
+		if err := benchgate.Write(rep, *out); err != nil {
 			fmt.Fprintf(stderr, "fpgaload: write report: %v\n", err)
 			return 1
 		}
@@ -414,12 +349,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *baseline != "" {
-		baseRep, err := readReport(*baseline)
-		if err != nil {
+		var baseRep ServeReport
+		if err := benchgate.Read(*baseline, ServeReportSchema, &baseRep); err != nil {
 			fmt.Fprintf(stderr, "fpgaload: baseline: %v\n", err)
 			return 1
 		}
-		msgs := diffReports(baseRep, rep, *tol, *floor)
+		if baseRep.Workload != rep.Workload {
+			fmt.Fprintf(stderr, "fpgaload: REGRESSION: workload %+v, baseline %+v — counts are not comparable\n",
+				rep.Workload, baseRep.Workload)
+			return 2
+		}
+		msgs := benchgate.Diff(&baseRep.Report, &rep.Report)
 		for _, m := range msgs {
 			fmt.Fprintf(stderr, "fpgaload: REGRESSION: %s\n", m)
 		}

@@ -1,172 +1,36 @@
 package main
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"strings"
-	"time"
-)
+import "fpga3d/internal/benchgate"
 
 // ServeReportSchema identifies the on-disk serving-load report format;
 // bump it on incompatible changes so a stale committed baseline fails
 // loudly instead of diffing garbage.
-const ServeReportSchema = "fpgaload/serve/v1"
+const ServeReportSchema = "fpgaload/serve/v2"
 
-// Env stamps the machine a report was recorded on. Latencies and
-// throughput are only comparable within the same environment; request
-// counts are comparable everywhere.
-type Env struct {
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	CPU        string `json:"cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-}
-
-// ServeEntry is the measured outcome of one request kind across the
-// whole replay.
+// ServeEntry is the exact outcome of one request kind across the whole
+// replay, diffed field by field against the baseline.
 type ServeEntry struct {
 	// Name identifies the kind ("serve/solve", "serve/batch", …).
 	Name string `json:"name"`
 	// Count is how many operations of this kind the seeded mix issued —
-	// deterministic per (seed, clients, requests), diffed exactly
-	// against the baseline.
+	// a pure function of the Workload.
 	Count int `json:"count"`
 	// Errors counts operations that did not complete as expected
 	// (network failure, unexpected status, failed batch entries, jobs
-	// not reaching "done"). The gate requires zero.
+	// not reaching "done"). Any error fails the run outright.
 	Errors int `json:"errors"`
-	// P50NS and P99NS are end-to-end client-side latency percentiles of
-	// the kind, in nanoseconds (a job's latency spans submit → terminal
-	// → collect). P99 is tolerance-gated against the baseline; p50 is
-	// recorded for inspection.
-	P50NS int64 `json:"p50_ns"`
-	P99NS int64 `json:"p99_ns"`
+}
+
+// Workload pins a replay: the per-client op mix is a pure function of
+// it, so counts are comparable only between reports of equal Workload.
+type Workload struct {
+	Seed     int64 `json:"seed"`
+	Clients  int   `json:"clients"`
+	Requests int   `json:"requests"`
 }
 
 // ServeReport is the machine-readable output of one fpgaload run.
 type ServeReport struct {
-	Schema    string `json:"schema"`
-	Generated string `json:"generated"`
-	Env       Env    `json:"env"`
-	// Seed, Clients and Requests pin the workload: the per-client op
-	// mix is a pure function of them, so baseline counts diff exactly.
-	Seed     int64 `json:"seed"`
-	Clients  int   `json:"clients"`
-	Requests int   `json:"requests"`
-	// WallNS is the whole-replay wall time; RequestsPerSec the total
-	// operation throughput over it. Informational (machine-dependent).
-	WallNS         int64   `json:"wall_ns"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	// CacheHitRate and QueueWaitP99MS are scraped from the daemon's
-	// /metrics after the replay: hits/(hits+misses) of the result
-	// cache, and the p99 admission queue wait. Informational.
-	CacheHitRate   float64      `json:"cache_hit_rate"`
-	QueueWaitP99MS float64      `json:"queue_wait_p99_ms"`
-	Entries        []ServeEntry `json:"entries"`
-}
-
-// envStamp collects the environment fingerprint for a report.
-func envStamp() Env {
-	return Env{
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		CPU:        cpuModel(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
-}
-
-// cpuModel extracts the CPU model name from /proc/cpuinfo, falling back
-// to the architecture string on other platforms.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, "model name") {
-				if _, after, ok := strings.Cut(line, ":"); ok {
-					return strings.TrimSpace(after)
-				}
-			}
-		}
-	}
-	return runtime.GOARCH
-}
-
-// writeReport marshals the report to path (or stdout for "-").
-func writeReport(r *ServeReport, path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// readReport loads a previously written report and checks its schema.
-func readReport(path string) (*ServeReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r ServeReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != ServeReportSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, ServeReportSchema)
-	}
-	return &r, nil
-}
-
-// diffReports compares the current run against a baseline and returns
-// one message per regression, following the fpgabench gating pattern:
-// operation counts are a pure function of the seeded mix and must match
-// exactly; any client-visible error is a regression outright; p99
-// latency regresses only when slower than baseline by more than tol
-// (relative) and floor (absolute), so scheduler noise cannot flap the
-// gate. Throughput, cache hit rate and queue wait are informational.
-func diffReports(base, cur *ServeReport, tol float64, floor time.Duration) []string {
-	if base.Seed != cur.Seed || base.Clients != cur.Clients || base.Requests != cur.Requests {
-		return []string{fmt.Sprintf(
-			"workload mismatch: run seed=%d clients=%d requests=%d, baseline %d/%d/%d — counts are not comparable",
-			cur.Seed, cur.Clients, cur.Requests, base.Seed, base.Clients, base.Requests)}
-	}
-	baseByName := make(map[string]ServeEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseByName[e.Name] = e
-	}
-	var msgs []string
-	seen := make(map[string]bool, len(cur.Entries))
-	for _, e := range cur.Entries {
-		if e.Errors > 0 {
-			msgs = append(msgs, fmt.Sprintf("%s: %d of %d operations failed", e.Name, e.Errors, e.Count))
-		}
-		b, ok := baseByName[e.Name]
-		if !ok {
-			continue // new kind, nothing to compare yet
-		}
-		seen[e.Name] = true
-		if e.Count != b.Count {
-			msgs = append(msgs, fmt.Sprintf("%s: operation count changed: %d, baseline %d (seeded mix gate)",
-				e.Name, e.Count, b.Count))
-		}
-		slack := int64(float64(b.P99NS) * tol)
-		if d := e.P99NS - b.P99NS; d > slack && d > int64(floor) {
-			msgs = append(msgs, fmt.Sprintf("%s: p99 latency regressed: %v, baseline %v (tolerance %.0f%% + %v floor)",
-				e.Name, time.Duration(e.P99NS), time.Duration(b.P99NS), tol*100, floor))
-		}
-	}
-	for _, b := range base.Entries {
-		if !seen[b.Name] {
-			msgs = append(msgs, fmt.Sprintf("%s: kind present in baseline but not in this run", b.Name))
-		}
-	}
-	return msgs
+	benchgate.Report[ServeEntry]
+	Workload
 }

@@ -46,11 +46,15 @@ func TestGodocCoverage(t *testing.T) {
 		// The anytime update stream is public API (re-exported from
 		// api.go); its field semantics are the serving contract.
 		"internal/solver/anytime.go",
+		// The shared bench report, its env stamp and the exact diff are
+		// the baseline format and gate every bench command uses.
+		"internal/benchgate/benchgate.go",
 		// fpgabench's report types are the on-disk baseline format.
 		"cmd/fpgabench/report.go",
 		"cmd/fpgabench/main.go",
 		"cmd/fpgabench/suite.go",
 		"cmd/fpgabench/anytime.go",
+		"cmd/fpgabench/online.go",
 		// The async job store's exported surface is the lifecycle
 		// contract the serving layer and its tests program against.
 		"internal/server/jobs/jobs.go",

@@ -246,7 +246,7 @@ type Options struct {
 	// place of the incremental fast paths. Both paths are bit-identical
 	// by contract: same Status, same witness placement, and the same
 	// Stats — node counts included. The knob exists for the differential
-	// tests and for cmd/fpgabench's -compare-ref speedup measurement;
+	// tests and for cmd/fpgabench's -compare-ref equality gate;
 	// production callers leave it false.
 	ReferenceRules bool
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -60,6 +62,24 @@ type wspool struct {
 	stats       Stats
 	abortSet    bool
 	abortStatus Status
+
+	// panicked holds the first panic a worker recovered, re-raised on
+	// the caller's goroutine once the pool has drained.
+	panicked atomic.Pointer[workerPanic]
+}
+
+// workerPanic carries a panic out of a pool worker: the recovered
+// value and the stack of the goroutine that raised it, which the
+// re-panic on the caller's goroutine would otherwise lose.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+// Error renders the panic with the worker's stack, so a recover that
+// logs the value with %v shows where the search failed.
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("core: search worker panicked: %v\n\nworker stack:\n%s", p.value, p.stack)
 }
 
 // solveParallel explores the tree below the already-propagated root
@@ -67,7 +87,10 @@ type wspool struct {
 // feasible beats any abort (a witness is definitive no matter what
 // another shard ran into), a genuine abort (node/time limit, context
 // cancellation) beats infeasible, and infeasible requires every shard
-// to have exhausted its region.
+// to have exhausted its region. A panic in any shard stops the pool and
+// is raised again here, on the caller's goroutine, once every worker
+// has returned: the caller's recover (the sweep racer, the server's)
+// then fails this one search instead of the process.
 func solveParallel(root *engine, opt Options) Result {
 	w := &wspool{
 		tasks:     make(chan *task, opt.Workers*4),
@@ -85,6 +108,9 @@ func solveParallel(root *engine, opt Options) Result {
 		}()
 	}
 	wg.Wait()
+	if p := w.panicked.Load(); p != nil {
+		panic(p)
+	}
 	switch {
 	case w.solution != nil:
 		return Result{Status: StatusFeasible, Solution: w.solution, Stats: w.stats}
@@ -106,11 +132,26 @@ func (w *wspool) worker() {
 		if !ok {
 			return
 		}
-		w.run(t)
+		w.runRecovered(t)
 		if w.pending.Add(-1) == 0 {
 			close(w.tasks)
 		}
 	}
+}
+
+// runRecovered runs one task, turning a panic into a pool stop: the
+// first panic is kept for solveParallel to re-raise, the stop flag
+// drains the other shards, and the worker goes on to release the
+// task's pending reference like any finished task, so the pool
+// terminates.
+func (w *wspool) runRecovered(t *task) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.panicked.CompareAndSwap(nil, &workerPanic{value: r, stack: debug.Stack()})
+			w.stop.Store(true)
+		}
+	}()
+	w.run(t)
 }
 
 // run executes one task to completion and records its outcome. Donated

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fpga3d/internal/obs"
 )
@@ -280,4 +284,61 @@ func TestParallelOnSolutionFiresOnce(t *testing.T) {
 		return // one feasible case is enough
 	}
 	t.Fatal("no feasible instance drawn in 200 trials")
+}
+
+// TestParallelWorkerPanicRepanics feeds the pool tasks that panic on
+// a worker goroutine — a root engine whose state is corrupt, and a
+// feasible search whose OnSolution hook panics while forced donations
+// keep other shards running. Each time the pool must drain instead of
+// deadlocking, leave no worker behind, and raise the panic again on
+// the caller's goroutine, carrying the worker's stack.
+func TestParallelWorkerPanicRepanics(t *testing.T) {
+	forceDonation(t)
+	cases := []struct {
+		name  string
+		frame string // a function on the panicking worker's stack
+		solve func()
+	}{
+		{"corrupt engine", "pickBranch", func() {
+			opt := Options{Workers: 4}
+			e := newEngine(hardInstance(t), opt)
+			if !e.applyRoot() {
+				panic("root refuted")
+			}
+			e.state = nil
+			solveParallel(e, opt)
+		}},
+		{"panicking hook", "record", func() {
+			Solve(hardInstance(t), Options{Workers: 4, OnSolution: func(*Solution) { panic("boom") }})
+		}},
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		var got any
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer func() { got = recover() }()
+			c.solve()
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: pool deadlocked after a worker panic", c.name)
+		}
+		wp, ok := got.(*workerPanic)
+		if !ok {
+			t.Fatalf("%s: caller recovered %T %v, want *workerPanic", c.name, got, got)
+		}
+		if msg := wp.Error(); !strings.Contains(msg, fmt.Sprint(wp.value)) || !strings.Contains(msg, c.frame) {
+			t.Fatalf("%s: re-panic does not carry the worker's stack:\n%s", c.name, msg)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the panicking search, %d before", c.name, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }

@@ -137,3 +137,40 @@ func TestCanonicalHashEmptyAndNoPrec(t *testing.T) {
 		t.Fatal("dropping all precedence arcs should change the hash")
 	}
 }
+
+// FuzzInstanceCanonical pushes raw bytes through the instance front
+// door — ReadInstance, Order, CanonicalHash — where nothing may panic.
+// For every input that decodes to a valid instance, the hash must not
+// change under a task permutation (arcs remapped, arc order shuffled)
+// or a WriteInstance/ReadInstance round trip.
+func FuzzInstanceCanonical(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, err := ReadInstance(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, err := in.Order(); err != nil {
+			t.Fatalf("valid instance has no order: %v", err)
+		}
+		want := in.CanonicalHash()
+
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		p := permuted(in, rng.Perm(in.N()))
+		rng.Shuffle(len(p.Prec), func(i, j int) { p.Prec[i], p.Prec[j] = p.Prec[j], p.Prec[i] })
+		if got := p.CanonicalHash(); got != want {
+			t.Fatalf("task permutation changed the hash: %s, want %s", got, want)
+		}
+
+		var buf bytes.Buffer
+		if err := WriteInstance(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadInstance(&buf)
+		if err != nil {
+			t.Fatalf("round trip rejected a valid instance: %v", err)
+		}
+		if got := back.CanonicalHash(); got != want {
+			t.Fatalf("round trip changed the hash: %s, want %s", got, want)
+		}
+	})
+}

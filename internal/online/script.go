@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 )
 
 // ScriptSchema stamps serialized event scripts. The format is a single
@@ -235,15 +234,14 @@ func sortEventsByAt(events []Event) {
 
 // ReplayStats summarizes one script replay.
 type ReplayStats struct {
-	Events       int             `json:"events"`
-	Admitted     int             `json:"admitted"`
-	Rejected     int             `json:"rejected"`
-	Unknown      int             `json:"unknown,omitempty"`
-	Departed     int             `json:"departed"`
-	SkippedDeps  int             `json:"skipped_departs,omitempty"`
-	Defrags      int             `json:"defrags"`
-	DefragMoves  int             `json:"defrag_moves"`
-	AdmitLatency []time.Duration `json:"-"`
+	Events      int `json:"events"`
+	Admitted    int `json:"admitted"`
+	Rejected    int `json:"rejected"`
+	Unknown     int `json:"unknown,omitempty"`
+	Departed    int `json:"departed"`
+	SkippedDeps int `json:"skipped_departs,omitempty"`
+	Defrags     int `json:"defrags"`
+	DefragMoves int `json:"defrag_moves"`
 }
 
 // ReplayObserver, when non-nil, sees every event outcome during Replay:
@@ -252,8 +250,7 @@ type ReplayStats struct {
 type ReplayObserver func(ev Event, res *AdmitResult, plan *Plan)
 
 // Replay drives a session through a script and collects workload
-// statistics, including the wall-clock latency of every admission
-// decision. Departures of unknown (rejected, finished or never
+// statistics. Departures of unknown (rejected, finished or never
 // admitted) modules are skipped, so generated scripts replay cleanly
 // regardless of admission outcomes.
 func Replay(ctx context.Context, s *Session, sc *Script, obs ReplayObserver) (*ReplayStats, error) {
@@ -266,12 +263,10 @@ func Replay(ctx context.Context, s *Session, sc *Script, obs ReplayObserver) (*R
 		switch ev.Kind {
 		case EventArrive:
 			req := AdmitRequest{Name: ev.Name, W: ev.W, H: ev.H, Dur: ev.Dur, At: ev.At, Deadline: ev.Deadline}
-			t0 := time.Now()
 			res, err := s.Admit(ctx, req)
 			if err != nil {
 				return nil, fmt.Errorf("online: replay %q at %d: %w", ev.Name, ev.At, err)
 			}
-			stats.AdmitLatency = append(stats.AdmitLatency, time.Since(t0))
 			switch res.Decision {
 			case DecisionPlaced, DecisionDefrag:
 				stats.Admitted++

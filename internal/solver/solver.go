@@ -134,7 +134,7 @@ type Options struct {
 	// rule implementations (see core.Options.ReferenceRules). Results
 	// are bit-identical to the default fast paths, only slower; the
 	// knob exists for differential testing and for cmd/fpgabench's
-	// -compare-ref speedup measurement.
+	// -compare-ref equality gate.
 	ReferenceRules bool
 
 	// Progress, when non-nil, receives live snapshots: one at every
