@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"fpga3d/internal/benchgate"
+	"fpga3d/internal/core"
+	"fpga3d/internal/solver"
 )
 
 func sampleReport() *Report {
@@ -209,6 +211,49 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), last.Name+": nodes") {
 		t.Fatalf("stderr missing regression message: %s", stderr.String())
+	}
+}
+
+// TestPooledRepetitionsCompareDecidedAnswers checks the answer gate of
+// -runs and -compare-parallel: sequential runs must repeat exactly,
+// while under an intra-probe pool node counts may differ and a
+// node-capped case that runs out of nodes on one side only is not a
+// changed answer.
+func TestPooledRepetitionsCompareDecidedAnswers(t *testing.T) {
+	for _, q := range []struct {
+		name     string
+		statuses []string
+		workers  int
+		wantErr  bool
+	}{
+		{"sequential repeats", []string{"feasible", "feasible"}, 1, false},
+		{"sequential unknown then decided", []string{"unknown", "feasible"}, 1, true},
+		{"pooled unknown then decided", []string{"unknown", "feasible"}, 4, false},
+		{"pooled decided then unknown", []string{"feasible", "unknown", "feasible"}, 4, false},
+		{"pooled changed answer", []string{"feasible", "infeasible"}, 4, true},
+		{"pooled changed answer after unknown", []string{"unknown", "feasible", "infeasible"}, 4, true},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			r := 0
+			c := benchCase{name: "codec/opp/64x64x59", kind: "opp", run: func(solver.Options) (string, int, core.Stats, error) {
+				r++
+				nodes := int64(5_000)
+				if q.workers > 1 {
+					nodes += int64(r) // sum of shards, scheduling-dependent
+				}
+				return q.statuses[r-1], 0, core.Stats{Nodes: nodes}, nil
+			}}
+			_, err := measureCase(c, solver.Options{Workers: q.workers}, len(q.statuses))
+			if (err != nil) != q.wantErr {
+				t.Fatalf("measureCase error %v, want error %v", err, q.wantErr)
+			}
+			// -compare-parallel compares the pooled answer with the
+			// sequential one by the same rule.
+			seq, pooled := Entry{Status: q.statuses[0]}, Entry{Status: q.statuses[1]}
+			if q.workers > 1 && len(q.statuses) == 2 && sameAnswer(pooled, seq, true) == q.wantErr {
+				t.Fatalf("sameAnswer(%s, %s) = %v", pooled.Status, seq.Status, !q.wantErr)
+			}
+		})
 	}
 }
 

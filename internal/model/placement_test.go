@@ -160,3 +160,69 @@ func TestRenderers(t *testing.T) {
 		t.Fatal("anonymous task not labeled")
 	}
 }
+
+// refVerify is the brute-force reference for Verify: every box inside
+// the container, a cell-by-cycle occupancy count that never exceeds
+// one, and every direct precedence arc finished before its successor
+// starts (with positive durations the transitive ones follow).
+func refVerify(in *Instance, c Container, p *Placement) bool {
+	occ := make([]int, c.W*c.H*c.T)
+	for i, t := range in.Tasks {
+		if p.X[i] < 0 || p.Y[i] < 0 || p.S[i] < 0 || p.X[i]+t.W > c.W || p.Y[i]+t.H > c.H || p.S[i]+t.Dur > c.T {
+			return false
+		}
+		for s := p.S[i]; s < p.S[i]+t.Dur; s++ {
+			for y := p.Y[i]; y < p.Y[i]+t.H; y++ {
+				for x := p.X[i]; x < p.X[i]+t.W; x++ {
+					if occ[(s*c.H+y)*c.W+x]++; occ[(s*c.H+y)*c.W+x] > 1 {
+						return false
+					}
+				}
+			}
+		}
+	}
+	for _, a := range in.Prec {
+		if p.S[a.From]+in.Tasks[a.From].Dur > p.S[a.To] {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzPlacementVerify checks Placement.Verify, the check every feasible
+// answer passes on its way out, against refVerify. The first three
+// bytes give the container (sides 1–6); each further group of seven
+// gives a task's size (1–3 per side), its corner (−1..6 per axis) and,
+// bit by bit, its arcs to the tasks after it.
+func FuzzPlacementVerify(f *testing.F) {
+	// A 4×4×2 container; two 2×2×1 tasks on the same cells, the
+	// second after the first: valid with the arc, then overlapping.
+	f.Add([]byte{3, 3, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 2, 0})
+	f.Add([]byte{3, 3, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		c := Container{W: 1 + int(data[0]%6), H: 1 + int(data[1]%6), T: 1 + int(data[2]%6)}
+		in := &Instance{Name: "fuzz"}
+		p := &Placement{}
+		var arcs []byte
+		for b := data[3:]; len(b) >= 7 && len(in.Tasks) < 6; b = b[7:] {
+			in.Tasks = append(in.Tasks, Task{Name: string(rune('a' + len(in.Tasks))), W: 1 + int(b[0]%3), H: 1 + int(b[1]%3), Dur: 1 + int(b[2]%3)})
+			p.X, p.Y, p.S = append(p.X, int(b[3]%8)-1), append(p.Y, int(b[4]%8)-1), append(p.S, int(b[5]%8)-1)
+			arcs = append(arcs, b[6])
+		}
+		for u, bits := range arcs {
+			for v := u + 1; v < len(arcs); v++ {
+				if bits>>(v-u-1)&1 != 0 {
+					in.Prec = append(in.Prec, Arc{From: u, To: v})
+				}
+			}
+		}
+		o := order(t, in)
+		err := p.Verify(in, c, o)
+		if want := refVerify(in, c, p); (err == nil) != want {
+			t.Fatalf("Verify says %v, reference says valid=%v (container %v, tasks %v, placement %+v, arcs %v)", err, want, c, in.Tasks, p, in.Prec)
+		}
+	})
+}

@@ -12,6 +12,11 @@ const (
 	// MetricSearchPropagations counts constraint-propagation events
 	// processed (Stats.Propagations), summed over all OPP decisions.
 	MetricSearchPropagations = "search.propagations"
+	// MetricSearchPack2DSteps counts the steps of the bit-grid 2D
+	// packer that runs ahead of the engine on pure 2D fixed-schedule
+	// probes (internal/pack2d), summed over all OPP decisions. They are
+	// not engine nodes and never count in search.nodes.
+	MetricSearchPack2DSteps = "search.pack2d_steps"
 	// MetricSearchLiveNodes gauges the node count of the search in
 	// flight, updated once per 256 nodes.
 	MetricSearchLiveNodes = "search.live_nodes"

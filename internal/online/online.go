@@ -23,11 +23,12 @@
 //     cache; a stored incumbent witness is remapped and re-verified,
 //     a stored infeasibility answers the rejection outright.
 //  4. exact probe — solver.FeasibleFixedScheduleCtx decides the static
-//     instance (all residents relocatable), preceded by a greedy
-//     bottom-left repack when every task starts now. The probe runs the
+//     instance (all residents relocatable). The probe runs the
 //     fixed-schedule pipeline: per-slice area and conservative-scale
 //     bounds, then a fixed-start bottom-left placer, and the spatial
-//     search only when neither decides.
+//     search only when neither decides. When every task runs now the
+//     probe is a pure 2D packing, and the search starts with the exact
+//     bit-grid packer (internal/pack2d) before the packing-class engine.
 //  5. defrag — a feasible witness that requires relocation becomes a
 //     bounded-move defragmentation plan: moved modules are minimized
 //     greedily, the moves are ordered so every destination is free
@@ -133,7 +134,6 @@ type Counters struct {
 	ByFreeRect int64 `json:"by_free_rect"`
 	BySlot     int64 `json:"by_slot"`
 	ByCache    int64 `json:"by_cache"`
-	ByRepack   int64 `json:"by_repack"`
 	ByProbe    int64 `json:"by_probe"`
 	ProbeNodes int64 `json:"probe_nodes"`
 }
@@ -218,7 +218,7 @@ type AdmitResult struct {
 	// DecisionUnknown.
 	Decision string `json:"decision"`
 	// DecidedBy names the ladder tier that settled the admission:
-	// "free-rect", "slot", "cache", "repack" or "probe".
+	// "free-rect", "slot", "cache" or "probe".
 	DecidedBy string `json:"decided_by"`
 	// ID, X, Y, Start locate the admitted module (admissions only).
 	ID    int `json:"id,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"fpga3d/internal/fpga"
 	"fpga3d/internal/model"
 	"fpga3d/internal/solver"
 	"fpga3d/internal/strategy"
@@ -175,9 +174,9 @@ func (c *probeCache) put(key string, e *probeEntry) {
 	c.order = append(c.order, key)
 }
 
-// probeLocked runs ladder tiers 3–5: cached witness, greedy repack,
-// exact probe — and turns a relocating witness into a validated,
-// applied defragmentation plan. Callers hold s.mu.
+// probeLocked runs ladder tiers 3–5: cached witness, exact probe —
+// and turns a relocating witness into a validated, applied
+// defragmentation plan. Callers hold s.mu.
 func (s *Session) probeLocked(ctx context.Context, req AdmitRequest) (*AdmitResult, error) {
 	tasks, T := s.staticProblem(&req)
 	in, starts := instanceOf(tasks)
@@ -202,18 +201,7 @@ func (s *Session) probeLocked(ctx context.Context, req AdmitRequest) (*AdmitResu
 		s.metric("online.probe.cache.misses")
 	}
 
-	// Tier 4a: greedy bottom-left repack. Only sound when every task
-	// starts at 0 (pure 2D packing); with reserved future starts the
-	// exact probe handles the general case.
-	if allZeroStarts(tasks) {
-		if p := repack2D(tasks, s.cfg.W, s.cfg.H); p != nil {
-			s.cache.put(key, entryFor(p, rank))
-			s.count.ByRepack++
-			return s.applyWitnessLocked(req, tasks, p, "repack", 0)
-		}
-	}
-
-	// Tier 4b: exact fixed-schedule probe with full relocation freedom.
+	// Tier 4: exact fixed-schedule probe with full relocation freedom.
 	s.metric("online.probe.exact")
 	res, err := solver.FeasibleFixedScheduleCtx(ctx, in, c, starts, solver.Options{
 		NodeLimit: s.cfg.ProbeNodeLimit,
@@ -274,60 +262,6 @@ func remapWitness(e *probeEntry, rank []int, n int, in *model.Instance, c model.
 		return nil
 	}
 	return p
-}
-
-// allZeroStarts reports whether every task starts at relative time 0.
-func allZeroStarts(tasks []staticTask) bool {
-	for _, t := range tasks {
-		if t.start != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// repack2D greedily packs all tasks (area-descending, bottom-left
-// first-fit) onto an empty grid. It returns a full witness placement in
-// construction order, or nil when the greedy order fails — in which
-// case the exact probe decides.
-func repack2D(tasks []staticTask, w, h int) *model.Placement {
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := tasks[order[a]], tasks[order[b]]
-		aa, ab := ta.w*ta.h, tb.w*tb.h
-		if aa != ab {
-			return aa > ab
-		}
-		return order[a] < order[b]
-	})
-	g := fpga.NewGrid(w, h)
-	p := model.NewPlacement(len(tasks))
-	for _, i := range order {
-		t := tasks[i]
-		x, y, ok := bottomLeft(g, t.w, t.h)
-		if !ok {
-			return nil
-		}
-		g.Fill(x, y, t.w, t.h)
-		p.X[i], p.Y[i] = x, y
-	}
-	return p
-}
-
-// bottomLeft scans for the lowest, then leftmost position where a w×h
-// module fits on the grid.
-func bottomLeft(g *fpga.Grid, w, h int) (int, int, bool) {
-	for y := 0; y+h <= g.H; y++ {
-		for x := 0; x+w <= g.W; x++ {
-			if g.RegionFree(x, y, w, h) {
-				return x, y, true
-			}
-		}
-	}
-	return 0, 0, false
 }
 
 // metric bumps a counter on the session registry (nil-safe).

@@ -9,9 +9,12 @@ import (
 
 	"fpga3d/internal/bench"
 	"fpga3d/internal/bounds"
+	"fpga3d/internal/core"
 	"fpga3d/internal/geomsearch"
 	"fpga3d/internal/heur"
 	"fpga3d/internal/model"
+	"fpga3d/internal/obs"
+	"fpga3d/internal/strategy"
 )
 
 // fixedCase is one FixedS question: does instance in, with task v
@@ -67,34 +70,44 @@ func fixedCases(t testing.TB, seed int64, n, maxSize, maxDur int) []fixedCase {
 const fixedNodeLimit = 200_000
 
 // checkFixedCase decides q through the full pipeline and through the
-// search alone (and, for n ≤ 6, the geometric oracle) and fails on any
-// disagreement. It returns the search-only decision and the stage that
-// settled the pipeline's.
-func checkFixedCase(t *testing.T, q fixedCase, label string) (Decision, string) {
+// packing-class engine alone (and, for n ≤ 6, the geometric oracle) and
+// fails on any disagreement. It returns the engine's decision, the
+// stage that settled the pipeline's, and whether the bit-grid packer
+// decided it ahead of the engine.
+func checkFixedCase(t *testing.T, q fixedCase, label string) (Decision, string, bool) {
 	t.Helper()
-	full, err := FeasibleFixedSchedule(q.in, q.c, q.starts, Options{NodeLimit: fixedNodeLimit})
+	reg := obs.NewRegistry()
+	full, err := FeasibleFixedSchedule(q.in, q.c, q.starts, Options{NodeLimit: fixedNodeLimit, Metrics: reg})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ref, err := FeasibleFixedSchedule(q.in, q.c, q.starts, Options{NodeLimit: fixedNodeLimit, SkipBounds: true, SkipHeuristic: true})
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+	// A task larger than the chip is infeasible; the engine takes it
+	// for a caller's error, so it is not asked.
+	ref, refW := Infeasible, (*model.Placement)(nil)
+	if q.c.Fits(q.in) {
+		switch r := core.Solve(strategy.BuildProblem(q.in, q.c, q.order, q.starts), core.Options{NodeLimit: fixedNodeLimit}); r.Status {
+		case core.StatusFeasible:
+			ref, refW = Feasible, strategy.SolutionToPlacement(r.Solution)
+			refW.S = q.starts
+		case core.StatusNodeLimit:
+			ref = Unknown
+		}
 	}
-	for _, r := range []*OPPResult{full, ref} {
-		if r.Decision != Feasible {
+	for _, w := range []*model.Placement{full.Placement, refW} {
+		if w == nil {
 			continue
 		}
-		if !slices.Equal(r.Placement.S, q.starts) {
-			t.Fatalf("%s: witness (%s) moved the starts %v to %v", label, r.DecidedBy, q.starts, r.Placement.S)
+		if !slices.Equal(w.S, q.starts) {
+			t.Fatalf("%s: witness moved the starts %v to %v", label, q.starts, w.S)
 		}
-		if err := r.Placement.Verify(q.in, q.c, q.order); err != nil {
-			t.Fatalf("%s: witness (%s) invalid: %v", label, r.DecidedBy, err)
+		if err := w.Verify(q.in, q.c, q.order); err != nil {
+			t.Fatalf("%s: witness invalid: %v", label, err)
 		}
 	}
-	if full.Decision != Unknown && ref.Decision != Unknown && full.Decision != ref.Decision {
-		t.Fatalf("%s: pipeline %v (%s), search alone %v", label, full.Decision, full.DecidedBy, ref.Decision)
+	if full.Decision != Unknown && ref != Unknown && full.Decision != ref {
+		t.Fatalf("%s: pipeline %v (%s), engine alone %v", label, full.Decision, full.DecidedBy, ref)
 	}
-	if ref.Decision == Feasible {
+	if ref == Feasible {
 		if bad, why := bounds.FixedScheduleInfeasible(q.in, q.c, q.starts); bad {
 			t.Fatalf("%s: stage 1 (%s) refuted a feasible schedule", label, why)
 		}
@@ -107,27 +120,33 @@ func checkFixedCase(t *testing.T, q fixedCase, label string) (Decision, string) 
 				t.Fatalf("%s: geometric oracle witness invalid (%v) or moved starts", label, err)
 			}
 		}
-		for _, r := range []*OPPResult{full, ref} {
-			if (g.Status == geomsearch.Feasible || g.Status == geomsearch.Infeasible) && r.Decision != Unknown && r.Decision != want {
-				t.Fatalf("%s: %s says %v, geometric oracle %v", label, r.DecidedBy, r.Decision, g.Status)
+		for _, d := range []Decision{full.Decision, ref} {
+			if (g.Status == geomsearch.Feasible || g.Status == geomsearch.Infeasible) && d != Unknown && d != want {
+				t.Fatalf("%s: pipeline (%s) or engine says %v, geometric oracle %v", label, full.DecidedBy, d, g.Status)
 			}
 		}
 	}
-	return ref.Decision, strings.SplitN(full.DecidedBy, ":", 2)[0]
+	steps := reg.Counter(obs.MetricSearchPack2DSteps).Value()
+	packed := full.DecidedBy == "search" && full.Stats.Nodes == 0 && steps > 0 && steps < 16*fixedNodeLimit
+	return ref, strings.SplitN(full.DecidedBy, ":", 2)[0], packed
 }
 
 // TestFixedScheduleCorpus checks the FixedS stages on a seeded corpus:
-// the pipeline's decisions equal the search-only path's and, for n ≤ 6,
-// the geometric oracle's; stage 1 never refutes a feasible question;
-// every witness keeps the prescribed starts and verifies.
+// the pipeline's decisions equal the engine's alone and, for n ≤ 6, the
+// geometric oracle's; stage 1 never refutes a feasible question; every
+// witness keeps the prescribed starts and verifies; and the 2D packer
+// decides some of the all-zero-start questions.
 func TestFixedScheduleCorpus(t *testing.T) {
-	var feasible, infeasible, open int
+	var feasible, infeasible, open, packed int
 	by := map[string]int{}
 	for seed := int64(1); seed <= 300; seed++ {
 		n := 3 + int(seed%7) // 3..9 tasks
 		for _, q := range fixedCases(t, seed, n, 4, 4) {
-			d, stage := checkFixedCase(t, q, fmt.Sprintf("seed %d chip %v", seed, q.c))
+			d, stage, p := checkFixedCase(t, q, fmt.Sprintf("seed %d chip %v", seed, q.c))
 			by[stage]++
+			if p {
+				packed++
+			}
 			switch d {
 			case Feasible:
 				feasible++
@@ -138,9 +157,9 @@ func TestFixedScheduleCorpus(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d feasible, %d infeasible, %d open questions; settled by %v", feasible, infeasible, open, by)
-	if feasible < 300 || infeasible < 200 || open > 5 || by["bound"] < 100 || by["heuristic"] < 100 || by["search"] < 20 {
-		t.Fatalf("corpus too weak: %d feasible, %d infeasible, %d open; settled by %v", feasible, infeasible, open, by)
+	t.Logf("%d feasible, %d infeasible, %d open questions; settled by %v, %d of them by the 2D packer", feasible, infeasible, open, by, packed)
+	if feasible < 300 || infeasible < 200 || open > 5 || by["bound"] < 100 || by["heuristic"] < 100 || by["search"] < 20 || packed < 5 {
+		t.Fatalf("corpus too weak: %d feasible, %d infeasible, %d open; settled by %v, %d by the 2D packer", feasible, infeasible, open, by, packed)
 	}
 }
 

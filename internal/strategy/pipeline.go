@@ -30,7 +30,9 @@ type Pipeline struct {
 // enable it, until one settles the question. A fixed-schedule problem
 // takes the two-dimensional bounds and the fixed-start placer instead
 // and never consults or feeds the incumbent store or the annealer:
-// their witnesses do not keep the prescribed starts. A nil error with
+// their witnesses do not keep the prescribed starts; its search tier
+// runs the 2D packer ahead of the engine when the problem is a pure 2D
+// packing (call.pack2D). A nil error with
 // Decision Unknown means a node/time limit or cancellation, not a
 // failure.
 func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
@@ -134,7 +136,19 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 		c.res.Stages.Search = st.end()
 		return c.decide(Infeasible, "search", "search", nil)
 	}
-	r := core.Solve(BuildProblem(p.In, p.C, p.Order, p.FixedStarts), e.searchOpts(ctx, p))
+	co := e.searchOpts(ctx, p)
+	if fixed {
+		// A pure 2D packing goes to the bit-grid packer first; when it
+		// runs out of steps the engine runs as it would without it.
+		if w, d := c.pack2D(co, st.sp); d != Unknown {
+			c.res.Stages.Search = st.end()
+			if d == Infeasible {
+				return c.decide(Infeasible, "search", "search", nil)
+			}
+			return c.accept(w, "search", nil)
+		}
+	}
+	r := core.Solve(BuildProblem(p.In, p.C, p.Order, p.FixedStarts), co)
 	c.res.Stages.Search = st.end()
 	c.res.Stats = r.Stats
 	e.Metrics.Counter(obs.MetricSearchNodes).Add(r.Stats.Nodes)

@@ -20,7 +20,10 @@
 //     witnesses it records.
 //
 // A fixed-schedule question (Problem.FixedStarts) takes the same tiers
-// on its two-dimensional shape under every preset. The probes of one
+// on its two-dimensional shape under every preset. When every task runs
+// during one common cycle it is a pure 2D packing, and the search tier
+// first runs the bit-grid packer of internal/pack2d, then the engine
+// only if the packer ran out of steps. The probes of one
 // optimization run share an Incumbents store, so the heuristic's
 // minimum-makespan placement for a chip is computed once and reused by
 // every probe on that chip (the follow-up paper "Higher-Dimensional
@@ -146,7 +149,8 @@ type Problem struct {
 	// FixedStarts, when non-nil, prescribes every task's start time
 	// (the FixedS problem variants): every preset then runs the
 	// two-dimensional bounds, the fixed-start placer and the spatial
-	// search (see Pipeline.Solve).
+	// search, which begins with the bit-grid 2D packer when every
+	// task's interval holds one common cycle (see Pipeline.Solve).
 	FixedStarts []int
 }
 
