@@ -7,16 +7,17 @@ import "fpga3d/internal/graph"
 // propagated, conflict-free node: the propagation queue is empty and no
 // conflict is pending, so the clone starts from a clean frontier.
 //
-// Copied (trail-mutated) state: edge states, orientations, the
-// per-dimension overlap/disjoint adjacency bitsets, unknown counts,
-// per-pair undecided counts, the adjacency versions and the
-// version-keyed skips (clique-force snapshots, hole-check memos) — the
-// skips do not change which rules fire, but copying them keeps the
-// clone's work profile identical to what the donor would have done in
-// place. Shared (immutable after construction): the problem, options,
-// pair index tables, volumes, co-areas and the symmetry marks. Fresh:
-// trail, queue, statistics and all scratch buffers — a clone never
-// undoes past its own root, and scratch is strictly per-worker.
+// Copied (trail-mutated) state: edge states, orientations, the Γ
+// implication classes, the per-dimension overlap/disjoint adjacency
+// bitsets, unknown counts, per-pair undecided counts, the adjacency
+// versions and the version-keyed skips (clique-force snapshots,
+// hole-check memos) — the skips do not change which rules fire, but
+// copying them keeps the clone's work profile identical to what the
+// donor would have done in place. Shared (immutable after
+// construction): the problem, options, pair index tables, volumes,
+// co-areas and the symmetry marks. Fresh: trail, queue, statistics and
+// all scratch buffers — a clone never undoes past its own root, and
+// scratch is strictly per-worker.
 func (e *engine) cloneForWorker() *engine {
 	n, nd, np := e.n, e.nd, e.npairs
 	c := &engine{
@@ -30,6 +31,9 @@ func (e *engine) cloneForWorker() *engine {
 	}
 	c.state = make([][]EdgeState, nd)
 	c.orient = make([][]OrientVal, nd)
+	c.gParent = make([][]int32, nd)
+	c.gParity = make([][]uint8, nd)
+	c.gSize = make([][]int32, nd)
 	c.ovAdj = make([][]graph.Set, nd)
 	c.disAdj = make([][]graph.Set, nd)
 	c.unknown = append([]int(nil), e.unknown...)
@@ -46,6 +50,10 @@ func (e *engine) cloneForWorker() *engine {
 		c.state[d] = append([]EdgeState(nil), e.state[d]...)
 		if e.orient[d] != nil {
 			c.orient[d] = append([]OrientVal(nil), e.orient[d]...)
+		} else {
+			c.gParent[d] = append([]int32(nil), e.gParent[d]...)
+			c.gParity[d] = append([]uint8(nil), e.gParity[d]...)
+			c.gSize[d] = append([]int32(nil), e.gSize[d]...)
 		}
 		c.ovAdj[d] = make([]graph.Set, n)
 		c.disAdj[d] = make([]graph.Set, n)

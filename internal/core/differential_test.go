@@ -278,9 +278,10 @@ func TestIncrementalSkipsFire(t *testing.T) {
 // the value order drawn at random per node, so the walk leaves the
 // paths Solve takes — and requires the two to make every decision in
 // the same order: identical trails, conflicts and statistics after each
-// child and after each undo. A skip that only reorders forcings (which
-// a whole-search comparison sees only when the reordering changes which
-// rule hits a conflict first) fails here at the node where it happens.
+// child and after each undo, with Γ classes equal to a recompute. A
+// skip that only reorders forcings (which a whole-search comparison
+// sees only when the reordering changes which rule hits a conflict
+// first) fails here at the node where it happens.
 func TestLockstepTrails(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261018))
 	for trial := 0; trial < 16; trial++ {
@@ -334,9 +335,12 @@ func lockstepDFS(t *testing.T, trial int, fast, ref *engine, rng *rand.Rand, bud
 }
 
 // requireLockstep fails unless the two engines hold the same trail,
-// edge states, orientations, conflict and statistics.
+// edge states, orientations, conflict and statistics, and the Γ
+// implication classes they keep incrementally equal a recompute from
+// scratch.
 func requireLockstep(t *testing.T, trial int, fast, ref *engine) {
 	t.Helper()
+	requireGammaRecomputed(t, fmt.Sprintf("trial %d", trial), fast)
 	switch {
 	case !reflect.DeepEqual(fast.trail, ref.trail):
 		t.Fatalf("trial %d: trails diverge at depth %d/%d", trial, len(fast.trail), len(ref.trail))

@@ -15,6 +15,7 @@ type changeKind uint8
 const (
 	chState changeKind = iota
 	chOrient
+	chGamma // pair is the class root a Γ link attached
 )
 
 type change struct {
@@ -50,6 +51,7 @@ const (
 	confC4
 	confHole
 	confOrient
+	confGamma
 )
 
 // skipCounts tallies skipped clique-force sweeps of a whole dimension,
@@ -72,6 +74,14 @@ type engine struct {
 
 	state  [][]EdgeState // [dim][pair]
 	orient [][]OrientVal // [dim][pair]; nil for unordered dims
+
+	// Γ implication classes of each unordered dimension (gamma.go): a
+	// union-find over pairs with each pair's parent, its orientation
+	// parity relative to the parent, and the size of each root's class.
+	// nil for ordered dims.
+	gParent [][]int32
+	gParity [][]uint8
+	gSize   [][]int32
 
 	// Incremental adjacency of decided edges, per dimension.
 	ovAdj   [][]graph.Set // Overlap adjacency
@@ -109,9 +119,8 @@ type engine struct {
 	// tests and profiling. It is not part of Stats, which the reference
 	// path (it never skips) must reproduce exactly.
 	skips skipCounts
-	// holeSeen[2d+k] remembers the versions at which holeCheckDim on
-	// dimension d (k 0: holes of the overlap graph, 1: antiholes of the
-	// disjoint graph) last ended without firing.
+	// holeSeen[d] remembers the versions at which holeCheckDim on
+	// dimension d last ended without firing.
 	holeSeen []holeMemo
 
 	trail    []change
@@ -160,6 +169,9 @@ type engine struct {
 	cfDirtyOv  graph.Set
 	// c4Cand holds the b vertices c4Scan still has to visit for one a.
 	c4Cand graph.Set
+	// gammaCand holds the third vertices of the Γ links one decision
+	// makes.
+	gammaCand graph.Set
 	// cliqueStack holds one scratch set per recursion depth of the
 	// weighted-clique bound, so the branch-and-bound inside
 	// cliqueExceedsFast allocates nothing. Grown on demand.
@@ -201,6 +213,9 @@ func newEngine(p *Problem, opt Options) *engine {
 	e.npairs = idx
 	e.state = make([][]EdgeState, nd)
 	e.orient = make([][]OrientVal, nd)
+	e.gParent = make([][]int32, nd)
+	e.gParity = make([][]uint8, nd)
+	e.gSize = make([][]int32, nd)
 	e.ovAdj = make([][]graph.Set, nd)
 	e.disAdj = make([][]graph.Set, nd)
 	e.unknown = make([]int, nd)
@@ -208,6 +223,13 @@ func newEngine(p *Problem, opt Options) *engine {
 		e.state[d] = make([]EdgeState, idx)
 		if p.Dims[d].Ordered {
 			e.orient[d] = make([]OrientVal, idx)
+		} else {
+			e.gParent[d] = make([]int32, idx)
+			e.gParity[d] = make([]uint8, idx)
+			e.gSize[d] = make([]int32, idx)
+			for pr := 0; pr < idx; pr++ {
+				e.gParent[d][pr], e.gSize[d][pr] = int32(pr), 1
+			}
 		}
 		e.ovAdj[d] = make([]graph.Set, n)
 		e.disAdj[d] = make([]graph.Set, n)
@@ -234,7 +256,7 @@ func newEngine(p *Problem, opt Options) *engine {
 		e.pairVer[d] = make([]int64, idx)
 		e.cfSnapDis[d], e.cfSnapOv[d] = -1, -1
 	}
-	e.holeSeen = make([]holeMemo, 2*nd)
+	e.holeSeen = make([]holeMemo, nd)
 	for i := range e.holeSeen {
 		e.holeSeen[i] = holeMemo{own: -1, other: -1}
 	}
@@ -293,6 +315,7 @@ func (e *engine) initScratch() {
 	e.cfDirtyDis = graph.NewSet(n)
 	e.cfDirtyOv = graph.NewSet(n)
 	e.c4Cand = graph.NewSet(n)
+	e.gammaCand = graph.NewSet(n)
 	e.holeBucket = make([]graph.Set, n)
 	e.holeEarlier = make([]graph.Set, n)
 	for v := 0; v < n; v++ {
@@ -392,6 +415,8 @@ func (e *engine) fail(r conflictRule) {
 			e.stats.ConflictHole++
 		case confOrient:
 			e.stats.ConflictOrient++
+		case confGamma:
+			e.stats.ConflictGamma++
 		}
 	}
 }
@@ -523,6 +548,8 @@ func (e *engine) undoTo(m int) {
 			e.pairUndecided[p]++
 		case chOrient:
 			e.orient[d][p] = OrientVal(c.old)
+		case chGamma:
+			e.gammaUndo(d, p)
 		}
 	}
 	e.trail = e.trail[:m]

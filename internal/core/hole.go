@@ -18,68 +18,48 @@ import "fpga3d/internal/graph"
 
 // holeCheck runs hole detection on every dimension until no further
 // forcing applies. Called once per search node, after event propagation.
-//
-// Two forbidden structures are hunted:
-//
-//   - holes of the overlap graph (an induced cycle of length ≥ 4 whose
-//     chords are all Disjoint can never become chordal — C1, chordality
-//     half);
-//   - odd antiholes: an induced odd cycle of length ≥ 5 in the disjoint
-//     graph is an odd hole of the complement, and comparability graphs
-//     are perfect — the paper's "2-chordless odd cycles in E_i^c"
-//     exclusion (C1, comparability half).
+// It hunts holes of the overlap graph: an induced cycle of length ≥ 4
+// whose chords are all Disjoint can never become chordal (C1,
+// chordality half). C1's comparability half is the Γ rule's (gamma.go),
+// which refutes every odd antihole — an induced odd cycle of length ≥ 5
+// in the disjoint graph — once its chords are Overlap.
 func (e *engine) holeCheck() {
 	if e.opt.DisableHoleRule {
 		return
 	}
 	for d := 0; d < e.nd && e.conflict == noConflict; d++ {
-		// Chordality holes in the overlap graph: break by making an
-		// open chord Overlap.
-		e.holeCheckDim(d, false)
-		if e.conflict != noConflict {
-			return
-		}
-		// Odd antiholes in the disjoint graph: break by making an open
-		// chord Disjoint.
-		e.holeCheckDim(d, true)
+		e.holeCheckDim(d)
 	}
 }
 
 // holeMemo keys a holeCheckDim verdict that fired nothing: own is the
-// version of the adjacency searched for holes, other the version of the
-// opposite adjacency, or -1 when the verdict read no edge states.
+// overlap version of the dimension, other its disjoint version, or -1
+// when the verdict read no edge states.
 type holeMemo struct{ own, other int64 }
 
-// holeCheckDim repeatedly extracts holes of dimension d's overlap graph
-// or, with anti set, odd holes of its disjoint graph (antiholes). A hole
-// is conclusive when all of its chords are decided to the opposite
-// state (the breaking value cannot appear anymore): conflict with zero
-// open chords, forcing with exactly one. Even antiholes are ignored:
-// even cycles are comparability graphs.
+// holeCheckDim repeatedly extracts holes of dimension d's overlap graph.
+// A hole is conclusive when all of its chords are decided Disjoint (the
+// breaking value Overlap cannot appear anymore): conflict with zero
+// open chords, forcing the chord Overlap with exactly one.
 //
 // The production path skips a dimension whose last verdict fired
 // nothing and whose inputs have not moved since (equal versions mean
-// identical adjacency): a chordal graph or an even antihole depends on
-// the searched adjacency alone; a hole with two or more open chords
-// also on the chord states, so on both adjacencies.
-func (e *engine) holeCheckDim(d int, anti bool) {
-	adj, breaking, memo := e.ovAdj[d], Overlap, &e.holeSeen[2*d]
-	if anti {
-		adj, breaking, memo = e.disAdj[d], Disjoint, &e.holeSeen[2*d+1]
-	}
+// identical adjacency): a chordal graph depends on the overlap
+// adjacency alone; a hole with two or more open chords also on the
+// chord states, so on both adjacencies.
+func (e *engine) holeCheckDim(d int) {
+	adj, memo := e.ovAdj[d], &e.holeSeen[d]
 	ref := e.opt.ReferenceRules
-	if own, other := e.holeVersions(d, anti); !ref && memo.own == own && (memo.other < 0 || memo.other == other) {
+	if !ref && memo.own == e.verOv[d] && (memo.other < 0 || memo.other == e.verDis[d]) {
 		e.skips.holeDims++
 		return
 	}
 	for e.conflict == noConflict {
 		hole := e.findHoleIn(adj)
-		if hole == nil || anti && len(hole)%2 == 0 {
-			// Chordal, or an inconclusive certificate; deeper search
-			// decides.
+		if hole == nil {
+			// Chordal, or no certificate; deeper search decides.
 			if !ref {
-				own, _ := e.holeVersions(d, anti)
-				*memo = holeMemo{own: own, other: -1}
+				*memo = holeMemo{own: e.verOv[d], other: -1}
 			}
 			return
 		}
@@ -105,25 +85,16 @@ func (e *engine) holeCheckDim(d int, anti bool) {
 			e.fail(confHole)
 		case 1:
 			e.stats.ForcedHole++
-			e.setState(d, unknownPair, breaking, confHole)
+			e.setState(d, unknownPair, Overlap, confHole)
 			e.propagate()
 		default:
 			// Two or more open chords: no implication from this hole.
 			if !ref {
-				memo.own, memo.other = e.holeVersions(d, anti)
+				*memo = holeMemo{own: e.verOv[d], other: e.verDis[d]}
 			}
 			return
 		}
 	}
-}
-
-// holeVersions returns the current versions of the adjacency that
-// holeCheckDim(d, anti) searches and of the opposite one.
-func (e *engine) holeVersions(d int, anti bool) (own, other int64) {
-	if anti {
-		return e.verDis[d], e.verOv[d]
-	}
-	return e.verOv[d], e.verDis[d]
 }
 
 // findHoleIn returns the vertices of an induced cycle of length ≥ 4 in

@@ -4,8 +4,9 @@ import "fpga3d/internal/graph"
 
 // propagate processes the event queue to a fixpoint or a conflict,
 // applying the rules C3 (overlap counting), C2 (heavy cliques of
-// disjoint edges), C1 (chordless 4-cycles) and, on ordered dimensions,
-// the D1/D2 orientation implications of the paper.
+// disjoint edges), C1 (chordless 4-cycles) and the paper's D1/D2
+// implications: on ordered dimensions the orientation closure, on
+// unordered ones the Γ implication classes of D1 (gamma.go).
 func (e *engine) propagate() {
 	for e.conflict == noConflict && len(e.queue) > 0 {
 		ev := e.queue[len(e.queue)-1]
@@ -53,8 +54,12 @@ func (e *engine) onState(d, p int) {
 			e.fail(confArea)
 			return
 		}
-		if e.orient[d] != nil && !e.opt.DisableOrientRules {
-			e.orientRulesOnOverlap(d, u, v)
+		if !e.opt.DisableOrientRules {
+			if e.orient[d] != nil {
+				e.orientRulesOnOverlap(d, u, v)
+			} else {
+				e.gammaOnOverlap(d, u, v)
+			}
 			if e.conflict != noConflict {
 				return
 			}
@@ -64,8 +69,12 @@ func (e *engine) onState(d, p int) {
 			e.fail(confClique)
 			return
 		}
-		if e.orient[d] != nil && !e.opt.DisableOrientRules {
-			e.orientRulesOnDisjoint(d, u, v)
+		if !e.opt.DisableOrientRules {
+			if e.orient[d] != nil {
+				e.orientRulesOnDisjoint(d, u, v)
+			} else {
+				e.gammaOnDisjoint(d, u, v)
+			}
 			if e.conflict != noConflict {
 				return
 			}

@@ -396,8 +396,11 @@ func TestFigure5ThroughEngine(t *testing.T) {
 func TestOddAntiholeRule(t *testing.T) {
 	// An induced C5 of *disjoint* edges is an odd hole of the complement
 	// — comparability graphs are perfect, so this violates C1's
-	// comparability half. With all chords decided Overlap the engine
-	// must refute; capacities are generous so no clique rule interferes.
+	// comparability half. With all chords decided Overlap the Γ classes
+	// must refute it during propagation: going round the cycle, each
+	// overlapping chord links the two disjoint edges at its middle
+	// vertex, and an odd cycle returns with the opposite orientation.
+	// Capacities are generous so no clique rule interferes.
 	e := freshEngine(5, false)
 	d := 0
 	for i := 0; i < 5; i++ {
@@ -407,22 +410,21 @@ func TestOddAntiholeRule(t *testing.T) {
 		e.setState(d, e.pidx[ch[0]][ch[1]], Overlap, confSize)
 	}
 	e.propagate()
-	if e.conflict != noConflict {
-		t.Fatal("structure conflicted before the antihole check")
+	if e.conflict != confGamma {
+		t.Fatalf("odd antihole (C5 of disjoint edges) not refuted by gamma: conflict %v", e.conflict)
 	}
-	e.holeCheck()
-	if e.conflict == noConflict {
-		t.Fatal("odd antihole (C5 of disjoint edges) not refuted")
+	if e.stats.ConflictGamma != 1 {
+		t.Fatalf("ConflictGamma = %d, want 1", e.stats.ConflictGamma)
 	}
 }
 
 func TestEvenAntiholeIsInconclusive(t *testing.T) {
-	// Six disjoint edges forming a C6 in the disjoint graph, all chords
-	// still Unknown: the antihole certificate is even, so the oddOnly
-	// pass must neither conflict nor force anything. (Note that fully
-	// deciding the chords to Overlap would be refuted — correctly — by
-	// the chordality hole rule instead: the complement of C6 contains an
-	// induced C4.)
+	// Six disjoint edges forming a C6 in the disjoint graph: an even
+	// cycle is a comparability graph, so with the chords still Unknown
+	// (and even with all of them Overlap, as far as Γ is concerned) the
+	// Γ classes must stay consistent and force nothing. (Fully deciding
+	// the chords Overlap is refuted — correctly — by the chordality
+	// hole rule instead: the complement of C6 contains an induced C4.)
 	e := freshEngine(6, false)
 	d := 0
 	for i := 0; i < 6; i++ {
@@ -433,13 +435,36 @@ func TestEvenAntiholeIsInconclusive(t *testing.T) {
 		t.Fatal("cycle edges alone conflicted")
 	}
 	before := append([]EdgeState(nil), e.state[d]...)
-	e.holeCheckDim(d, true)
+	e.holeCheck()
 	if e.conflict != noConflict {
-		t.Fatal("even antihole pass conflicted")
+		t.Fatal("even antihole conflicted")
 	}
 	for p, s := range e.state[d] {
 		if s != before[p] {
-			t.Fatalf("even antihole pass changed pair %d", p)
+			t.Fatalf("even antihole changed pair %d", p)
+		}
+	}
+	// Γ alone, with every chord Overlap: the classes link the whole
+	// cycle, consistently.
+	g := newEngine(prob(6, [3]int{100, 100, 100}, uniformSizes(2, 2, 2), false),
+		Options{DisableC4Rule: true, DisableHoleRule: true})
+	for u := 0; u < 6; u++ {
+		for v := u + 1; v < 6; v++ {
+			s := Overlap
+			if v == u+1 || (u == 0 && v == 5) {
+				s = Disjoint
+			}
+			g.setState(d, g.pidx[u][v], s, confSize)
+		}
+	}
+	g.propagate()
+	if g.conflict != noConflict {
+		t.Fatalf("gamma refuted the even antihole: conflict %v", g.conflict)
+	}
+	r0, _ := g.gammaFind(d, g.pidx[0][1])
+	for i := 1; i < 6; i++ {
+		if r, _ := g.gammaFind(d, g.pidx[i][(i+1)%6]); r != r0 {
+			t.Fatalf("cycle edge {%d,%d} not in the cycle's implication class", i, (i+1)%6)
 		}
 	}
 }
@@ -469,8 +494,9 @@ func TestComplementC6IsRefutedByChordality(t *testing.T) {
 }
 
 func TestAntiholeForcing(t *testing.T) {
-	// C5 of disjoint edges with four chords Overlap and one Unknown: the
-	// open chord must be forced Disjoint (breaking the odd antihole).
+	// C5 of disjoint edges with four chords Overlap and one Unknown: no
+	// rule forces the open chord, but deciding it Overlap completes the
+	// odd antihole, which the Γ classes refute; Disjoint is consistent.
 	e := newEngine(prob(5, [3]int{100, 100, 100}, uniformSizes(2, 2, 2), false),
 		Options{DisableC4Rule: true})
 	d := 0
@@ -489,7 +515,20 @@ func TestAntiholeForcing(t *testing.T) {
 	if e.conflict != noConflict {
 		t.Fatal("conflicted with an open chord")
 	}
-	if e.state[d][e.pidx[2][4]] != Disjoint {
-		t.Fatalf("open chord not forced Disjoint: %v", e.state[d][e.pidx[2][4]])
+	open := e.pidx[2][4]
+	if e.state[d][open] != Unknown {
+		t.Fatalf("open chord decided: %v", e.state[d][open])
+	}
+	m := e.mark()
+	e.setState(d, open, Overlap, confSize)
+	e.propagate()
+	if e.conflict != confGamma {
+		t.Fatalf("open chord decided Overlap: conflict %v, want gamma", e.conflict)
+	}
+	e.undoTo(m)
+	e.setState(d, open, Disjoint, confSize)
+	e.propagate()
+	if e.conflict != noConflict {
+		t.Fatalf("open chord decided Disjoint: conflict %v", e.conflict)
 	}
 }

@@ -38,6 +38,11 @@ type Stats struct {
 	ConflictC4     int64
 	ConflictHole   int64
 	ConflictOrient int64
+	// ConflictGamma counts states refuted by the Γ implication classes
+	// of an unordered dimension: one class holds both orientations of a
+	// disjoint edge, so the disjoint graph is not transitively
+	// orientable (D1 on the spatial axes, see gamma.go).
+	ConflictGamma int64
 
 	ForcedC3     int64
 	ForcedC4     int64
@@ -71,6 +76,7 @@ func (s *Stats) Add(o Stats) {
 	s.ConflictC4 += o.ConflictC4
 	s.ConflictHole += o.ConflictHole
 	s.ConflictOrient += o.ConflictOrient
+	s.ConflictGamma += o.ConflictGamma
 	s.ForcedC3 += o.ForcedC3
 	s.ForcedC4 += o.ForcedC4
 	s.ForcedHole += o.ForcedHole
@@ -85,7 +91,8 @@ func (s *Stats) Add(o Stats) {
 }
 
 // ConflictsByRule returns the Conflict* counters keyed by lower-cased
-// rule name ("c3", "size", "clique", "area", "c4", "hole", "orient").
+// rule name ("c3", "size", "clique", "area", "c4", "hole", "orient",
+// "gamma").
 // The map is built by reflection over the field names, so counters
 // added later can never be silently missing from snapshots.
 func (s *Stats) ConflictsByRule() map[string]int64 { return s.byPrefix("Conflict") }

@@ -56,8 +56,8 @@ func TestStatsByRuleMaps(t *testing.T) {
 	if conf["c3"] != 1 || conf["hole"] != 2 {
 		t.Errorf("ConflictsByRule = %v", conf)
 	}
-	if len(conf) != 7 {
-		t.Errorf("ConflictsByRule has %d rules, want 7: %v", len(conf), conf)
+	if len(conf) != 8 {
+		t.Errorf("ConflictsByRule has %d rules, want 8: %v", len(conf), conf)
 	}
 	if f := s.ForcedByRule(); f["size"] != 3 || len(f) != 7 {
 		t.Errorf("ForcedByRule = %v", f)

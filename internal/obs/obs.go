@@ -49,8 +49,8 @@ type Snapshot struct {
 	// Elapsed is the wall-clock time since the search began.
 	Elapsed time.Duration
 	// Conflicts holds the per-rule conflict counters keyed by rule name
-	// ("c3", "size", "clique", "area", "c4", "hole", "orient"). The map
-	// is freshly built per snapshot; callbacks may retain it.
+	// ("c3", "size", "clique", "area", "c4", "hole", "orient", "gamma").
+	// The map is freshly built per snapshot; callbacks may retain it.
 	Conflicts map[string]int64
 
 	// Anytime marks snapshots of an anytime run that carry incumbent

@@ -19,11 +19,12 @@ import (
 //
 // Algorithm: sweep the width from the widest module upwards; for each
 // width, the minimal feasible height is monotone, so it is found by an
-// ascent over the doubling heights hLo, 2·hLo, … (capped at ΣH) up to
-// the first feasible one, then a binary search between hLo and it that
-// skips the heights the ascent refuted. Heights whose area cannot beat
-// the incumbent are never probed, and the sweep stops when width × maxH
-// alone exceeds the best area found.
+// ascent over the doubling heights hLo, 2·hLo, … up to the first
+// feasible one, then a binary search between hLo and it that skips the
+// heights the ascent refuted. The ascent ends at the largest height
+// that still beats the incumbent's area (at ΣH before there is one), so
+// a width is passed over only when every improving height is refuted;
+// the sweep stops when width × maxH alone reaches the best area found.
 func MinArea(in *model.Instance, T int, opt Options) (*OptRectResult, error) {
 	return MinAreaCtx(context.Background(), in, T, opt)
 }
@@ -87,11 +88,16 @@ func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 			}
 		}
 		// The doubling heights from the volume bound for this width,
-		// cut where the area can no longer beat the incumbent.
+		// ending at the largest height that still beats the incumbent,
+		// so the bisection below covers every improving height.
+		top := sumH
+		if bestArea >= 0 {
+			top = min(top, (bestArea-1)/w)
+		}
 		var ladder []int
-		for h := max(minH, bounds.CeilDiv(volume, bounds.SatMul(w, T))); bestArea < 0 || bounds.SatMul(w, h) < bestArea; h = min(2*h, sumH) {
+		for h := max(minH, bounds.CeilDiv(volume, bounds.SatMul(w, T))); h <= top; h = min(2*h, top) {
 			ladder = append(ladder, h)
-			if h >= sumH {
+			if h == top {
 				break
 			}
 		}

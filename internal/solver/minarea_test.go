@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -78,4 +80,105 @@ func TestMinAreaDE(t *testing.T) {
 	if r13.Area != 272 {
 		t.Fatalf("area = %d, want 272", r13.Area)
 	}
+}
+
+// minAreaBrute answers MinArea by brute force: every width from the
+// widest module to ΣW, each with its first feasible height by SolveOPP
+// (ΣH always fits a feasible schedule), and the smallest product. It
+// returns 0 when the critical path exceeds T.
+func minAreaBrute(t *testing.T, in *model.Instance, T int) int {
+	t.Helper()
+	order, err := in.Order()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if order.CriticalPath() > T {
+		return 0
+	}
+	sumW, sumH := 0, 0
+	for _, task := range in.Tasks {
+		sumW += task.W
+		sumH += task.H
+	}
+	best := -1
+	for w := in.MaxW(); w <= sumW; w++ {
+		for h := in.MaxH(); h <= sumH; h++ {
+			if best >= 0 && w*h >= best {
+				break
+			}
+			r, err := SolveOPP(in, model.Container{W: w, H: h, T: T}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Decision == Feasible {
+				best = w * h
+				break
+			}
+			if r.Decision != Infeasible {
+				t.Fatalf("W=%d H=%d T=%d undecided", w, h, T)
+			}
+		}
+	}
+	return best
+}
+
+// minAreaCase draws the seeded MinArea corpus instance: 4–6 small tasks
+// and a horizon at the critical path plus slack.
+func minAreaCase(seed int64, slack int) (*model.Instance, int) {
+	rng := rand.New(rand.NewSource(seed))
+	in := bench.Random(rng, 4+rng.Intn(3), 4, 3, 0.2)
+	order, err := in.Order()
+	if err != nil {
+		panic(err)
+	}
+	return in, order.CriticalPath() + slack
+}
+
+// checkMinArea compares MinArea with minAreaBrute on one question and
+// verifies the returned rectangle's witness.
+func checkMinArea(t *testing.T, label string, in *model.Instance, T int) {
+	t.Helper()
+	want := minAreaBrute(t, in, T)
+	r, err := MinArea(in, T, Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if want == 0 {
+		if r.Decision != Infeasible {
+			t.Fatalf("%s: decision %v below the critical path", label, r.Decision)
+		}
+		return
+	}
+	if r.Decision != Feasible || r.Area != want {
+		t.Fatalf("%s: MinArea %v %dx%d=%d, brute force %d", label, r.Decision, r.W, r.H, r.Area, want)
+	}
+	order, _ := in.Order()
+	if err := r.Placement.Verify(in, model.Container{W: r.W, H: r.H, T: T}, order); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// TestMinAreaMatchesBruteForce checks MinArea against brute force on
+// 400 seeded instances at T = critical path + seed%3. A width's
+// doubling ladder must reach every height that still improves the
+// incumbent: the optima of seed 71 at T=6 (25) and seed 135 at T=3
+// (16) lie between a width's last refuted rung and the first rung
+// whose area reaches the incumbent.
+func TestMinAreaMatchesBruteForce(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		in, T := minAreaCase(seed, int(seed%3))
+		checkMinArea(t, fmt.Sprintf("seed %d T=%d", seed, T), in, T)
+	}
+}
+
+// FuzzMinArea runs the brute-force comparison of
+// TestMinAreaMatchesBruteForce on fuzzed seeds and horizon slacks.
+func FuzzMinArea(f *testing.F) {
+	f.Add(int64(71), uint8(2))
+	f.Add(int64(135), uint8(0))
+	f.Add(int64(7), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, slack uint8) {
+		in, T := minAreaCase(seed, int(slack%4))
+		checkMinArea(t, fmt.Sprintf("seed %d T=%d", seed, T), in, T)
+	})
 }
