@@ -82,6 +82,14 @@ type Dim struct {
 	// Ordered marks the dimension as carrying precedence constraints;
 	// disjoint pairs on it are oriented and D1/D2 closure applies.
 	Ordered bool
+	// Hint, when non-nil, holds one position per box — a placement
+	// along this dimension that need not fit Cap, such as a heuristic
+	// schedule that missed the horizon. A branch on a pair of this
+	// dimension tries first the state the hinted intervals have:
+	// Overlap if they intersect, Disjoint otherwise. It orders the two
+	// children only, so an exhausted search is the same tree with the
+	// same Stats, and Options.TimeOverlapFirst does not apply here.
+	Hint []int
 }
 
 // SeedArc fixes, on an ordered dimension, box From entirely before box
@@ -130,6 +138,14 @@ func (p *Problem) Validate() error {
 			}
 			if s > d.Cap {
 				return fmt.Errorf("core: box %d (size %d) exceeds capacity %d of dim %d", b, s, d.Cap, i)
+			}
+		}
+		if d.Hint != nil && len(d.Hint) != p.N {
+			return fmt.Errorf("core: dim %d has %d hinted positions for %d boxes", i, len(d.Hint), p.N)
+		}
+		for b, x := range d.Hint {
+			if x < 0 {
+				return fmt.Errorf("core: box %d has hinted position %d in dim %d", b, x, i)
 			}
 		}
 	}
@@ -243,9 +259,9 @@ type Options struct {
 	// consistency is then only tested at the leaves (the "black box at
 	// the leaves" strawman of Section 4.2).
 	DisableOrientRules bool
-	// TimeOverlapFirst controls value ordering on ordered dimensions:
-	// when true (default behaviour is set by the solver), Overlap is
-	// tried before Disjoint on the time axis.
+	// TimeOverlapFirst controls value ordering on ordered dimensions
+	// without a Dim.Hint: when true (default behaviour is set by the
+	// solver), Overlap is tried before Disjoint on the time axis.
 	TimeOverlapFirst bool
 
 	// ReferenceRules selects the pre-optimization straight-line rule

@@ -105,12 +105,7 @@ func (e *engine) dfs(depth int) Status {
 		return StatusInfeasible
 	}
 
-	var values [2]EdgeState
-	if e.orient[d] != nil && e.opt.TimeOverlapFirst {
-		values = [2]EdgeState{Overlap, Disjoint}
-	} else {
-		values = [2]EdgeState{Disjoint, Overlap}
-	}
+	values := e.valueOrder(d, p)
 	// In a parallel search, offer the second branch to an idle worker
 	// before descending into the first; the donated clone explores it
 	// concurrently. Sequential solves (pool == nil) skip the check, so
@@ -144,6 +139,24 @@ func (e *engine) dfs(depth int) Status {
 		e.undoTo(m)
 	}
 	return StatusInfeasible
+}
+
+// valueOrder returns the two states of pair p on dimension d in the
+// order dfs tries them. A hinted dimension tries first the state its
+// hinted intervals have; otherwise ordered dimensions try Overlap first
+// under Options.TimeOverlapFirst, and every other branch tries Disjoint
+// first.
+func (e *engine) valueOrder(d, p int) [2]EdgeState {
+	dim := &e.p.Dims[d]
+	overlapFirst := e.orient[d] != nil && e.opt.TimeOverlapFirst
+	if h := dim.Hint; h != nil {
+		u, v := e.pairU[p], e.pairV[p]
+		overlapFirst = h[u] < h[v]+dim.Sizes[v] && h[v] < h[u]+dim.Sizes[u]
+	}
+	if overlapFirst {
+		return [2]EdgeState{Overlap, Disjoint}
+	}
+	return [2]EdgeState{Disjoint, Overlap}
 }
 
 // pickBranch selects the next undecided (dimension, pair) variable, or

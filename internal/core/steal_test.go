@@ -57,9 +57,11 @@ func descend(t *testing.T, e *engine, depth int) int {
 // exactly the subtree the original would have explored — same status,
 // same witness, and bit-identical full statistics (DeepEqual), because
 // the clone copies every piece of state that feeds rule decisions.
+// Every other trial carries a hint (withHint), which the clone shares.
 func TestCloneExploresIdenticalSubtree(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	frng := rand.New(rand.NewSource(20260809))
+	hrng := rand.New(rand.NewSource(20260810))
 	clonedAt := 0
 	// The last trials draw frontier-scale instances, whose clones carry
 	// live clique-force snapshots and hole memos.
@@ -72,6 +74,9 @@ func TestCloneExploresIdenticalSubtree(t *testing.T) {
 			p, opt.NodeLimit = frontierProblem(frng), frontierNodeLimit
 		}
 		opt.TimeOverlapFirst = rng.Intn(2) == 0
+		if trial%2 == 1 {
+			p = withHint(p, hrng)
+		}
 		e := newEngine(p, opt)
 		if !e.applyRoot() {
 			continue // root-infeasible: nothing to clone
@@ -116,15 +121,20 @@ func TestCloneExploresIdenticalSubtree(t *testing.T) {
 // the work-stealing pool: on random instances the parallel search must
 // reach the same feasibility verdict as the sequential one, with a
 // geometrically valid witness when feasible. Statistics are only
-// sanity-checked (sum-of-shards, not bit-identical).
+// sanity-checked (sum-of-shards, not bit-identical). Every other trial
+// carries a hint (withHint): donations offer the hinted second branch.
 func TestParallelMatchesSequentialAnswers(t *testing.T) {
 	forceDonation(t)
 	rng := rand.New(rand.NewSource(20260807))
+	hrng := rand.New(rand.NewSource(20260811))
 	var steals int64
 	feasible, infeasible := 0, 0
 	for trial := 0; trial < 100; trial++ {
 		p := randomProblem(rng)
 		opt := Options{NodeLimit: 200_000, TimeOverlapFirst: rng.Intn(2) == 0}
+		if trial%2 == 1 {
+			p = withHint(p, hrng)
+		}
 		seq := Solve(p, opt)
 		popt := opt
 		popt.Workers = 4

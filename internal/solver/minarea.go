@@ -22,9 +22,10 @@ import (
 // ascent over the doubling heights hLo, 2·hLo, … up to the first
 // feasible one, then a binary search between hLo and it that skips the
 // heights the ascent refuted. The ascent ends at the largest height
-// that still beats the incumbent's area (at ΣH before there is one), so
-// a width is passed over only when every improving height is refuted;
-// the sweep stops when width × maxH alone reaches the best area found.
+// that still improves on the incumbent (at ΣH before there is one): a
+// smaller area, or the same area on a squarer chip. So a width is
+// passed over only when every improving height is refuted; the sweep
+// stops when width × maxH alone exceeds the best area found.
 func MinArea(in *model.Instance, T int, opt Options) (*OptRectResult, error) {
 	return MinAreaCtx(context.Background(), in, T, opt)
 }
@@ -74,7 +75,7 @@ func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 	volume := in.Volume()
 
 	for w := minW; w <= maxW; w++ {
-		if bestArea >= 0 && bounds.SatMul(w, minH) >= bestArea {
+		if bestArea >= 0 && bounds.SatMul(w, minH) > bestArea {
 			break // no width this large can improve the area
 		}
 		probe := func(height func(int) int) probeFunc[struct{}] {
@@ -88,11 +89,16 @@ func MinAreaCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 			}
 		}
 		// The doubling heights from the volume bound for this width,
-		// ending at the largest height that still beats the incumbent,
-		// so the bisection below covers every improving height.
+		// ending at the largest height that still improves on the
+		// incumbent, so the bisection below covers every improving
+		// height.
 		top := sumH
 		if bestArea >= 0 {
-			top = min(top, (bestArea-1)/w)
+			h := (bestArea - 1) / w
+			if bestArea%w == 0 && diff(w, bestArea/w) < diff(bestW, bestH) {
+				h = bestArea / w // the same area on a squarer chip
+			}
+			top = min(top, h)
 		}
 		var ladder []int
 		for h := max(minH, bounds.CeilDiv(volume, bounds.SatMul(w, T))); h <= top; h = min(2*h, top) {

@@ -35,6 +35,24 @@ func TestMinAreaSimple(t *testing.T) {
 	}
 }
 
+// TestMinAreaPrefersSquare: four 2×2×1 tasks at T=1 fit 2×8, 4×4 and
+// 8×2 alike; the width sweep reaches 2×8 first and must still move on
+// to the square.
+func TestMinAreaPrefersSquare(t *testing.T) {
+	task := model.Task{W: 2, H: 2, Dur: 1}
+	in := &model.Instance{Tasks: []model.Task{task, task, task, task}}
+	r, err := MinArea(in, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Decision != Feasible || r.W != 4 || r.H != 4 {
+		t.Fatalf("MinArea %v %dx%d, want 4x4", r.Decision, r.W, r.H)
+	}
+	if err := r.Placement.Verify(in, model.Container{W: 4, H: 4, T: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMinAreaBelowCriticalPath(t *testing.T) {
 	in := &model.Instance{
 		Tasks: []model.Task{{W: 1, H: 1, Dur: 2}, {W: 1, H: 1, Dur: 2}},
@@ -84,26 +102,26 @@ func TestMinAreaDE(t *testing.T) {
 
 // minAreaBrute answers MinArea by brute force: every width from the
 // widest module to ΣW, each with its first feasible height by SolveOPP
-// (ΣH always fits a feasible schedule), and the smallest product. It
-// returns 0 when the critical path exceeds T.
-func minAreaBrute(t *testing.T, in *model.Instance, T int) int {
+// (ΣH always fits a feasible schedule), and the smallest product, ties
+// broken towards the squarer chip and then the narrower one. It returns
+// area 0 when the critical path exceeds T.
+func minAreaBrute(t *testing.T, in *model.Instance, T int) (area, W, H int) {
 	t.Helper()
 	order, err := in.Order()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if order.CriticalPath() > T {
-		return 0
+		return 0, 0, 0
 	}
 	sumW, sumH := 0, 0
 	for _, task := range in.Tasks {
 		sumW += task.W
 		sumH += task.H
 	}
-	best := -1
 	for w := in.MaxW(); w <= sumW; w++ {
 		for h := in.MaxH(); h <= sumH; h++ {
-			if best >= 0 && w*h >= best {
+			if area > 0 && w*h > area {
 				break
 			}
 			r, err := SolveOPP(in, model.Container{W: w, H: h, T: T}, Options{})
@@ -111,7 +129,9 @@ func minAreaBrute(t *testing.T, in *model.Instance, T int) int {
 				t.Fatal(err)
 			}
 			if r.Decision == Feasible {
-				best = w * h
+				if area == 0 || w*h < area || diff(w, h) < diff(W, H) {
+					area, W, H = w*h, w, h
+				}
 				break
 			}
 			if r.Decision != Infeasible {
@@ -119,7 +139,7 @@ func minAreaBrute(t *testing.T, in *model.Instance, T int) int {
 			}
 		}
 	}
-	return best
+	return area, W, H
 }
 
 // minAreaCase draws the seeded MinArea corpus instance: 4–6 small tasks
@@ -138,7 +158,7 @@ func minAreaCase(seed int64, slack int) (*model.Instance, int) {
 // verifies the returned rectangle's witness.
 func checkMinArea(t *testing.T, label string, in *model.Instance, T int) {
 	t.Helper()
-	want := minAreaBrute(t, in, T)
+	want, wantW, wantH := minAreaBrute(t, in, T)
 	r, err := MinArea(in, T, Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -149,8 +169,8 @@ func checkMinArea(t *testing.T, label string, in *model.Instance, T int) {
 		}
 		return
 	}
-	if r.Decision != Feasible || r.Area != want {
-		t.Fatalf("%s: MinArea %v %dx%d=%d, brute force %d", label, r.Decision, r.W, r.H, r.Area, want)
+	if r.Decision != Feasible || r.Area != want || r.W != wantW || r.H != wantH {
+		t.Fatalf("%s: MinArea %v %dx%d=%d, brute force %dx%d=%d", label, r.Decision, r.W, r.H, r.Area, wantW, wantH, want)
 	}
 	order, _ := in.Order()
 	if err := r.Placement.Verify(in, model.Container{W: r.W, H: r.H, T: T}, order); err != nil {
@@ -159,7 +179,8 @@ func checkMinArea(t *testing.T, label string, in *model.Instance, T int) {
 }
 
 // TestMinAreaMatchesBruteForce checks MinArea against brute force on
-// 400 seeded instances at T = critical path + seed%3. A width's
+// 400 seeded instances at T = critical path + seed%3, the rectangle's
+// shape included: among the minimal areas the squarest. A width's
 // doubling ladder must reach every height that still improves the
 // incumbent: the optima of seed 71 at T=6 (25) and seed 135 at T=3
 // (16) lie between a width's last refuted rung and the first rung

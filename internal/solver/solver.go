@@ -93,7 +93,9 @@ type Options struct {
 	DisableCliqueForce bool
 	DisableOrientRules bool
 	// TimeDisjointFirst flips the engine's value ordering on the time
-	// axis to try Disjoint before Overlap.
+	// axis to try Disjoint before Overlap. It applies to probes without
+	// a hint only: when stage 2's greedy schedule fit the chip, the
+	// search tries first the time relations that schedule has.
 	TimeDisjointFirst bool
 
 	// Strategy selects the preset of the stage pipeline every OPP

@@ -15,7 +15,10 @@ import (
 
 // legacyOPP reimplements the pre-strategy-layer OPP pipeline verbatim —
 // bounds, then greedy heuristic, then the exact engine — as the
-// reference for the differential tests below. Any behavioral drift in
+// reference for the differential tests below. When stage 2 runs and the
+// greedy minimum-makespan schedule fits the chip, its start times order
+// the engine's time-axis branches (core.Dim.Hint), as in the staged
+// pipeline. Any behavioral drift in
 // the default (staged) strategy shows up as a mismatch against this
 // replica: Decision, DecidedBy, witness placement and full engine
 // Stats must all coincide bit for bit.
@@ -33,6 +36,7 @@ func legacyOPP(ctx context.Context, in *model.Instance, c model.Container, order
 			return res
 		}
 	}
+	prob := buildProblem(in, c, order, nil)
 	if !opt.SkipHeuristic {
 		if pl, ok := heur.Place(in, c, order); ok {
 			res.Decision = Feasible
@@ -40,8 +44,11 @@ func legacyOPP(ctx context.Context, in *model.Instance, c model.Container, order
 			res.DecidedBy = "heuristic"
 			return res
 		}
+		if pl, _, ok := heur.MinMakespan(in, c.W, c.H, order); ok {
+			prob.Dims[2].Hint = pl.S
+		}
 	}
-	r := core.Solve(buildProblem(in, c, order, nil), opt.coreOptions(ctx))
+	r := core.Solve(prob, opt.coreOptions(ctx))
 	res.Stats = r.Stats
 	switch r.Status {
 	case core.StatusFeasible:

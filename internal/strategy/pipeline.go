@@ -91,7 +91,10 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 	// attached): the list scheduler's slot scan is horizon-truncated,
 	// so the probe at time budget T succeeds iff T ≥ mk, and then with
 	// exactly the memoized placement — sweeps over T on one chip share
-	// a single stage-2 computation without changing any answer.
+	// a single stage-2 computation without changing any answer. When it
+	// misses T, its start times still order the engine's time-axis
+	// branches (hint).
+	var hint []int
 	if !e.SkipHeuristic {
 		st := e.enter(ctx, obs.PhaseHeuristic)
 		var wit *model.Placement
@@ -102,6 +105,7 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 			}
 		} else if w, mk, ok := e.heurWitness(p); ok {
 			greedyFits = true
+			hint = w.S
 			if mk <= p.C.T {
 				wit = w.Clone()
 			}
@@ -148,7 +152,9 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 			return c.accept(w, "search", nil)
 		}
 	}
-	r := core.Solve(BuildProblem(p.In, p.C, p.Order, p.FixedStarts), co)
+	prob := BuildProblem(p.In, p.C, p.Order, p.FixedStarts)
+	prob.Dims[timeDim].Hint = hint
+	r := core.Solve(prob, co)
 	c.res.Stages.Search = st.end()
 	c.res.Stats = r.Stats
 	e.Metrics.Counter(obs.MetricSearchNodes).Add(r.Stats.Nodes)

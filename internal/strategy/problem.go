@@ -5,6 +5,9 @@ import (
 	"fpga3d/internal/model"
 )
 
+// timeDim is the engine dimension BuildProblem puts the time axis on.
+const timeDim = 2
+
 // BuildProblem translates an instance+container into the engine's
 // three-dimensional problem. fixedStarts, when non-nil, freezes the time
 // dimension according to the given schedule (the FixedS variants).
@@ -24,7 +27,6 @@ func BuildProblem(in *model.Instance, c model.Container, order *model.Order, fix
 			{Cap: c.T, Sizes: ds, Ordered: true},
 		},
 	}
-	const timeDim = 2
 	if fixedStarts != nil {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {

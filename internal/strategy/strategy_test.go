@@ -2,12 +2,15 @@ package strategy
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"fpga3d/internal/bench"
 	"fpga3d/internal/core"
+	"fpga3d/internal/heur"
 	"fpga3d/internal/model"
 	"fpga3d/internal/obs"
 )
@@ -418,5 +421,65 @@ func TestFixedScheduleStages(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSearchHintFromGreedy: when stage 2 ran and the greedy placer fit
+// the chip, the search is the engine's run on the problem whose time
+// axis carries the greedy schedule's start times as its hint; under
+// SkipHeuristic it is the unhinted run. The corpus is the preset
+// golden's, each probed one and two cycles below its greedy makespan
+// with the bounds off, so every probe reaches the search.
+func TestSearchHintFromGreedy(t *testing.T) {
+	changed := 0
+	for probe := 0; probe < 32; probe++ {
+		seed := int64(probe / 2)
+		rng := rand.New(rand.NewSource(seed))
+		in := bench.Random(rng, 9+int(seed%6), 4, 4, 0.15)
+		order, err := in.Order()
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedy, mk, ok := heur.MinMakespan(in, 6, 6, order)
+		c := model.Container{W: 6, H: 6, T: mk - 1 - probe%2}
+		if !ok || c.T < 1 || !c.Fits(in) {
+			continue
+		}
+		opts := core.Options{NodeLimit: 2_000, TimeOverlapFirst: true}
+		plain := core.Solve(BuildProblem(in, c, order, nil), opts)
+		hinted := BuildProblem(in, c, order, nil)
+		hinted.Dims[timeDim].Hint = greedy.S
+		guided := core.Solve(hinted, opts)
+		if !reflect.DeepEqual(plain.Stats, guided.Stats) {
+			changed++
+		}
+		for _, skipHeur := range []bool{false, true} {
+			env := &Env{
+				SearchOpts: func(ctx context.Context) core.Options {
+					o := opts
+					o.Ctx = ctx
+					return o
+				},
+				SkipBounds:    true,
+				SkipHeuristic: skipHeur,
+			}
+			r, err := mustParse(t, NameStaged, env).Solve(context.Background(), &Problem{In: in, C: c, Order: order})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := guided
+			if skipHeur {
+				want = plain
+			}
+			if !reflect.DeepEqual(r.Stats, want.Stats) {
+				t.Fatalf("seed %d T=%d skipHeuristic=%v: stats\n got  %+v\n want %+v", seed, c.T, skipHeur, r.Stats, want.Stats)
+			}
+			if want.Status == core.StatusFeasible && !reflect.DeepEqual(r.Placement, SolutionToPlacement(want.Solution)) {
+				t.Fatalf("seed %d T=%d skipHeuristic=%v: witness differs from the engine's", seed, c.T, skipHeur)
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the greedy hint changed no search on the corpus")
 	}
 }
