@@ -125,13 +125,13 @@ func (in *Instance) WriteJSON(w io.Writer) error { return model.WriteInstance(w,
 
 // VerifyPlacement checks a placement against the instance, the chip and
 // the precedence constraints. A nil error means the placement is
-// feasible.
+// feasible. Precedence is checked arc by arc (Placement.VerifyArcs),
+// which needs no transitive closure.
 func (in *Instance) VerifyPlacement(p *Placement, c Chip) error {
-	o, err := in.m.Order()
-	if err != nil {
+	if err := p.Verify(in.m, c, nil); err != nil {
 		return err
 	}
-	return p.Verify(in.m, c, o)
+	return p.VerifyArcs(in.m)
 }
 
 // Decision is the three-valued outcome of a decision problem.

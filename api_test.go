@@ -2,8 +2,12 @@ package fpga3d
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
+
+	"fpga3d/internal/bench"
+	"fpga3d/internal/model"
 )
 
 func buildQuickstart() *Instance {
@@ -223,5 +227,44 @@ func TestSimulateAPI(t *testing.T) {
 	}
 	if _, err := de.Simulate(nil, chip); err == nil {
 		t.Fatal("nil placement accepted")
+	}
+}
+
+// TestVerifyPlacementMatchesOrderVerify checks that VerifyPlacement's
+// arc-by-arc precedence check gives the verdict of Placement.Verify
+// over the order's transitive closure. Half the placements put tasks
+// side by side in x, so only start times decide; the rest are drawn
+// anywhere in the chip.
+func TestVerifyPlacementMatchesOrderVerify(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 2000; trial++ {
+		m := bench.Random(rng, 2+rng.Intn(7), 3, 3, 0.3)
+		order, err := m.Order()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Chip{W: 6, H: 6, T: order.CriticalPath() + rng.Intn(4)}
+		p := model.NewPlacement(m.N())
+		x := 0
+		for i, task := range m.Tasks {
+			if trial%2 == 0 {
+				p.X[i], x = x, x+task.W
+			} else {
+				p.X[i], p.Y[i] = rng.Intn(c.W-task.W+1), rng.Intn(c.H-task.H+1)
+			}
+			p.S[i] = rng.Intn(c.T - task.Dur + 1)
+		}
+		if trial%2 == 0 {
+			c.W = x
+		}
+		got := WrapInstance(m).VerifyPlacement(p, c) == nil
+		if want := p.Verify(m, c, order) == nil; got != want {
+			t.Fatalf("trial %d: VerifyPlacement ok=%v, Verify over the closure ok=%v\n%v\n%+v", trial, got, want, m, p)
+		}
+		verdicts[got]++
+	}
+	if verdicts[true] < 50 || verdicts[false] < 50 {
+		t.Fatalf("degenerate corpus: %v", verdicts)
 	}
 }

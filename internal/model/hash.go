@@ -1,12 +1,17 @@
 package model
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
+
+// hashPrefix names the canonical form the digest covers; it changes
+// whenever that form does, so digests of different forms never meet.
+const hashPrefix = "fpga3d-instance-v2"
 
 // CanonicalHash returns a hex-encoded SHA-256 digest of a canonical
 // encoding of the instance: the same module set with the same
@@ -16,139 +21,244 @@ import (
 // different digest. The instance Name is deliberately excluded — it
 // labels the problem but does not change it.
 //
-// The canonical form is built by Weisfeiler–Leman color refinement on
-// the precedence digraph: each task starts from a color derived from
-// its (name, w, h, dur) label and is iteratively re-colored with the
-// sorted color multisets of its predecessors and successors until the
-// partition stabilizes. The digest then covers the sorted multiset of
-// final task colors and the sorted multiset of arc color pairs, both
-// of which are independent of task numbering. Instances that are
-// WL-equivalent but not isomorphic can in principle collide; such
-// pairs are vanishingly rare in practice, and callers that cache
-// placements by hash can (and should) verify a cached placement
+// The canonical form is built by colour refinement on the precedence
+// digraph, with dense integer colours. Each task starts from the rank
+// of its (name, w, h, dur) label together with its depth and height in
+// the DAG (longest arc paths from a source and to a sink), so a chain
+// is fully refined before the first round. Each round then sorts the
+// (own colour, sorted predecessor colours, sorted successor colours)
+// signatures and relabels them to dense ids in that order, until the
+// number of classes stops growing. Because colours are ranks of
+// numbering-free signatures, they are themselves canonical: one
+// SHA-256 covers the length-prefixed list of (colour, label) pairs in
+// colour order, the sorted multiset of arc colour pairs, and any
+// out-of-range arcs verbatim. Invalid instances (cycles, out-of-range
+// arcs) hash without panicking and still hash differently from their
+// valid neighbours.
+//
+// Instances that colour refinement cannot tell apart but that are not
+// isomorphic collide. The smallest are on six tasks: two transitive
+// triangles and a six-cycle with the same local view. Callers that
+// cache placements by hash can (and should) verify a cached placement
 // against the requesting instance before serving it.
 func (in *Instance) CanonicalHash() string {
-	colors := in.canonicalColors()
-	h := sha256.New()
-	h.Write([]byte("fpga3d-instance-v1\n"))
-
-	// Task section: the multiset of (label, final color) pairs.
-	taskLines := make([]string, len(in.Tasks))
-	for i, t := range in.Tasks {
-		taskLines[i] = fmt.Sprintf("task|%s|%x\n", taskLabel(t), colors[i])
-	}
-	sort.Strings(taskLines)
-	h.Write([]byte("tasks\n"))
-	for _, l := range taskLines {
-		h.Write([]byte(l))
-	}
-
-	// Arc section: the multiset of (from-color, to-color) pairs.
-	arcLines := make([]string, len(in.Prec))
-	for i, a := range in.Prec {
-		arcLines[i] = fmt.Sprintf("arc|%x|%x\n", colors[a.From], colors[a.To])
-	}
-	sort.Strings(arcLines)
-	h.Write([]byte("prec\n"))
-	for _, l := range arcLines {
-		h.Write([]byte(l))
-	}
-
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// taskLabel is the order-free identity of a task: everything that
-// defines it except its position in the task list.
-func taskLabel(t Task) string {
-	return fmt.Sprintf("%q|%d|%d|%d", t.Name, t.W, t.H, t.Dur)
-}
-
-// canonicalColors runs WL color refinement on the precedence digraph.
-// Colors are full SHA-256 digests, so distinct refinement histories
-// cannot merge short of a SHA-256 collision. Refinement stops when the
-// number of color classes stops growing (at most n rounds).
-func (in *Instance) canonicalColors() [][32]byte {
 	n := len(in.Tasks)
-	colors := make([][32]byte, n)
-	for i, t := range in.Tasks {
-		colors[i] = sha256.Sum256([]byte("label|" + taskLabel(t)))
-	}
-	if n == 0 || len(in.Prec) == 0 {
-		return colors
+	c := newCanonForm(in)
+	c.refine(in.Tasks)
+
+	buf := make([]byte, 0, len(hashPrefix)+16+n*12+len(in.Prec)*4)
+	buf = append(buf, hashPrefix...)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for _, i := range c.order {
+		t := in.Tasks[i]
+		buf = binary.AppendUvarint(buf, uint64(c.colour[i]))
+		buf = binary.AppendUvarint(buf, uint64(len(t.Name)))
+		buf = append(buf, t.Name...)
+		buf = binary.AppendVarint(buf, int64(t.W))
+		buf = binary.AppendVarint(buf, int64(t.H))
+		buf = binary.AppendVarint(buf, int64(t.Dur))
 	}
 
-	preds := make([][]int, n)
-	succs := make([][]int, n)
-	for _, a := range in.Prec {
-		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
-			// Out-of-range arcs cannot be attributed to a task; fold
-			// them into every color so the hash still changes. Validate
-			// rejects such instances before they reach a solver.
-			bad := sha256.Sum256([]byte(fmt.Sprintf("badarc|%d|%d", a.From, a.To)))
-			for i := range colors {
-				colors[i] = combine(colors[i], bad[:])
-			}
-			continue
+	// Arc colour pairs, packed as from<<32 | to so they sort as ints;
+	// colours are below n, which fits in 31 bits.
+	k := 0
+	for u := 0; u < n; u++ {
+		for _, v := range c.succs[c.succOff[u]:c.succOff[u+1]] {
+			c.arcs[k] = c.colour[u]<<32 | c.colour[v]
+			k++
 		}
-		succs[a.From] = append(succs[a.From], a.To)
-		preds[a.To] = append(preds[a.To], a.From)
+	}
+	slices.Sort(c.arcs)
+	buf = binary.AppendUvarint(buf, uint64(len(c.arcs)))
+	for _, a := range c.arcs {
+		buf = binary.AppendUvarint(buf, uint64(a))
 	}
 
-	next := make([][32]byte, n)
-	classes := countClasses(colors)
-	for round := 0; round < n; round++ {
-		for i := range colors {
-			h := sha256.New()
-			h.Write(colors[i][:])
-			h.Write([]byte("|preds|"))
-			writeSortedColors(h, colors, preds[i])
-			h.Write([]byte("|succs|"))
-			writeSortedColors(h, colors, succs[i])
-			copy(next[i][:], h.Sum(nil))
-		}
-		colors, next = next, colors
-		if c := countClasses(colors); c == classes || c == n {
-			break
-		} else {
-			classes = c
-		}
-	}
-	return colors
-}
-
-// writeSortedColors hashes the color multiset of the given neighbor
-// set in a deterministic order.
-func writeSortedColors(h interface{ Write([]byte) (int, error) }, colors [][32]byte, nbrs []int) {
-	sorted := make([][32]byte, len(nbrs))
-	for i, j := range nbrs {
-		sorted[i] = colors[j]
-	}
-	sort.Slice(sorted, func(a, b int) bool {
-		return string(sorted[a][:]) < string(sorted[b][:])
+	slices.SortFunc(c.bad, func(a, b Arc) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
-	var count [8]byte
-	binary.BigEndian.PutUint64(count[:], uint64(len(sorted)))
-	h.Write(count[:])
-	for _, c := range sorted {
-		h.Write(c[:])
+	buf = binary.AppendUvarint(buf, uint64(len(c.bad)))
+	for _, a := range c.bad {
+		buf = binary.AppendVarint(buf, int64(a.From))
+		buf = binary.AppendVarint(buf, int64(a.To))
+	}
+
+	sum := sha256.Sum256(buf)
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
+}
+
+// canonForm is the precedence digraph in compressed adjacency form
+// plus the refinement's working slices, all carved from one
+// allocation. Task u's predecessors are preds[predOff[u]:predOff[u+1]]
+// and its successors succs[succOff[u]:succOff[u+1]]; arcs repeat as
+// often as they occur in Prec, and out-of-range arcs are kept aside in
+// bad.
+type canonForm struct {
+	predOff, preds []int
+	succOff, succs []int
+	bad            []Arc
+
+	// colour is each task's colour and order the tasks sorted by it;
+	// next is the next round's colours. depth, height, pending and
+	// queue serve the seeds. predCol and succCol hold each task's
+	// sorted neighbour colours, laid out like preds and succs. arcs
+	// holds the packed arc colour pairs.
+	colour, order, next           []int
+	depth, height, pending, queue []int
+	predCol, succCol, arcs        []int
+}
+
+// newCanonForm builds the compressed form of in's precedence arcs
+// and carves the refinement's working slices.
+func newCanonForm(in *Instance) canonForm {
+	n := len(in.Tasks)
+	var c canonForm
+	inRange := func(a Arc) bool { return a.From >= 0 && a.From < n && a.To >= 0 && a.To < n }
+	m := 0
+	for _, a := range in.Prec {
+		if inRange(a) {
+			m++
+		} else {
+			c.bad = append(c.bad, a)
+		}
+	}
+	mem := make([]int, 9*n+2+5*m)
+	carve := func(k int) []int {
+		s := mem[:k:k]
+		mem = mem[k:]
+		return s
+	}
+	c.predOff, c.succOff = carve(n+1), carve(n+1)
+	c.preds, c.succs = carve(m), carve(m)
+	c.colour, c.order, c.next = carve(n), carve(n), carve(n)
+	c.depth, c.height, c.pending, c.queue = carve(n), carve(n), carve(n), carve(n)
+	c.predCol, c.succCol, c.arcs = carve(m), carve(m), carve(m)
+
+	for _, a := range in.Prec {
+		if inRange(a) {
+			c.succOff[a.From+1]++
+			c.predOff[a.To+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		c.succOff[u+1] += c.succOff[u]
+		c.predOff[u+1] += c.predOff[u]
+	}
+	// Fill each list through its start offset, which leaves off[u] at
+	// the start of u+1; shifting back restores the offsets.
+	for _, a := range in.Prec {
+		if inRange(a) {
+			c.succs[c.succOff[a.From]] = a.To
+			c.succOff[a.From]++
+			c.preds[c.predOff[a.To]] = a.From
+			c.predOff[a.To]++
+		}
+	}
+	copy(c.succOff[1:], c.succOff[:n])
+	copy(c.predOff[1:], c.predOff[:n])
+	c.succOff[0], c.predOff[0] = 0, 0
+	return c
+}
+
+// refine sets the stable colour of every task and sorts order by it.
+func (c *canonForm) refine(tasks []Task) {
+	n := len(tasks)
+	longestPaths(c.depth, c.predOff, c.succOff, c.succs, c.pending, c.queue)
+	longestPaths(c.height, c.succOff, c.predOff, c.preds, c.pending, c.queue)
+	for i := range c.order {
+		c.order[i] = i
+	}
+	depth, height := c.depth, c.height
+	classes := relabel(c.order, c.colour, func(a, b int) int {
+		ta, tb := tasks[a], tasks[b]
+		return cmp.Or(
+			strings.Compare(ta.Name, tb.Name),
+			cmp.Compare(ta.W, tb.W), cmp.Compare(ta.H, tb.H), cmp.Compare(ta.Dur, tb.Dur),
+			cmp.Compare(depth[a], depth[b]), cmp.Compare(height[a], height[b]))
+	})
+	if len(c.succs) == 0 {
+		return
+	}
+
+	predOff, succOff, predCol, succCol := c.predOff, c.succOff, c.predCol, c.succCol
+	for classes < n {
+		colour := c.colour
+		fillSorted(predCol, predOff, c.preds, colour)
+		fillSorted(succCol, succOff, c.succs, colour)
+		k := relabel(c.order, c.next, func(a, b int) int {
+			return cmp.Or(
+				cmp.Compare(colour[a], colour[b]),
+				slices.Compare(predCol[predOff[a]:predOff[a+1]], predCol[predOff[b]:predOff[b+1]]),
+				slices.Compare(succCol[succOff[a]:succOff[a+1]], succCol[succOff[b]:succOff[b+1]]))
+		})
+		// The own colour leads the signature, so a round only splits
+		// classes; an unchanged count means an unchanged partition, and
+		// then the new ids equal the old ones.
+		if k == classes {
+			break
+		}
+		classes = k
+		c.colour, c.next = c.next, c.colour
 	}
 }
 
-// combine folds extra bytes into a color.
-func combine(c [32]byte, extra []byte) [32]byte {
-	h := sha256.New()
-	h.Write(c[:])
-	h.Write(extra)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+// relabel sorts order by the signature comparison sig and writes each
+// task's dense signature rank into colour. It returns the number of
+// distinct signatures.
+func relabel(order, colour []int, sig func(a, b int) int) int {
+	slices.SortFunc(order, sig)
+	c := 0
+	for k, v := range order {
+		if k > 0 && sig(order[k-1], v) != 0 {
+			c++
+		}
+		colour[v] = c
+	}
+	return c + 1
 }
 
-// countClasses returns the number of distinct colors.
-func countClasses(colors [][32]byte) int {
-	seen := make(map[[32]byte]struct{}, len(colors))
-	for _, c := range colors {
-		seen[c] = struct{}{}
+// fillSorted writes the colours of each task's neighbours (nbr, laid
+// out by off) into out, sorted per task.
+func fillSorted(out, off, nbr, colour []int) {
+	for k, v := range nbr {
+		out[k] = colour[v]
 	}
-	return len(seen)
+	for u := 0; u+1 < len(off); u++ {
+		if off[u+1]-off[u] > 1 {
+			slices.Sort(out[off[u]:off[u+1]])
+		}
+	}
+}
+
+// longestPaths sets level[v] to the number of arcs on the longest path
+// reaching v, walking arcs whose heads' in-degrees inOff gives and
+// whose tails' out-lists outOff/out give; pending and queue are
+// scratch of the same length. Tasks on a cycle or behind one get -1,
+// so an invalid instance still hashes.
+func longestPaths(level, inOff, outOff, out, pending, queue []int) {
+	queue = queue[:0]
+	for v := range level {
+		level[v] = 0
+		if pending[v] = inOff[v+1] - inOff[v]; pending[v] == 0 {
+			queue = append(queue, v)
+		}
+	}
+	for k := 0; k < len(queue); k++ {
+		u := queue[k]
+		for _, v := range out[outOff[u]:outOff[u+1]] {
+			level[v] = max(level[v], level[u]+1)
+			if pending[v]--; pending[v] == 0 {
+				queue = append(queue, v)
+			}
+		}
+	}
+	if len(queue) < len(level) {
+		for v := range level {
+			if pending[v] > 0 {
+				level[v] = -1
+			}
+		}
+	}
 }

@@ -2,8 +2,11 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // hashDemoInstance builds a small instance with asymmetric structure:
@@ -138,13 +141,238 @@ func TestCanonicalHashEmptyAndNoPrec(t *testing.T) {
 	}
 }
 
+// randomLabelledDAG draws a DAG on n tasks whose arcs follow a random
+// topological order, each with probability p, and names each task "a"
+// or "b". Footprints are all 1×1×1, so only names and arcs tell tasks
+// apart.
+func randomLabelledDAG(rng *rand.Rand, n int, p float64) *Instance {
+	in := &Instance{}
+	for i := 0; i < n; i++ {
+		in.Tasks = append(in.Tasks, Task{Name: string(rune('a' + rng.Intn(2))), W: 1, H: 1, Dur: 1})
+	}
+	topo := rng.Perm(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < p {
+				in.Prec = append(in.Prec, Arc{From: topo[i], To: topo[j]})
+			}
+		}
+	}
+	return in
+}
+
+// mutated returns a copy of in with at most one random edit: a renamed
+// task, a dropped arc, or an arc between two incomparable tasks.
+func mutated(rng *rand.Rand, in *Instance) *Instance {
+	m := in.Clone()
+	switch k := rng.Intn(3); {
+	case k == 0 || (k == 1 && len(m.Prec) == 0):
+		t := &m.Tasks[rng.Intn(m.N())]
+		if t.Name == "a" {
+			t.Name = "b"
+		} else {
+			t.Name = "a"
+		}
+	case k == 1:
+		i := rng.Intn(len(m.Prec))
+		m.Prec = append(m.Prec[:i], m.Prec[i+1:]...)
+	default:
+		o, err := m.Order()
+		if err != nil {
+			panic(err)
+		}
+		u, v := rng.Intn(m.N()), rng.Intn(m.N())
+		if u != v && !o.Precedes(u, v) && !o.Precedes(v, u) {
+			m.Prec = append(m.Prec, Arc{From: u, To: v})
+		}
+	}
+	return m
+}
+
+// isomorphic reports, by trying all n! relabellings, whether some task
+// bijection maps a's labels and arc set onto b's.
+func isomorphic(a, b *Instance) bool {
+	n := a.N()
+	if n != b.N() {
+		return false
+	}
+	arcsA, arcsB := map[Arc]bool{}, map[Arc]bool{}
+	for _, e := range a.Prec {
+		arcsA[e] = true
+	}
+	for _, e := range b.Prec {
+		arcsB[e] = true
+	}
+	if len(arcsA) != len(arcsB) {
+		return false
+	}
+	perm, used := make([]int, n), make([]bool, n)
+	var try func(k int) bool
+	try = func(k int) bool {
+		if k == n {
+			for e := range arcsA {
+				if !arcsB[Arc{From: perm[e.From], To: perm[e.To]}] {
+					return false
+				}
+			}
+			return true
+		}
+		for v := 0; v < n; v++ {
+			if !used[v] && a.Tasks[k] == b.Tasks[v] {
+				used[v], perm[k] = true, v
+				if try(k + 1) {
+					return true
+				}
+				used[v] = false
+			}
+		}
+		return false
+	}
+	return try(0)
+}
+
+// TestCanonicalHashMatchesIsomorphism checks the hash against a brute
+// force isomorphism test on small labelled DAGs: each draw is compared
+// with a renumbered copy of itself, a renumbered one-edit mutant (both
+// isomorphic and not, by symmetry) and an independent draw of the same
+// size. Equal digests must hold exactly for the isomorphic pairs.
+func TestCanonicalHashMatchesIsomorphism(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	same, differ := 0, 0
+	for trial := 0; trial < 1500; trial++ {
+		n := 1 + rng.Intn(6)
+		a := randomLabelledDAG(rng, n, 0.2+0.5*rng.Float64())
+		others := []*Instance{
+			permuted(a, rng.Perm(n)),
+			permuted(mutated(rng, a), rng.Perm(n)),
+			randomLabelledDAG(rng, n, 0.2+0.5*rng.Float64()),
+		}
+		for k, b := range others {
+			iso := isomorphic(a, b)
+			if eq := a.CanonicalHash() == b.CanonicalHash(); eq != iso {
+				t.Fatalf("trial %d, pair %d: equal digests %v, isomorphic %v\na: %v %v\nb: %v %v",
+					trial, k, eq, iso, a.Tasks, a.Prec, b.Tasks, b.Prec)
+			}
+			if iso {
+				same++
+			} else {
+				differ++
+			}
+		}
+	}
+	if same == 0 || differ == 0 {
+		t.Fatalf("degenerate corpus: %d isomorphic and %d non-isomorphic pairs", same, differ)
+	}
+}
+
+// hashTimeBound bounds one hash of a 2 000-task instance below. The
+// hashes take about a millisecond on a 2-vCPU host; refinement that
+// needs a round per chain position took 2 s on the chain.
+const hashTimeBound = 100 * time.Millisecond
+
+// TestCanonicalHashLargeInstancesAreFast hashes a 2 000-task chain of
+// unnamed tasks and a 2 000-task layered DAG of identical tasks (40
+// layers of 50, each task preceding three of the next layer) within
+// hashTimeBound.
+func TestCanonicalHashLargeInstancesAreFast(t *testing.T) {
+	const n = 2000
+	chain := &Instance{Tasks: make([]Task, n)}
+	for i := range chain.Tasks {
+		chain.Tasks[i] = Task{W: 1, H: 1, Dur: 1}
+		if i > 0 {
+			chain.Prec = append(chain.Prec, Arc{From: i - 1, To: i})
+		}
+	}
+	const width = 50
+	layered := &Instance{Tasks: make([]Task, n)}
+	for i := range layered.Tasks {
+		layered.Tasks[i] = Task{Name: "m", W: 2, H: 2, Dur: 3}
+		if i+width < n {
+			for k := 0; k < 3; k++ {
+				j := (i/width+1)*width + (i+k*7)%width
+				layered.Prec = append(layered.Prec, Arc{From: i, To: j})
+			}
+		}
+	}
+	for name, in := range map[string]*Instance{"chain": chain, "layered": layered} {
+		if err := in.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		start := time.Now()
+		h := in.CanonicalHash()
+		if took := time.Since(start); took > hashTimeBound {
+			t.Errorf("%s: hashing %d tasks took %v, bound %v", name, n, took, hashTimeBound)
+		}
+		if p := permuted(in, rand.New(rand.NewSource(1)).Perm(n)); p.CanonicalHash() != h {
+			t.Errorf("%s: renumbering changed the hash", name)
+		}
+	}
+}
+
+// TestCanonicalHashInvalidInstances hashes instances Validate rejects:
+// they must not panic, and each must hash apart from its valid
+// neighbour and from the others.
+func TestCanonicalHashInvalidInstances(t *testing.T) {
+	base := hashDemoInstance()
+	seen := map[string]string{base.CanonicalHash(): "valid"}
+	bad := map[string]func(*Instance){
+		"cycle":        func(in *Instance) { in.Prec = append(in.Prec, Arc{From: 4, To: 0}) },
+		"self arc":     func(in *Instance) { in.Prec = append(in.Prec, Arc{From: 2, To: 2}) },
+		"arc past end": func(in *Instance) { in.Prec = append(in.Prec, Arc{From: 1, To: 5}) },
+		"negative arc": func(in *Instance) { in.Prec = append(in.Prec, Arc{From: -1, To: 3}) },
+		"zero width":   func(in *Instance) { in.Tasks[0].W = 0 },
+		"negative dur": func(in *Instance) { in.Tasks[3].Dur = -2 },
+	}
+	for name, mutate := range bad {
+		in := base.Clone()
+		mutate(in)
+		if in.Validate() == nil {
+			t.Fatalf("%s: instance is valid", name)
+		}
+		h := in.CanonicalHash()
+		if prev, ok := seen[h]; ok {
+			t.Errorf("%s hashes like %s", name, prev)
+		}
+		seen[h] = name
+	}
+}
+
+// hashSink keeps benchmarked hashes live.
+var hashSink string
+
+// BenchmarkCanonicalHash times the hash on the five-task demo
+// instance and on a 2 000-task chain of unnamed tasks.
+func BenchmarkCanonicalHash(b *testing.B) {
+	chain := &Instance{Tasks: make([]Task, 2000)}
+	for i := range chain.Tasks {
+		chain.Tasks[i] = Task{W: 1, H: 1, Dur: 1}
+		if i > 0 {
+			chain.Prec = append(chain.Prec, Arc{From: i - 1, To: i})
+		}
+	}
+	for _, in := range []*Instance{hashDemoInstance(), chain} {
+		b.Run(fmt.Sprintf("n=%d", in.N()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashSink = in.CanonicalHash()
+			}
+		})
+	}
+}
+
 // FuzzInstanceCanonical pushes raw bytes through the instance front
-// door — ReadInstance, Order, CanonicalHash — where nothing may panic.
-// For every input that decodes to a valid instance, the hash must not
-// change under a task permutation (arcs remapped, arc order shuffled)
-// or a WriteInstance/ReadInstance round trip.
+// door — ReadInstance, Order, CanonicalHash — where nothing may panic,
+// and hashes whatever decodes without validation too (cycles,
+// out-of-range arcs). For every input that decodes to a valid
+// instance, the hash must not change under a task permutation (arcs
+// remapped, arc order shuffled) or a WriteInstance/ReadInstance round
+// trip.
 func FuzzInstanceCanonical(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var raw Instance
+		if json.Unmarshal(data, &raw) == nil {
+			raw.CanonicalHash()
+		}
 		in, err := ReadInstance(bytes.NewReader(data))
 		if err != nil {
 			return

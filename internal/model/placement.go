@@ -101,6 +101,34 @@ func (p *Placement) Verify(in *Instance, c Container, order *Order) error {
 	return nil
 }
 
+// VerifyArcs checks each precedence arc of the instance directly:
+// finish(from) ≤ start(to). When every duration is positive this is
+// the verdict of Verify's check over the order's transitive closure
+// (satisfied arcs chain into satisfied paths), and no placement
+// satisfies a cycle, so it needs no Order. Out-of-range arcs and
+// non-positive durations are errors.
+func (p *Placement) VerifyArcs(in *Instance) error {
+	n := in.N()
+	if len(p.S) != n {
+		return fmt.Errorf("model: %d start times for %d tasks", len(p.S), n)
+	}
+	for i, t := range in.Tasks {
+		if t.Dur < 1 {
+			return fmt.Errorf("model: task %d has non-positive duration %d", i, t.Dur)
+		}
+	}
+	for _, a := range in.Prec {
+		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
+			return fmt.Errorf("model: precedence arc %d→%d out of range", a.From, a.To)
+		}
+		if f := p.S[a.From] + in.Tasks[a.From].Dur; f > p.S[a.To] {
+			return fmt.Errorf("model: precedence %d≺%d violated: finish(%d)=%d > start(%d)=%d",
+				a.From, a.To, a.From, f, a.To, p.S[a.To])
+		}
+	}
+	return nil
+}
+
 // VerifySchedule checks a bare schedule (start times) against the order
 // and horizon only — no spatial information.
 func VerifySchedule(in *Instance, starts []int, T int, order *Order) error {

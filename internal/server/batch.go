@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"fpga3d"
 	"fpga3d/internal/obs"
 )
 
@@ -30,11 +30,13 @@ type batchEntry struct {
 // -max-batch entries answered in one round trip. TimeoutMS and
 // Strategy are per-entry defaults for entries that do not set their
 // own; each entry still runs under its own deadline and admission
-// slot, so one slow instance cannot time out its siblings.
+// slot, so one slow instance cannot time out its siblings. Entries
+// stay raw until prepareEntry decodes each one, so an entry that fails
+// to decode fails alone.
 type batchRequest struct {
-	Requests  []batchEntry `json:"requests"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-	Strategy  string       `json:"strategy,omitempty"`
+	Requests  []json.RawMessage `json:"requests"`
+	TimeoutMS int64             `json:"timeout_ms,omitempty"`
+	Strategy  string            `json:"strategy,omitempty"`
 }
 
 // batchError reports one failed batch entry: its position in the
@@ -77,10 +79,7 @@ type batchResponse struct {
 // batchItem is the per-entry working state of one batch request.
 type batchItem struct {
 	index  int
-	mode   *solveMode
-	req    *solveRequest
-	in     *fpga3d.Instance
-	strat  string
+	task   *solveTask // nil when the entry failed to decode or prepare
 	hash   string
 	key    string
 	leader *batchItem // non-nil on deduped followers
@@ -116,9 +115,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter(obs.MetricRequests + ".solve_batch").Inc()
 
 	var req batchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(io.LimitReader(r.Body, maxRequestBytes), &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
@@ -150,28 +147,16 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]*batchItem, 0, len(req.Requests))
 	byKey := make(map[string]*batchItem)  // cache key → leader
 	byHash := make(map[string]*batchItem) // canonical hash → first holder
-	for i := range req.Requests {
-		e := &req.Requests[i]
-		if e.TimeoutMS == 0 {
-			e.TimeoutMS = req.TimeoutMS
-		}
-		if e.Strategy == "" {
-			e.Strategy = req.Strategy
-		}
+	for i, raw := range req.Requests {
 		it := &batchItem{index: i}
-		m, err := modeByName(e.Mode)
-		if err == nil {
-			it.mode = m
-			it.in, it.strat, err = s.prepareSolve(&e.solveRequest, m)
-		}
+		task, err := s.prepareEntry(raw, &req)
 		if err != nil {
 			it.errMsg = err.Error()
 			items = append(items, it)
 			continue
 		}
-		it.req = &e.solveRequest
-		it.hash = it.in.CanonicalHash()
-		it.key = it.mode.key(it.req, it.hash, it.strat)
+		it.task, it.hash = task, task.hash
+		it.key = task.mode.key(task.req, task.hash, task.strat)
 		resp.Order[i] = it.hash
 		if leader, ok := byKey[it.key]; ok {
 			it.leader = leader
@@ -201,14 +186,12 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		go func(it *batchItem) {
 			defer wg.Done()
 			entryTimeout := timeout
-			if it.req.TimeoutMS > 0 {
-				entryTimeout = time.Duration(it.req.TimeoutMS) * time.Millisecond
+			if it.task.req.TimeoutMS > 0 {
+				entryTimeout = time.Duration(it.task.req.TimeoutMS) * time.Millisecond
 			}
 			ctx, cancel := context.WithTimeout(r.Context(), entryTimeout)
 			defer cancel()
-			res, err := s.solveRecovered(ctx, &solveTask{
-				mode: it.mode, req: it.req, in: it.in, strat: it.strat,
-			}, fmt.Sprintf("batch entry %d", it.index))
+			res, err := s.solveRecovered(ctx, it.task, fmt.Sprintf("batch entry %d", it.index))
 			switch {
 			case err == nil:
 				it.resp = res
@@ -245,4 +228,25 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Failed = len(resp.Errors)
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// prepareEntry decodes one raw batch entry, fills in the batch-level
+// defaults it does not set, and prepares it. Its errors fail only this
+// entry.
+func (s *Server) prepareEntry(raw json.RawMessage, b *batchRequest) (*solveTask, error) {
+	var e batchEntry
+	if err := decodeStrict(bytes.NewReader(raw), &e); err != nil {
+		return nil, fmt.Errorf("decoding entry: %w", err)
+	}
+	if e.TimeoutMS == 0 {
+		e.TimeoutMS = b.TimeoutMS
+	}
+	if e.Strategy == "" {
+		e.Strategy = b.Strategy
+	}
+	m, err := modeByName(e.Mode)
+	if err != nil {
+		return nil, err
+	}
+	return s.prepareSolve(&e.solveRequest, m)
 }

@@ -97,6 +97,34 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// TestBatchIsolatesUndecodableInstance pins per-entry isolation at the
+// decoder: an entry whose instance carries an unknown field, or that
+// carries one itself, fails alone, and the rest of the batch is still
+// answered.
+func TestBatchIsolatesUndecodableInstance(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 8})
+	good := batchEntryJSON(t, easyInstance(), `{"w":4,"h":4,"t":6}`, "")
+	bad := `{"instance": {"tasks": [{"name":"a","w":1,"h":1,"dur":1}], "bogus": 1}, "chip": {"w":4,"h":4,"t":6}}`
+	badEntry := batchEntryJSON(t, shiftedInstance(), `{"w":4,"h":4,"t":7}`, `"nope": 1`)
+	body := fmt.Sprintf(`{"requests": [%s, %s, %s]}`, bad, good, badEntry)
+
+	code, out := postBatch(t, ts.Client(), ts.URL+"/v1/solve-batch", body)
+	if code != http.StatusOK {
+		t.Fatalf("undecodable entries must not fail the batch: code=%d", code)
+	}
+	if out.Succeeded != 1 || out.Failed != 2 || len(out.Errors) != 2 {
+		t.Fatalf("partial outcome wrong: %+v", out)
+	}
+	for k, want := range map[int]string{0: "bogus", 1: "nope"} {
+		if e := out.Errors[k]; e.Index != 2*k || !strings.Contains(e.Error, want) {
+			t.Fatalf("error %d should name entry %d and field %q: %+v", k, 2*k, want, e)
+		}
+	}
+	if out.Order[0] != "" || out.Order[1] == "" || out.Order[2] != "" {
+		t.Fatalf("order keys wrong: %v", out.Order)
+	}
+}
+
 func TestBatchRejectsSameInstanceDifferentQuestion(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 8})
 	in := easyInstance()

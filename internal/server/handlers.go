@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -165,35 +164,59 @@ func (resp *solveResponse) fillMakespan(in *fpga3d.Instance) {
 	resp.Makespan = &m
 }
 
-// prepareSolve turns a decoded solveRequest into an executable task:
-// it parses and validates the instance payload, checks the mode's own
-// parameters, and resolves the effective strategy (request field, else
-// the daemon default). Any error is a client error (400).
-func (s *Server) prepareSolve(req *solveRequest, m *solveMode) (*fpga3d.Instance, string, error) {
-	if len(req.Instance) == 0 {
-		return nil, "", errors.New(`request needs an "instance"`)
+// decodeStrict decodes one JSON value from r into v, rejecting fields
+// v does not have.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// decodeSolve decodes and prepares the body of a synchronous solve
+// request. Any error is a client error (400).
+func (s *Server) decodeSolve(r io.Reader, m *solveMode) (*solveTask, error) {
+	var req solveRequest
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
 	}
-	in, err := fpga3d.ReadInstance(bytes.NewReader(req.Instance))
-	if err != nil {
-		return nil, "", err
+	return s.prepareSolve(&req, m)
+}
+
+// prepareSolve turns a decoded solveRequest into an executable task:
+// it validates the decoded instance, checks the mode's own parameters,
+// resolves the effective strategy (request field, else the daemon
+// default) and hashes the instance for the cache key. Any error is a
+// client error (400).
+func (s *Server) prepareSolve(req *solveRequest, m *solveMode) (*solveTask, error) {
+	if req.Instance == nil {
+		return nil, errors.New(`request needs an "instance"`)
+	}
+	if err := req.Instance.Validate(); err != nil {
+		return nil, err
 	}
 	if err := m.validate(req); err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if req.Anytime && m != modeMinTime {
-		return nil, "", fmt.Errorf(`"anytime" applies to minimize-time only, not %s`, m.name)
+		return nil, fmt.Errorf(`"anytime" applies to minimize-time only, not %s`, m.name)
 	}
 	strat := req.Strategy
 	if strat == "" {
 		strat = s.cfg.Strategy
 	}
 	if !strategy.Valid(strat) {
-		return nil, "", fmt.Errorf("unknown strategy %q (valid: %s)", strat, strings.Join(strategy.Names(), ", "))
+		return nil, fmt.Errorf("unknown strategy %q (valid: %s)", strat, strings.Join(strategy.Names(), ", "))
 	}
 	if strat == "" {
 		strat = strategy.NameStaged
 	}
-	return in, strat, nil
+	return &solveTask{
+		mode:  m,
+		req:   req,
+		in:    fpga3d.WrapInstance(req.Instance),
+		strat: strat,
+		hash:  req.Instance.CanonicalHash(),
+	}, nil
 }
 
 // solveTask is one prepared solve headed into runSolve — the shared
@@ -204,6 +227,7 @@ type solveTask struct {
 	req   *solveRequest
 	in    *fpga3d.Instance
 	strat string
+	hash  string // in's CanonicalHash, the instance part of the cache key
 	// progress, when non-nil, receives the solve's progress snapshots
 	// (wired to a broker stream by the caller, who owns closing it).
 	progress obs.ProgressFunc
@@ -237,7 +261,7 @@ type solveTask struct {
 //	other                    solver/input failure (a 422 for sync callers)
 func (s *Server) runSolve(ctx context.Context, t *solveTask) (*solveResponse, error) {
 	s.reg.Counter(obs.MetricStrategyRequests + "." + t.strat).Inc()
-	key := t.mode.key(t.req, t.in.CanonicalHash(), t.strat)
+	key := t.mode.key(t.req, t.hash, t.strat)
 	if !t.req.NoCache {
 		lookup := time.Now()
 		cached, ok := s.cache.Get(key)
@@ -337,14 +361,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, m *solveMode
 	}
 	s.reg.Counter(obs.MetricRequests + "." + m.name).Inc()
 
-	var req solveRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	in, strat, err := s.prepareSolve(&req, m)
+	task, err := s.decodeSolve(io.LimitReader(r.Body, maxRequestBytes), m)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -352,12 +369,12 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, m *solveMode
 	reqID := obs.RequestIDFromContext(r.Context())
 	info := infoFromContext(r.Context())
 	if info != nil {
-		info.strategy = strat
+		info.strategy = task.strat
 	}
 
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if task.req.TimeoutMS > 0 {
+		timeout = time.Duration(task.req.TimeoutMS) * time.Millisecond
 	}
 
 	// The live-progress stream opens before cache and admission so a
@@ -373,10 +390,8 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, m *solveMode
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	resp, err := s.runSolve(ctx, &solveTask{
-		mode: m, req: &req, in: in, strat: strat,
-		progress: progress, info: info,
-	})
+	task.progress, task.info = progress, info
+	resp, err := s.runSolve(ctx, task)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", retryAfter(timeout))

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -159,28 +158,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "draining; not accepting new jobs")
 		return
 	}
-	var req jobRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	m, err := modeByName(req.Mode)
+	task, requested, err := s.decodeJob(io.LimitReader(r.Body, maxRequestBytes))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	in, strat, err := s.prepareSolve(&req.solveRequest, m)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	client := clientIdentity(r, req.Client)
+	client := clientIdentity(r, requested)
 
 	id := obs.NewRequestID()
 	jctx, cancel := context.WithCancel(context.Background())
-	meta := jobMeta{mode: m.name, hash: in.CanonicalHash(), strat: strat}
+	meta := jobMeta{mode: task.mode.name, hash: task.hash, strat: task.strat}
 	job, err := s.jobs.Create(id, client, meta, cancel)
 	if err != nil {
 		cancel()
@@ -199,15 +186,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// nil publish hook, no stream).
 	publish, closeStream := s.broker.Open(id)
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if task.req.TimeoutMS > 0 {
+		timeout = time.Duration(task.req.TimeoutMS) * time.Millisecond
 	}
-	task := &solveTask{
-		mode: m, req: &req.solveRequest, in: in, strat: strat,
-		progress:  publish,
-		onRunning: func() { s.jobs.Start(id) },
-	}
-	if req.Anytime {
+	task.progress = publish
+	task.onRunning = func() { s.jobs.Start(id) }
+	if task.req.Anytime {
 		task.onImprove = func(u fpga3d.AnytimeUpdate) {
 			s.jobs.SetProgress(id, anytimeProgress{best: u.Best, lower: u.LowerBound, gap: u.Gap})
 		}
@@ -217,6 +201,22 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	s.writeJSON(w, http.StatusAccepted, s.wireJob(job))
+}
+
+// decodeJob decodes and prepares one job submission body; it also
+// returns the client identity the body names, if any. Any error is a
+// client error (400).
+func (s *Server) decodeJob(r io.Reader) (*solveTask, string, error) {
+	var req jobRequest
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, "", fmt.Errorf("decoding request: %w", err)
+	}
+	m, err := modeByName(req.Mode)
+	if err != nil {
+		return nil, "", err
+	}
+	task, err := s.prepareSolve(&req.solveRequest, m)
+	return task, req.Client, err
 }
 
 // jobRejectMessage phrases the two 429 submission rejections.

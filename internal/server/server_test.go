@@ -391,3 +391,36 @@ func TestPprofEndpointGated(t *testing.T) {
 		t.Fatalf("pprof index with EnablePprof: %d, want 200", resp.StatusCode)
 	}
 }
+
+// BenchmarkSolveCacheHit times one cache-hit POST /v1/solve of a
+// five-task instance through the daemon's handler chain, without the
+// network: decode, validate, hash, cache lookup, witness re-check and
+// encoding.
+func BenchmarkSolveCacheHit(b *testing.B) {
+	s := New(Config{MaxConcurrent: 1, QueueDepth: 1})
+	h := s.Handler()
+	in := easyInstance()
+	in.Tasks = append(in.Tasks, model.Task{Name: "d", W: 1, H: 1, Dur: 1}, model.Task{Name: "e", W: 2, H: 1, Dur: 2})
+	in.Prec = append(in.Prec, model.Arc{From: 0, To: 3}, model.Arc{From: 3, To: 4})
+	var buf bytes.Buffer
+	if err := model.WriteInstance(&buf, in); err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(`{"instance": ` + buf.String() + `, "chip": {"w":4,"h":4,"t":8}}`)
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := post(); rec.Code != http.StatusOK {
+		b.Fatalf("priming solve: %d %s", rec.Code, rec.Body)
+	}
+	if rec := post(); !strings.Contains(rec.Body.String(), `"cached":true`) {
+		b.Fatalf("second solve missed the cache: %s", rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}

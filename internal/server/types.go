@@ -1,16 +1,17 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"fpga3d"
+	"fpga3d/internal/model"
 )
 
 // solveRequest is the JSON body of every /v1/* solve endpoint. The
 // instance payload uses the same schema as the instances/*.json files
-// (model.Instance); which of the remaining fields are required depends
-// on the endpoint:
+// and decodes straight into a model.Instance with the rest of the
+// body, under the same unknown-field check; which of the remaining
+// fields are required depends on the endpoint:
 //
 //	POST /v1/solve          — chip {w,h,t}: is the instance feasible on it?
 //	POST /v1/minimize-time  — w, h: minimal T on a fixed w×h chip
@@ -25,7 +26,7 @@ import (
 // best_makespan/lower_bound/gap, and a deadline-expired request still
 // carries its best incumbent and optimality gap.
 type solveRequest struct {
-	Instance  json.RawMessage `json:"instance"`
+	Instance  *model.Instance `json:"instance"`
 	Chip      *fpga3d.Chip    `json:"chip,omitempty"`
 	W         int             `json:"w,omitempty"`
 	H         int             `json:"h,omitempty"`
