@@ -155,8 +155,11 @@ type Options = solver.Options
 const (
 	// StrategyStaged runs the paper's three stages — bounds, greedy
 	// heuristic, exact search — sequentially with short-circuiting.
-	// This is the default and is bit-identical to the historical
-	// pipeline.
+	// This is the default. When the search stops at its node limit on
+	// a chip the greedy placer fits, after at least one annealing
+	// walk's proposals in nodes, one annealing walk backs it up
+	// (DecidedBy "anneal" when it fits the time budget); on every
+	// other probe it is bit-identical to the historical pipeline.
 	StrategyStaged = "staged"
 	// StrategyPortfolio shares incumbents across the probes of an
 	// optimization sweep: every greedy and search witness is stored, a
@@ -168,7 +171,8 @@ const (
 	// annealing placer between the greedy heuristic and the exact
 	// search: when greedy misses the budget, a seeded simulated-
 	// annealing walk over task priorities tries to close the gap before
-	// any branch-and-bound node is expanded. Deterministic per
+	// any branch-and-bound node is expanded (the other strategies run
+	// the same walk only after a node-limited search). Deterministic per
 	// Options.AnnealSeed; decisions always agree with the staged
 	// pipeline.
 	StrategyAnneal = "anneal"

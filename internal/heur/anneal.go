@@ -38,6 +38,12 @@ type AnnealOptions struct {
 // AnnealOptions.Iterations is zero.
 const DefaultAnnealIterations = 256
 
+// DefaultAnnealProposals is the proposal count of a default annealing
+// walk: one restart per priority rule, DefaultAnnealIterations
+// proposals each. It is an int64 to compare against search node
+// counts.
+const DefaultAnnealProposals = int64(len(ruleNames) * DefaultAnnealIterations)
+
 // AnnealMinMakespan minimizes the makespan of in on a W×H chip by
 // simulated annealing over task-priority permutations, decoding each
 // permutation with the same occupancy-grid list scheduler the greedy

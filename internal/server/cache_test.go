@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"fpga3d/internal/model"
 	"fpga3d/internal/obs"
 )
 
@@ -15,12 +16,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewCache(2, reg)
 
-	c.Put("a", respWithNodes(1))
-	c.Put("b", respWithNodes(2))
+	c.Put("a", respWithNodes(1), &model.Instance{})
+	c.Put("b", respWithNodes(2), &model.Instance{})
 	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", respWithNodes(3)) // evicts b
+	c.Put("c", respWithNodes(3), &model.Instance{}) // evicts b
 
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted as LRU")
@@ -40,20 +41,20 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheReplaceExisting(t *testing.T) {
 	c := NewCache(4, obs.NewRegistry())
-	c.Put("k", respWithNodes(1))
-	c.Put("k", respWithNodes(2))
+	c.Put("k", respWithNodes(1), &model.Instance{})
+	c.Put("k", respWithNodes(2), &model.Instance{})
 	if c.Len() != 1 {
 		t.Fatalf("len = %d after double put", c.Len())
 	}
-	v, ok := c.Get("k")
-	if !ok || v.Nodes != 2 {
-		t.Fatalf("got %+v, want replaced entry", v)
+	e, ok := c.Get("k")
+	if !ok || e.value.Nodes != 2 {
+		t.Fatalf("got %+v, want replaced entry", e.value)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0, obs.NewRegistry())
-	c.Put("k", respWithNodes(1))
+	c.Put("k", respWithNodes(1), &model.Instance{})
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("disabled cache served an entry")
 	}
@@ -70,7 +71,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", (g*7+i)%16)
-				c.Put(k, respWithNodes(int64(i)))
+				c.Put(k, respWithNodes(int64(i)), &model.Instance{})
 				c.Get(k)
 			}
 		}(g)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -264,14 +265,14 @@ func (s *Server) runSolve(ctx context.Context, t *solveTask) (*solveResponse, er
 	key := t.mode.key(t.req, t.hash, t.strat)
 	if !t.req.NoCache {
 		lookup := time.Now()
-		cached, ok := s.cache.Get(key)
+		entry, ok := s.cache.Get(key)
 		s.reg.Histogram(obs.MetricCacheLookup).ObserveSince(lookup)
-		if ok && s.servable(t.in, t.req, t.mode, cached) {
+		if ok && s.servable(t.in, t.req, t.mode, entry) {
 			s.reg.Counter(obs.MetricCacheHits).Inc()
 			if t.info != nil {
 				t.info.cache = "hit"
 			}
-			out := *cached
+			out := *entry.value
 			out.Cached = true
 			// The cache holds only completed answers, so an anytime
 			// request served from it is trivially proven optimal:
@@ -346,7 +347,7 @@ func (s *Server) runSolve(ctx context.Context, t *solveTask) (*solveResponse, er
 		// the canonical completed answer and hits re-synthesize gap 0.
 		stored.BestBound = nil
 		stored.Gap = nil
-		s.cache.Put(key, &stored)
+		s.cache.Put(key, &stored, t.in.Model())
 	}
 	return resp, nil
 }
@@ -436,15 +437,20 @@ func (s *Server) observeStages(st fpga3d.StageTimings) {
 
 // servable decides whether a cached entry may answer this request. A
 // value-only entry (infeasible, or an optimum with no witness) is
-// always servable — the canonical hash identifies the problem. An
-// entry with a witness placement is only servable if that placement
-// verifies against the requesting instance's own task numbering: the
-// hash is invariant under task reordering, but placement coordinates
-// are positional, so a renumbered resubmission of the same module set
-// must re-solve rather than inherit coordinates by index.
-func (s *Server) servable(in *fpga3d.Instance, req *solveRequest, m *solveMode, cached *solveResponse) bool {
+// servable only to an instance identical to the one that filled it:
+// colour refinement gives some non-isomorphic instances equal
+// canonical hashes (two transitive triangles and a six-cycle of equal
+// tasks), and such an answer has no witness to re-check. An entry with
+// a witness placement is only servable if that placement verifies
+// against the requesting instance's own task numbering: the hash is
+// invariant under task reordering, but placement coordinates are
+// positional, so a renumbered resubmission of the same module set must
+// re-solve rather than inherit coordinates by index.
+func (s *Server) servable(in *fpga3d.Instance, req *solveRequest, m *solveMode, e cacheEntry) bool {
+	cached := e.value
 	if cached.Placement == nil {
-		return true
+		mi := in.Model()
+		return slices.Equal(e.tasks, mi.Tasks) && slices.Equal(e.prec, mi.Prec)
 	}
 	if len(cached.Placement.X) != in.NumTasks() {
 		return false

@@ -168,6 +168,50 @@ func TestCacheHitPermutedInstance(t *testing.T) {
 	}
 }
 
+// TestValueOnlyEntryNeedsIdenticalInstance checks that an answer
+// without a witness is served from the cache only to the instance that
+// filled it. Two transitive triangles and the six-cycle
+// s1→m1→k1←s2→m2→k2←s1 of equal tasks are not isomorphic, but colour
+// refinement gives them equal canonical hashes, and an infeasible
+// answer carries no placement to re-verify against the second one.
+func TestValueOnlyEntryNeedsIdenticalInstance(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 2})
+	sixTasks := func(arcs ...[2]int) *model.Instance {
+		in := &model.Instance{Tasks: make([]model.Task, 6)}
+		for i := range in.Tasks {
+			in.Tasks[i] = model.Task{Name: "t", W: 1, H: 1, Dur: 1}
+		}
+		for _, a := range arcs {
+			in.Prec = append(in.Prec, model.Arc{From: a[0], To: a[1]})
+		}
+		return in
+	}
+	triangles := sixTasks([2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2}, [2]int{3, 4}, [2]int{4, 5}, [2]int{3, 5})
+	// s1, m1, k1, s2, m2, k2 = 0 … 5.
+	sixCycle := sixTasks([2]int{0, 1}, [2]int{1, 2}, [2]int{3, 2}, [2]int{3, 4}, [2]int{4, 5}, [2]int{0, 5})
+	if triangles.CanonicalHash() != sixCycle.CanonicalHash() {
+		t.Fatal("the two instances no longer share a canonical hash; the test needs another colliding pair")
+	}
+	const chip = `{"w":1,"h":1,"t":2}` // critical path 3: infeasible for both
+	post := func(in *model.Instance) *solveResponse {
+		t.Helper()
+		code, resp, _ := postSolve(t, ts.Client(), ts.URL+"/v1/solve", solveBody(t, in, chip, ""))
+		if code != http.StatusOK || resp.Decision != "infeasible" || resp.Placement != nil {
+			t.Fatalf("solve: code=%d resp=%+v", code, resp)
+		}
+		return resp
+	}
+	if post(triangles).Cached {
+		t.Fatal("first request claims to be cached")
+	}
+	if post(sixCycle).Cached {
+		t.Fatal("value-only entry served to a non-identical instance with the same hash")
+	}
+	if !post(sixCycle).Cached {
+		t.Fatal("value-only entry not served to the identical instance that filled it")
+	}
+}
+
 func TestMinimizeEndpointsAndCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 2})
 	var buf bytes.Buffer

@@ -100,7 +100,9 @@ type Options struct {
 
 	// Strategy selects the preset of the stage pipeline every OPP
 	// decision runs: "" or "staged" (the default — sequential
-	// short-circuit, bit-identical to the historical pipeline),
+	// short-circuit, bit-identical to the historical pipeline except
+	// that a node-limited search on a chip the greedy placer fits is
+	// backed up by one annealing walk),
 	// "portfolio" (incumbent sharing across the probes of an
 	// optimization run: dominated probes are answered by stored
 	// witnesses and sweeps are seeded by previous answers), or
@@ -188,7 +190,8 @@ func (o Options) validateStrategy() error {
 
 // pipeline resolves the configured strategy preset over this run's
 // environment. The zero value selects the staged preset, the
-// historical three-stage pipeline.
+// three-stage pipeline with the annealing backup of a node-limited
+// search.
 func (o Options) pipeline() (*strategy.Pipeline, error) {
 	return strategy.Parse(o.Strategy, &strategy.Env{
 		SearchOpts:    o.searchOptions,

@@ -17,8 +17,10 @@ import (
 // bounds, then greedy heuristic, then the exact engine — as the
 // reference for the differential tests below. When stage 2 runs and the
 // greedy minimum-makespan schedule fits the chip, its start times order
-// the engine's time-axis branches (core.Dim.Hint), as in the staged
-// pipeline. Any behavioral drift in
+// the engine's time-axis branches (core.Dim.Hint), and a search that
+// spends at least one annealing walk's proposals before its node limit
+// falls back to that walk, as in the staged pipeline. Any behavioral
+// drift in
 // the default (staged) strategy shows up as a mismatch against this
 // replica: Decision, DecidedBy, witness placement and full engine
 // Stats must all coincide bit for bit.
@@ -37,6 +39,7 @@ func legacyOPP(ctx context.Context, in *model.Instance, c model.Container, order
 		}
 	}
 	prob := buildProblem(in, c, order, nil)
+	greedyFits := false
 	if !opt.SkipHeuristic {
 		if pl, ok := heur.Place(in, c, order); ok {
 			res.Decision = Feasible
@@ -46,10 +49,20 @@ func legacyOPP(ctx context.Context, in *model.Instance, c model.Container, order
 		}
 		if pl, _, ok := heur.MinMakespan(in, c.W, c.H, order); ok {
 			prob.Dims[2].Hint = pl.S
+			greedyFits = true
 		}
 	}
 	r := core.Solve(prob, opt.coreOptions(ctx))
 	res.Stats = r.Stats
+	if r.Status == core.StatusNodeLimit && greedyFits && r.Stats.Nodes >= heur.DefaultAnnealProposals {
+		pl, mk, ok := heur.AnnealMinMakespan(ctx, in, c.W, c.H, order, heur.AnnealOptions{Seed: opt.AnnealSeed})
+		if ok && mk <= c.T {
+			res.Decision = Feasible
+			res.Placement = pl
+			res.DecidedBy = "anneal"
+			return res
+		}
+	}
 	switch r.Status {
 	case core.StatusFeasible:
 		res.Decision = Feasible
@@ -178,6 +191,51 @@ func TestDifferentialStagedMatchesLegacyAblations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDifferentialStagedMatchesLegacyNodeLimited repeats the comparison
+// on search-frontier draws (bench.Random(14, 4, 4, 0.15) from seed 1 on
+// a 6×6 chip) under a 2 000-node budget, at every time budget between
+// the lower bound and the greedy makespan, so the engine stops at its
+// node limit and the annealing fallback decides some probes and misses
+// others.
+func TestDifferentialStagedMatchesLegacyNodeLimited(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	by := map[string]int{}
+	for draw := 0; draw <= 148; draw++ {
+		in := bench.Random(rng, 14, 4, 4, 0.15)
+		if draw%8 != 4 && draw != 148 {
+			continue
+		}
+		order, err := in.Order()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, mk, ok := heur.MinMakespan(in, 6, 6, order)
+		if !ok {
+			continue
+		}
+		for T := bounds.MinTimeLB(in, 6, 6, order); T < mk; T++ {
+			c := model.Container{W: 6, H: 6, T: T}
+			opt := Options{NodeLimit: 2_000, AnnealSeed: int64(draw)}
+			want := legacyOPP(context.Background(), in, c, order, opt)
+			got, err := SolveOPP(in, c, opt)
+			if err != nil {
+				t.Fatalf("draw %d T=%d: %v", draw, T, err)
+			}
+			if got.Decision != want.Decision || got.DecidedBy != want.DecidedBy ||
+				!reflect.DeepEqual(got.Placement, want.Placement) ||
+				!reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Fatalf("draw %d T=%d: staged %v by %q, legacy %v by %q", draw, T,
+					got.Decision, got.DecidedBy, want.Decision, want.DecidedBy)
+			}
+			by[got.DecidedBy]++
+		}
+	}
+	t.Logf("decided by: %v", by)
+	if by["anneal"] == 0 || by["limit"] == 0 {
+		t.Fatalf("decided by %v: want both annealed and node-limited probes", by)
 	}
 }
 

@@ -23,12 +23,14 @@ func frontierDraw(k int) *model.Instance {
 	return in
 }
 
-// TestDifferentialExhaustedTrees runs the engine on two infeasible
-// MinTime probes of the search-frontier corpus whose trees exhaust
-// deep below the root, which the random differential corpora almost
-// never do: the fast and reference rule paths, and a run with a time
-// hint (the earliest start times), must agree on every Stats field,
-// and a two-worker search on the verdict.
+// TestDifferentialExhaustedTrees runs the engine on infeasible MinTime
+// probes of the search-frontier corpus whose trees exhaust below the
+// root, which the random differential corpora almost never do: the
+// fast and reference rule paths, and a run with a time hint (the
+// earliest start times), must agree on every Stats field, and two- and
+// four-worker searches on the verdict. rand14.048 at T=10 and
+// rand14.133 at T=9 sit one cycle under their proven optima, so
+// MinTime's last infeasible probe there is decided by the engine.
 func TestDifferentialExhaustedTrees(t *testing.T) {
 	for _, c := range []struct {
 		draw, T int
@@ -36,6 +38,8 @@ func TestDifferentialExhaustedTrees(t *testing.T) {
 	}{
 		{72, 8, 11_708},
 		{128, 12, 24_710},
+		{48, 10, 1_373},
+		{133, 9, 721},
 	} {
 		c := c
 		t.Run(fmt.Sprintf("rand14.%03d/T=%d", c.draw, c.T), func(t *testing.T) {
@@ -64,10 +68,12 @@ func TestDifferentialExhaustedTrees(t *testing.T) {
 			if r := core.Solve(hinted, opt); r.Status != fast.Status || !reflect.DeepEqual(r.Stats, fast.Stats) {
 				t.Fatalf("hinted run diverges\nunhinted: %+v\nhinted:   %+v", fast.Stats, r.Stats)
 			}
-			par := opt
-			par.Workers = 2
-			if got := core.Solve(p, par).Status; got != fast.Status {
-				t.Fatalf("two workers: %v, sequential %v", got, fast.Status)
+			for _, workers := range []int{2, 4} {
+				par := opt
+				par.Workers = workers
+				if got := core.Solve(p, par).Status; got != fast.Status {
+					t.Fatalf("%d workers: %v, sequential %v", workers, got, fast.Status)
+				}
 			}
 		})
 	}

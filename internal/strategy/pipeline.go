@@ -16,9 +16,12 @@ import (
 // Pipeline decides orthogonal packing problems by running the tiers
 // its preset enables, in a fixed order, with short-circuit evaluation.
 // Under the staged preset it reproduces the historical solver pipeline
-// bit for bit: decisions, witnesses, engine statistics and trace
-// events. The other presets answer exactly the same questions, but a
-// probe dominated by a stored witness spends no search nodes.
+// bit for bit (decisions, witnesses, engine statistics and trace
+// events) on every probe except a node-limited search: where the
+// historical pipeline answered Unknown, the annealing backup may
+// answer Feasible ("anneal"). The other presets answer the same
+// questions, but a probe dominated by a stored witness spends no
+// search nodes.
 type Pipeline struct {
 	env *Env
 	preset
@@ -27,7 +30,10 @@ type Pipeline struct {
 // Solve decides the problem: a canceled context ends it before any
 // work, then incumbent dominance, bounds, greedy, annealing and search
 // run in that order, each only when the preset and the Env switches
-// enable it, until one settles the question. A fixed-schedule problem
+// enable it, until one settles the question. When the search stops at
+// its node limit after at least heur.DefaultAnnealProposals nodes on a
+// chip the greedy placer fits, and the preset did not anneal before
+// it, the annealing placer runs once after it. A fixed-schedule problem
 // takes the two-dimensional bounds and the fixed-start placer instead
 // and never consults or feeds the incumbent store or the annealer:
 // their witnesses do not keep the prescribed starts; its search tier
@@ -95,10 +101,10 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 	// misses T, its start times still order the engine's time-axis
 	// branches (hint).
 	var hint []int
+	greedyFits := false
 	if !e.SkipHeuristic {
 		st := e.enter(ctx, obs.PhaseHeuristic)
 		var wit *model.Placement
-		greedyFits := false
 		if fixed {
 			if w, ok := heur.PlaceFixed(p.In, p.C.W, p.C.H, p.FixedStarts); ok {
 				wit = w
@@ -116,17 +122,14 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 		}
 		e.stageOutcome(obs.PhaseHeuristic, "miss", c.res.Stages.Heuristic)
 
-		// Stage 2½: annealing placer. Only worth running when the
-		// greedy placer fits the chip spatially but misses the time
-		// budget — annealing cannot fix a spatial misfit.
+		// Stage 2½: annealing placer, ahead of the search under the
+		// anneal preset. Only worth running when the greedy placer fits
+		// the chip spatially but misses the time budget — annealing
+		// cannot fix a spatial misfit.
 		if pl.anneal && greedyFits {
-			st := e.enter(ctx, obs.PhaseAnneal)
-			w, mk, ok := e.annealWitness(ctx, p)
-			c.res.Stages.Anneal = st.end()
-			if ok && mk <= p.C.T {
-				return c.accept(w.Clone(), "anneal", nil)
+			if w, ok := c.anneal(ctx); ok {
+				return c.accept(w, "anneal", nil)
 			}
-			e.stageOutcome(obs.PhaseAnneal, "miss", c.res.Stages.Anneal)
 		}
 	}
 
@@ -159,6 +162,17 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 	c.res.Stats = r.Stats
 	e.Metrics.Counter(obs.MetricSearchNodes).Add(r.Stats.Nodes)
 	e.Metrics.Counter(obs.MetricSearchPropagations).Add(r.Stats.Propagations)
+	// Stage 2½ as the search's backup, under every preset that did not
+	// already anneal: a search that ran out of nodes on a chip the
+	// greedy placer fits gets one annealing walk. It waits until the
+	// engine has spent a walk's proposals in nodes, so the backup never
+	// costs more than the search it backs up; time limits and
+	// cancellation end the probe without it.
+	if r.Status == core.StatusNodeLimit && greedyFits && !pl.anneal && r.Stats.Nodes >= heur.DefaultAnnealProposals {
+		if w, ok := c.anneal(ctx); ok {
+			return c.accept(w, "anneal", nil)
+		}
+	}
 	switch r.Status {
 	case core.StatusFeasible:
 		w := SolutionToPlacement(r.Solution)
@@ -212,6 +226,21 @@ func (c *call) accept(w *model.Placement, by string, extra map[string]any) (*Res
 	}
 	c.res.Placement = w
 	return c.decide(Feasible, by, by, extra)
+}
+
+// anneal runs stage 2½, the annealing placer, under its own stage span
+// and returns a private copy of its schedule when that meets the time
+// budget.
+func (c *call) anneal(ctx context.Context) (*model.Placement, bool) {
+	e := c.pl.env
+	st := e.enter(ctx, obs.PhaseAnneal)
+	w, mk, ok := e.annealWitness(ctx, c.p)
+	c.res.Stages.Anneal = st.end()
+	if ok && mk <= c.p.C.T {
+		return w.Clone(), true
+	}
+	e.stageOutcome(obs.PhaseAnneal, "miss", c.res.Stages.Anneal)
+	return nil, false
 }
 
 // verifyWitness checks a witness for p; a fixed-schedule witness must
@@ -296,7 +325,7 @@ func (e *Env) traceOPPEnd(res *Result, extra map[string]any) {
 		"elapsed_ms": MS(res.Elapsed),
 		"stages_ms":  StagesMS(res.Stages),
 	}
-	if res.DecidedBy == "search" || res.DecidedBy == "limit" {
+	if res.DecidedBy == "search" || res.DecidedBy == "limit" || res.Stats.Nodes > 0 {
 		f["stats"] = res.Stats
 	}
 	for k, v := range extra {

@@ -8,16 +8,25 @@
 // annealing (only when the greedy placer fits the chip but misses the
 // time budget) and search. Each tier is an adapter over its package
 // (internal/bounds, internal/heur, internal/core), and every feasible
-// answer is verified before it leaves. The strategy names are rows of
-// one preset table that switch optional tiers on:
+// answer is verified before it leaves. Annealing also backs the search
+// up under every preset that does not run it ahead of the search: a
+// non-fixed probe whose greedy placement fit the chip, and whose
+// search stopped at its node limit after at least one walk's
+// proposals (heur.DefaultAnnealProposals) in nodes, gets one annealing
+// walk before it answers Unknown. The strategy names are rows of one
+// preset table that switch optional tiers on:
 //
-//   - staged runs bounds, greedy and search, bit-identical to the
-//     historical pipeline (same decisions, witnesses, engine
-//     statistics and trace events). It is the default.
+//   - staged runs bounds, greedy and search, with the annealing
+//     backup after a node-limited search. It is the default. Wherever
+//     the backup does not run (every probe the search decides, and
+//     time-limited, canceled or SkipHeuristic probes) it reproduces
+//     the historical three-stage pipeline: decisions, witnesses,
+//     engine statistics and trace events.
 //   - portfolio adds incumbent dominance and records every greedy and
 //     search witness, so one sweep step seeds the next.
-//   - anneal adds incumbent dominance and the annealing placer, whose
-//     witnesses it records.
+//   - anneal adds incumbent dominance and runs the annealing placer
+//     ahead of the search instead of after it, recording its
+//     witnesses.
 //
 // A fixed-schedule question (Problem.FixedStarts) takes the same tiers
 // on its two-dimensional shape under every preset. When every task runs
@@ -75,7 +84,8 @@ const (
 	NamePortfolio = "portfolio"
 	// NameAnneal selects the staged pipeline with incumbent dominance
 	// and a randomized annealing placer between the greedy heuristic
-	// and the exact search.
+	// and the exact search, rather than only after a node-limited
+	// search.
 	NameAnneal = "anneal"
 )
 
@@ -85,8 +95,9 @@ type preset struct {
 	// dominance answers a probe from a stored witness that fits its
 	// container.
 	dominance bool
-	// anneal runs the annealing placer when the greedy placer fits the
-	// chip but misses the time budget.
+	// anneal runs the annealing placer ahead of the search when the
+	// greedy placer fits the chip but misses the time budget; without
+	// it the placer runs only as the backup of a node-limited search.
 	anneal bool
 	// record stores greedy and search witnesses in the incumbent store.
 	record bool
@@ -189,8 +200,8 @@ type Env struct {
 	// optimization run. It is only meaningful for a single
 	// instance; nil disables sharing (every probe recomputes).
 	Inc *Incumbents
-	// AnnealSeed seeds the randomized annealing placer (anneal preset
-	// and the anytime tier); zero means seed 1. The annealer
-	// is deterministic per seed.
+	// AnnealSeed seeds the randomized annealing placer (the anneal
+	// stage of every preset and the anytime tier); zero means seed 1.
+	// The annealer is deterministic per seed.
 	AnnealSeed int64
 }
