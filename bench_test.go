@@ -165,11 +165,6 @@ func BenchmarkAblation_NoC4Rule(b *testing.B) {
 		DisableC4Rule: true}, false)
 }
 
-func BenchmarkAblation_NoHoleRule(b *testing.B) {
-	benchAblation(b, solver.Options{SkipBounds: true, SkipHeuristic: true,
-		DisableHoleRule: true}, true)
-}
-
 func BenchmarkAblation_NoCliqueRules(b *testing.B) {
 	benchAblation(b, solver.Options{SkipBounds: true, SkipHeuristic: true,
 		DisableCliqueRule: true, DisableCliqueForce: true}, false)

@@ -251,7 +251,6 @@ func ablationStudy() {
 		{"full framework", solver.Options{}},
 		{"search only (no bounds/heuristic)", solver.Options{SkipBounds: true, SkipHeuristic: true}},
 		{"search, no C4 rule", solver.Options{SkipBounds: true, SkipHeuristic: true, DisableC4Rule: true}},
-		{"search, no hole rule", solver.Options{SkipBounds: true, SkipHeuristic: true, DisableHoleRule: true}},
 		{"search, no clique rules", solver.Options{SkipBounds: true, SkipHeuristic: true, DisableCliqueRule: true, DisableCliqueForce: true}},
 		{"search, no D1/D2 closure", solver.Options{SkipBounds: true, SkipHeuristic: true, DisableOrientRules: true}},
 	}

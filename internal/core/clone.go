@@ -10,10 +10,9 @@ import "fpga3d/internal/graph"
 // Copied (trail-mutated) state: edge states, orientations, the Γ
 // implication classes, the per-dimension overlap/disjoint adjacency
 // bitsets, unknown counts, per-pair undecided counts, the adjacency
-// versions and the version-keyed skips (clique-force snapshots,
-// hole-check memos) — the skips do not change which rules fire, but
-// copying them keeps the clone's work profile identical to what the
-// donor would have done in place. Shared (immutable after
+// versions and the version-keyed clique-force snapshots — the skips do
+// not change which rules fire, but copying them keeps the clone's work
+// profile identical to what the donor would have done in place. Shared (immutable after
 // construction): the problem, options, pair index tables, volumes,
 // co-areas and the symmetry marks. Fresh: trail, queue, statistics and
 // all scratch buffers — a clone never undoes past its own root, and
@@ -42,7 +41,6 @@ func (e *engine) cloneForWorker() *engine {
 	c.verOv = append([]int64(nil), e.verOv...)
 	c.cfSnapDis = append([]int64(nil), e.cfSnapDis...)
 	c.cfSnapOv = append([]int64(nil), e.cfSnapOv...)
-	c.holeSeen = append([]holeMemo(nil), e.holeSeen...)
 	c.rowVerDis = make([][]int64, nd)
 	c.rowVerOv = make([][]int64, nd)
 	c.pairVer = make([][]int64, nd)
@@ -50,11 +48,10 @@ func (e *engine) cloneForWorker() *engine {
 		c.state[d] = append([]EdgeState(nil), e.state[d]...)
 		if e.orient[d] != nil {
 			c.orient[d] = append([]OrientVal(nil), e.orient[d]...)
-		} else {
-			c.gParent[d] = append([]int32(nil), e.gParent[d]...)
-			c.gParity[d] = append([]uint8(nil), e.gParity[d]...)
-			c.gSize[d] = append([]int32(nil), e.gSize[d]...)
 		}
+		c.gParent[d] = append([]int32(nil), e.gParent[d]...)
+		c.gParity[d] = append([]uint8(nil), e.gParity[d]...)
+		c.gSize[d] = append([]int32(nil), e.gSize[d]...)
 		c.ovAdj[d] = make([]graph.Set, n)
 		c.disAdj[d] = make([]graph.Set, n)
 		for v := 0; v < n; v++ {

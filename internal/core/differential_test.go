@@ -220,7 +220,6 @@ func TestDifferentialRulePathsAblations(t *testing.T) {
 	}{
 		{"no-clique-force", func(o *Options) { o.DisableCliqueForce = true }},
 		{"no-c4", func(o *Options) { o.DisableC4Rule = true }},
-		{"no-hole", func(o *Options) { o.DisableHoleRule = true }},
 		{"no-clique", func(o *Options) { o.DisableCliqueRule = true }},
 	}
 	for _, ab := range ablations {
@@ -244,10 +243,9 @@ func TestDifferentialRulePathsAblations(t *testing.T) {
 
 // TestIncrementalSkipsFire is the white-box companion of the
 // differential tests: on the frontier corpus the production path must
-// actually take each version-keyed skip — whole clique-force sweeps,
-// single clique bounds behind clean rows, and hole checks of unchanged
-// dimensions — or the differential tests above would be comparing two
-// copies of the same full scan.
+// actually take each version-keyed skip — whole clique-force sweeps
+// and single clique bounds behind clean rows — or the differential
+// tests above would be comparing two copies of the same full scan.
 func TestIncrementalSkipsFire(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	var total skipCounts
@@ -258,9 +256,8 @@ func TestIncrementalSkipsFire(t *testing.T) {
 		}
 		total.cliqueDims += e.skips.cliqueDims
 		total.cliqueBounds += e.skips.cliqueBounds
-		total.holeDims += e.skips.holeDims
 	}
-	if total.cliqueDims == 0 || total.cliqueBounds == 0 || total.holeDims == 0 {
+	if total.cliqueDims == 0 || total.cliqueBounds == 0 {
 		t.Fatalf("a skip never fired on the frontier corpus: %+v", total)
 	}
 	// The reference path never skips.
@@ -316,13 +313,7 @@ func lockstepDFS(t *testing.T, trial int, fast, ref *engine, rng *rand.Rand, bud
 		m := fast.mark()
 		for _, e := range []*engine{fast, ref} {
 			e.setState(d, pr, val, confSize)
-			e.propagate()
-			if e.conflict == noConflict {
-				e.cliqueForcePass()
-			}
-			if e.conflict == noConflict {
-				e.holeCheck()
-			}
+			e.settle()
 		}
 		requireLockstep(t, trial, fast, ref)
 		if fast.conflict == noConflict {

@@ -49,15 +49,14 @@ const (
 	confClique
 	confArea
 	confC4
-	confHole
 	confOrient
 	confGamma
 )
 
-// skipCounts tallies skipped clique-force sweeps of a whole dimension,
-// skipped single clique bounds and skipped hole checks of a dimension.
+// skipCounts tallies skipped clique-force sweeps of a whole dimension
+// and skipped single clique bounds.
 type skipCounts struct {
-	cliqueDims, cliqueBounds, holeDims int64
+	cliqueDims, cliqueBounds int64
 }
 
 // engine holds the mutable search state for one Solve call.
@@ -75,10 +74,9 @@ type engine struct {
 	state  [][]EdgeState // [dim][pair]
 	orient [][]OrientVal // [dim][pair]; nil for unordered dims
 
-	// Γ implication classes of each unordered dimension (gamma.go): a
-	// union-find over pairs with each pair's parent, its orientation
-	// parity relative to the parent, and the size of each root's class.
-	// nil for ordered dims.
+	// Γ implication classes of each dimension (gamma.go): a union-find
+	// over pairs with each pair's parent, its orientation parity relative
+	// to the parent, and the size of each root's class.
 	gParent [][]int32
 	gParity [][]uint8
 	gSize   [][]int32
@@ -119,9 +117,6 @@ type engine struct {
 	// tests and profiling. It is not part of Stats, which the reference
 	// path (it never skips) must reproduce exactly.
 	skips skipCounts
-	// holeSeen[d] remembers the versions at which holeCheckDim on
-	// dimension d last ended without firing.
-	holeSeen []holeMemo
 
 	trail    []change
 	queue    []event
@@ -176,20 +171,6 @@ type engine struct {
 	// weighted-clique bound, so the branch-and-bound inside
 	// cliqueExceedsFast allocates nothing. Grown on demand.
 	cliqueStack []graph.Set
-	// Hole-detection scratch (findHoleIn / closeHole), reused across the
-	// per-node chordality sweeps: MCS weight buckets, each vertex's
-	// earlier-visited neighbours and the latest of them, the BFS parent
-	// array and queue, and the buffer the returned hole lives in.
-	holeBucket  []graph.Set
-	holeUnseen  graph.Set
-	holeWeight  []int
-	holeEarlier []graph.Set
-	holeLatest  []int
-	holePrev    []int
-	holeQueue   []int
-	holeCycle   []int
-	holeBad     graph.Set
-	holeBanned  graph.Set
 }
 
 func newEngine(p *Problem, opt Options) *engine {
@@ -223,13 +204,12 @@ func newEngine(p *Problem, opt Options) *engine {
 		e.state[d] = make([]EdgeState, idx)
 		if p.Dims[d].Ordered {
 			e.orient[d] = make([]OrientVal, idx)
-		} else {
-			e.gParent[d] = make([]int32, idx)
-			e.gParity[d] = make([]uint8, idx)
-			e.gSize[d] = make([]int32, idx)
-			for pr := 0; pr < idx; pr++ {
-				e.gParent[d][pr], e.gSize[d][pr] = int32(pr), 1
-			}
+		}
+		e.gParent[d] = make([]int32, idx)
+		e.gParity[d] = make([]uint8, idx)
+		e.gSize[d] = make([]int32, idx)
+		for pr := 0; pr < idx; pr++ {
+			e.gParent[d][pr], e.gSize[d][pr] = int32(pr), 1
 		}
 		e.ovAdj[d] = make([]graph.Set, n)
 		e.disAdj[d] = make([]graph.Set, n)
@@ -255,10 +235,6 @@ func newEngine(p *Problem, opt Options) *engine {
 		e.rowVerOv[d] = make([]int64, n)
 		e.pairVer[d] = make([]int64, idx)
 		e.cfSnapDis[d], e.cfSnapOv[d] = -1, -1
-	}
-	e.holeSeen = make([]holeMemo, nd)
-	for i := range e.holeSeen {
-		e.holeSeen[i] = holeMemo{own: -1, other: -1}
 	}
 	e.initScratch()
 
@@ -316,20 +292,6 @@ func (e *engine) initScratch() {
 	e.cfDirtyOv = graph.NewSet(n)
 	e.c4Cand = graph.NewSet(n)
 	e.gammaCand = graph.NewSet(n)
-	e.holeBucket = make([]graph.Set, n)
-	e.holeEarlier = make([]graph.Set, n)
-	for v := 0; v < n; v++ {
-		e.holeBucket[v] = graph.NewSet(n)
-		e.holeEarlier[v] = graph.NewSet(n)
-	}
-	e.holeUnseen = graph.NewSet(n)
-	e.holeWeight = make([]int, n)
-	e.holeLatest = make([]int, n)
-	e.holePrev = make([]int, n)
-	e.holeQueue = make([]int, 0, n)
-	e.holeCycle = make([]int, 0, n)
-	e.holeBad = graph.NewSet(n)
-	e.holeBanned = graph.NewSet(n)
 }
 
 // computeSymmetry marks pairs of boxes that are interchangeable: equal
@@ -411,8 +373,6 @@ func (e *engine) fail(r conflictRule) {
 			e.stats.ConflictArea++
 		case confC4:
 			e.stats.ConflictC4++
-		case confHole:
-			e.stats.ConflictHole++
 		case confOrient:
 			e.stats.ConflictOrient++
 		case confGamma:

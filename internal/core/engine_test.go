@@ -255,7 +255,6 @@ func TestNodeLimit(t *testing.T) {
 		NodeLimit:          3,
 		DisableCliqueRule:  true,
 		DisableCliqueForce: true,
-		DisableHoleRule:    true,
 		DisableC4Rule:      true,
 	})
 	if r.Status == StatusFeasible || r.Status == StatusInfeasible {

@@ -1,15 +1,23 @@
 package core
 
-// The D1 rule on unordered dimensions: Γ implication classes.
+// The D1 rule on every dimension: Γ implication classes.
 //
-// On an ordered dimension the engine carries explicit orientations and
-// closes them under D1/D2 (rules.go). An unordered dimension has no
-// orientation to extend, but C1 still asks that its disjoint graph be
-// transitively orientable. D1 is Golumbic's forcing relation Γ: two
-// disjoint edges ab and ac whose far ends b and c overlap must point
-// the same way relative to a (both out of a, or both into it). A graph
-// is transitively orientable iff no implication class — a class of the
-// transitive closure of Γ — holds both orientations of one edge.
+// C1 asks that every dimension's disjoint graph be transitively
+// orientable. D1 is Golumbic's forcing relation Γ: two disjoint edges
+// ab and ac whose far ends b and c overlap must point the same way
+// relative to a (both out of a, or both into it). A graph is
+// transitively orientable iff no implication class — a class of the
+// transitive closure of Γ — holds both orientations of one edge. On an
+// ordered dimension the engine also carries explicit orientations and
+// closes them under D1/D2 (rules.go); the classes run there too, since
+// they refute states before any orientation is decided.
+//
+// With the C4 rule this refutes every hole of the overlap graph by
+// propagation: a chordless cycle of length 4 whose chords are Disjoint
+// is the C4 rule's, and one of length k ≥ 5 has the complement of C_k
+// as its disjoint graph, which is not a comparability graph (C5 is
+// self-complementary; longer cycles hold an asteroidal triple, which
+// no co-comparability graph has).
 //
 // The engine keeps the classes of the decided state incrementally. Pair
 // p = {u<v} has the orientation variable x_p = 1 iff u→v, and a Γ link
@@ -25,8 +33,8 @@ package core
 // Γ conflict on a partial state persists in every completion: decided
 // edges stay decided. The rule adds links only; it forces no pair.
 
-// gammaOnOverlap links, for pair {b,c} newly decided Overlap on the
-// unordered dimension d, the disjoint edges ab and ac of every common
+// gammaOnOverlap links, for pair {b,c} newly decided Overlap on
+// dimension d, the disjoint edges ab and ac of every common
 // disjoint neighbour a.
 func (e *engine) gammaOnOverlap(d, b, c int) {
 	cand := e.gammaCand
@@ -36,8 +44,8 @@ func (e *engine) gammaOnOverlap(d, b, c int) {
 	}
 }
 
-// gammaOnDisjoint links, for pair {a,b} newly decided Disjoint on the
-// unordered dimension d, ab with every disjoint edge ac (or bc) whose
+// gammaOnDisjoint links, for pair {a,b} newly decided Disjoint on
+// dimension d, ab with every disjoint edge ac (or bc) whose
 // far end overlaps b (or a).
 func (e *engine) gammaOnDisjoint(d, a, b int) {
 	pab := e.pidx[a][b]

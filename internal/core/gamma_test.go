@@ -81,7 +81,7 @@ func gammaRecompute(e *engine, d int) (classes []gammaClassKey, conflict bool) {
 }
 
 // requireGammaRecomputed fails unless the engine's incremental Γ
-// classes equal a from-scratch recompute on every unordered dimension.
+// classes equal a from-scratch recompute on every dimension.
 // At a conflict the incremental links stop early, so only a Γ conflict
 // is checked there, against the recompute's.
 func requireGammaRecomputed(t *testing.T, label string, e *engine) {
@@ -91,9 +91,6 @@ func requireGammaRecomputed(t *testing.T, label string, e *engine) {
 	}
 	recomputedConflict := false
 	for d := 0; d < e.nd; d++ {
-		if e.orient[d] != nil {
-			continue
-		}
 		want, conflict := gammaRecompute(e, d)
 		recomputedConflict = recomputedConflict || conflict
 		if e.conflict != noConflict {
@@ -115,11 +112,12 @@ func requireGammaRecomputed(t *testing.T, label string, e *engine) {
 }
 
 // gammaEngine returns an engine over n equal boxes in a loose container
-// in which only the Γ rule can conflict on dimension 0: the C4 and hole
-// rules are off and capacities rule out every clique bound.
-func gammaEngine(n int) *engine {
-	return newEngine(prob(n, [3]int{100, 100, 100}, uniformSizes(2, 2, 2), false),
-		Options{DisableC4Rule: true, DisableHoleRule: true})
+// in which only the Γ rule can conflict: the C4 rule is off and
+// capacities rule out every clique bound. ordered makes the time axis
+// Ordered, without seeds, so no orientation rule fires.
+func gammaEngine(n int, ordered bool) *engine {
+	return newEngine(prob(n, [3]int{100, 100, 100}, uniformSizes(2, 2, 2), ordered),
+		Options{DisableC4Rule: true})
 }
 
 // disjointGraph returns dimension d's disjoint graph, with every pair
@@ -138,14 +136,14 @@ func disjointGraph(e *engine, d int, undecided func(p int) EdgeState) *graph.Und
 	return g
 }
 
-// checkGammaTheory decides every pair of dimension 0 of an n-box engine
-// at random, one at a time in random order with propagation after each,
+// checkGammaTheory decides every pair of dimension d of an n-box engine
+// (with an Ordered time axis when d is time) at random, one at a time in random order with propagation after each,
 // and requires a Γ conflict exactly when the disjoint graph is not
 // transitively orientable (intgraph.ExtendTransitive), with the
 // incremental classes equal to a recompute all along. Then, on a fresh
 // engine, it decides a random part of the pairs: a Γ conflict there
 // must survive a random completion.
-func checkGammaTheory(t *testing.T, label string, rng *rand.Rand, n int) {
+func checkGammaTheory(t *testing.T, label string, rng *rand.Rand, n, d int) {
 	t.Helper()
 	pOverlap := rng.Float64()
 	draw := func(int) EdgeState {
@@ -154,13 +152,13 @@ func checkGammaTheory(t *testing.T, label string, rng *rand.Rand, n int) {
 		}
 		return Disjoint
 	}
-	e := gammaEngine(n)
+	e := gammaEngine(n, d == 2)
 	want := make([]EdgeState, e.npairs)
 	for p := range want {
 		want[p] = draw(p)
 	}
 	for _, p := range rng.Perm(e.npairs) {
-		e.setState(0, p, want[p], confSize)
+		e.setState(d, p, want[p], confSize)
 		e.propagate()
 		requireGammaRecomputed(t, label, e)
 		if e.conflict != noConflict {
@@ -178,11 +176,11 @@ func checkGammaTheory(t *testing.T, label string, rng *rand.Rand, n int) {
 		t.Fatalf("%s: gamma conflict %v, ExtendTransitive error %v (conflict %v)", label, gotConflict, err, e.conflict)
 	}
 
-	part := gammaEngine(n)
+	part := gammaEngine(n, d == 2)
 	fill := rng.Float64()
 	for _, p := range rng.Perm(part.npairs) {
 		if rng.Float64() < fill {
-			part.setState(0, p, draw(p), confSize)
+			part.setState(d, p, draw(p), confSize)
 			part.propagate()
 			if part.conflict != noConflict {
 				break
@@ -190,7 +188,7 @@ func checkGammaTheory(t *testing.T, label string, rng *rand.Rand, n int) {
 		}
 	}
 	if part.conflict == confGamma {
-		if _, err := intgraph.ExtendTransitive(disjointGraph(part, 0, draw), nil); err == nil {
+		if _, err := intgraph.ExtendTransitive(disjointGraph(part, d, draw), nil); err == nil {
 			t.Fatalf("%s: gamma conflict on a partial state, yet a completion orients", label)
 		}
 	}
@@ -198,21 +196,24 @@ func checkGammaTheory(t *testing.T, label string, rng *rand.Rand, n int) {
 
 // TestGammaClassesTheory is Golumbic's theorem on the engine's state:
 // on random complete assignments of up to 8 boxes, a Γ conflict occurs
-// iff the disjoint graph has no transitive orientation.
+// iff the disjoint graph has no transitive orientation. The trials take
+// the axes in turn, the time axis Ordered.
 func TestGammaClassesTheory(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261019))
 	for i := 0; i < 600; i++ {
-		checkGammaTheory(t, fmt.Sprintf("trial %d", i), rng, 2+rng.Intn(7))
+		checkGammaTheory(t, fmt.Sprintf("trial %d", i), rng, 2+rng.Intn(7), i%3)
 	}
 }
 
-// FuzzGammaClasses is TestGammaClassesTheory on fuzzed seeds and sizes.
+// FuzzGammaClasses is TestGammaClassesTheory on fuzzed seeds and sizes;
+// the seed also picks the axis.
 func FuzzGammaClasses(f *testing.F) {
 	f.Add(int64(1), uint8(5))
 	f.Add(int64(42), uint8(8))
 	f.Add(int64(7), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, n8 uint8) {
-		checkGammaTheory(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)), 2+int(n8%7))
+		d := int(uint64(seed) % 3)
+		checkGammaTheory(t, fmt.Sprintf("seed %d axis %d", seed, d), rand.New(rand.NewSource(seed)), 2+int(n8%7), d)
 	})
 }
 

@@ -102,13 +102,7 @@ func checkHintSubtree(t *testing.T, label string, p, hinted *Problem, opt Option
 		val := EdgeState(1 + rng.Intn(2))
 		for _, e := range []*engine{plain, hint} {
 			e.setState(d, pr, val, confSize)
-			e.propagate()
-			if e.conflict == noConflict {
-				e.cliqueForcePass()
-			}
-			if e.conflict == noConflict {
-				e.holeCheck()
-			}
+			e.settle()
 		}
 		if plain.conflict != hint.conflict {
 			t.Fatalf("%s: the walk diverged under the hint", label)

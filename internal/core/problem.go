@@ -20,10 +20,10 @@
 // orientation, seeded by the precedence arcs and closed under the path
 // (D1) and transitivity (D2) implication rules of Section 4. Orientation
 // conflicts prune the search; by Theorem 2 the closure is exact at the
-// leaves. On the unordered (spatial) dimensions D1 runs as Golumbic's Γ
-// forcing relation: the engine keeps the implication classes of the
-// decided disjoint edges and prunes a state whose disjoint graph can no
-// longer be transitively oriented (C1's comparability half).
+// leaves. On every dimension D1 also runs as Golumbic's Γ forcing
+// relation: the engine keeps the implication classes of the decided
+// disjoint edges and prunes a state whose disjoint graph can no longer
+// be transitively oriented (C1's comparability half).
 package core
 
 import (
@@ -241,12 +241,6 @@ type Options struct {
 	// DisableC4Rule turns off the induced-chordless-4-cycle propagation
 	// (condition C1 during the search; leaves still verify chordality).
 	DisableC4Rule bool
-	// DisableHoleRule turns off the per-node chordless-cycle (hole)
-	// detection that generalizes the C4 rule to longer cycles of the
-	// overlap graph (C1's chordality half). It governs chordality holes
-	// only: odd antiholes of the disjoint graph are refuted by the Γ
-	// classes, under DisableOrientRules.
-	DisableHoleRule bool
 	// DisableCliqueRule turns off the C2 heavy-clique conflict check on
 	// newly fixed disjoint edges.
 	DisableCliqueRule bool
@@ -254,10 +248,10 @@ type Options struct {
 	// Overlap when Disjoint would complete an overweight clique.
 	DisableCliqueForce bool
 	// DisableOrientRules turns off D1/D2 closure during the search —
-	// the orientation closure on ordered dimensions and the Γ
-	// implication classes (D1) on unordered ones; orientation
-	// consistency is then only tested at the leaves (the "black box at
-	// the leaves" strawman of Section 4.2).
+	// the Γ implication classes (D1) on every dimension and the
+	// orientation closure on ordered ones; orientation consistency is
+	// then only tested at the leaves (the "black box at the leaves"
+	// strawman of Section 4.2).
 	DisableOrientRules bool
 	// TimeOverlapFirst controls value ordering on ordered dimensions
 	// without a Dim.Hint: when true (default behaviour is set by the

@@ -5,8 +5,8 @@ import "fpga3d/internal/graph"
 // propagate processes the event queue to a fixpoint or a conflict,
 // applying the rules C3 (overlap counting), C2 (heavy cliques of
 // disjoint edges), C1 (chordless 4-cycles) and the paper's D1/D2
-// implications: on ordered dimensions the orientation closure, on
-// unordered ones the Γ implication classes of D1 (gamma.go).
+// implications: the Γ implication classes of D1 on every dimension
+// (gamma.go) and, on ordered dimensions, the orientation closure.
 func (e *engine) propagate() {
 	for e.conflict == noConflict && len(e.queue) > 0 {
 		ev := e.queue[len(e.queue)-1]
@@ -55,10 +55,9 @@ func (e *engine) onState(d, p int) {
 			return
 		}
 		if !e.opt.DisableOrientRules {
-			if e.orient[d] != nil {
+			e.gammaOnOverlap(d, u, v)
+			if e.conflict == noConflict && e.orient[d] != nil {
 				e.orientRulesOnOverlap(d, u, v)
-			} else {
-				e.gammaOnOverlap(d, u, v)
 			}
 			if e.conflict != noConflict {
 				return
@@ -70,10 +69,9 @@ func (e *engine) onState(d, p int) {
 			return
 		}
 		if !e.opt.DisableOrientRules {
-			if e.orient[d] != nil {
+			e.gammaOnDisjoint(d, u, v)
+			if e.conflict == noConflict && e.orient[d] != nil {
 				e.orientRulesOnDisjoint(d, u, v)
-			} else {
-				e.gammaOnDisjoint(d, u, v)
 			}
 			if e.conflict != noConflict {
 				return

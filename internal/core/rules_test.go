@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // freshEngine returns an engine over n equal boxes in a loose container,
 // so no rule fires from sizes alone.
@@ -195,7 +198,7 @@ func TestC4RuleConflictAndForce(t *testing.T) {
 
 func TestC4RuleDisabled(t *testing.T) {
 	p := prob(4, [3]int{100, 100, 100}, uniformSizes(2, 2, 2), false)
-	e := newEngine(p, Options{DisableC4Rule: true, DisableHoleRule: true})
+	e := newEngine(p, Options{DisableC4Rule: true})
 	d := 0
 	for _, pr := range [][2]int{{0, 2}, {2, 1}, {1, 3}, {3, 0}} {
 		e.setState(d, e.pidx[pr[0]][pr[1]], Overlap, confSize)
@@ -207,36 +210,112 @@ func TestC4RuleDisabled(t *testing.T) {
 	}
 }
 
-func TestHoleRuleRefutesC5Structure(t *testing.T) {
-	// A 5-cycle of overlap edges with four chords disjoint is invisible
-	// to the C4 rule (disabled here), yet infeasible either way: leaving
-	// the fifth chord disjoint completes a C5 hole, and making it
-	// overlap creates a C4 hole (cycle 0-1-2-4 with disjoint diagonals).
-	// The hole rule must first force the open chord and then refute.
-	e := newEngine(prob(5, [3]int{100, 100, 100}, uniformSizes(2, 2, 2), false),
-		Options{DisableC4Rule: true})
-	d := 0
-	for i := 0; i < 5; i++ {
-		e.setState(d, e.pidx[i][(i+1)%5], Overlap, confSize)
-	}
-	e.propagate()
-	if e.conflict != noConflict {
-		t.Fatal("overlap cycle alone conflicted")
-	}
-	chords := [][2]int{{0, 2}, {0, 3}, {1, 3}, {1, 4}, {2, 4}}
-	for _, ch := range chords[:4] {
-		e.setState(d, e.pidx[ch[0]][ch[1]], Disjoint, confSize)
-		e.propagate()
-		if e.conflict != noConflict {
-			t.Fatal("partial chord pattern conflicted early")
+// holePairs returns the pairs of a k-cycle on boxes 0..k-1: its cycle
+// edges, then its chords.
+func holePairs(k int) (cycle, chords [][2]int) {
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			if v == u+1 || (u == 0 && v == k-1) {
+				cycle = append(cycle, [2]int{u, v})
+			} else {
+				chords = append(chords, [2]int{u, v})
+			}
 		}
 	}
-	e.holeCheck()
-	if e.conflict == noConflict {
-		t.Fatal("hole rule failed to refute the C5 structure")
+	return cycle, chords
+}
+
+// TestHolesRefutedByPropagation pins what lets the engine go without a
+// hole search: a chordless cycle of length k whose cycle edges Overlap
+// and whose chords are all Disjoint is refuted by propagation alone, on
+// every axis, with the time axis ordered or not. The C4 rule refutes
+// k = 4; for k ≥ 5 the disjoint graph is the complement of C_k, which
+// has no transitive orientation, so the Γ classes do. Decided all at
+// once, propagation must conflict; decided one pair at a time (cycle
+// edges or chords first), it must conflict or have forced a later pair
+// of the hole the other way (the C4 rule, k = 4 only).
+func TestHolesRefutedByPropagation(t *testing.T) {
+	want := func(k int) conflictRule {
+		if k == 4 {
+			return confC4
+		}
+		return confGamma
 	}
-	if e.stats.ForcedHole == 0 {
-		t.Fatal("ForcedHole not counted before the refutation")
+	for _, ordered := range []bool{false, true} {
+		for d := 0; d < 3; d++ {
+			for k := 4; k <= 8; k++ {
+				cycle, chords := holePairs(k)
+				type step struct {
+					uv [2]int
+					s  EdgeState
+				}
+				var cycleFirst, chordsFirst []step
+				for _, uv := range cycle {
+					cycleFirst = append(cycleFirst, step{uv, Overlap})
+				}
+				for _, uv := range chords {
+					cycleFirst = append(cycleFirst, step{uv, Disjoint})
+					chordsFirst = append(chordsFirst, step{uv, Disjoint})
+				}
+				for _, uv := range cycle {
+					chordsFirst = append(chordsFirst, step{uv, Overlap})
+				}
+				label := fmt.Sprintf("ordered=%v axis %d C%d", ordered, d, k)
+
+				e := freshEngine(k, ordered)
+				for _, st := range cycleFirst {
+					e.setState(d, e.pidx[st.uv[0]][st.uv[1]], st.s, confSize)
+				}
+				e.propagate()
+				if e.conflict != want(k) {
+					t.Errorf("%s at once: conflict %v, want %v", label, e.conflict, want(k))
+				}
+
+				for _, order := range []struct {
+					name  string
+					steps []step
+				}{{"cycle first", cycleFirst}, {"chords first", chordsFirst}} {
+					e := freshEngine(k, ordered)
+					forced := false
+					for _, st := range order.steps {
+						pr := e.pidx[st.uv[0]][st.uv[1]]
+						if cur := e.state[d][pr]; cur != Unknown && cur != st.s {
+							forced = true
+							break
+						}
+						e.setState(d, pr, st.s, confSize)
+						e.propagate()
+						if e.conflict != noConflict {
+							break
+						}
+					}
+					switch {
+					case forced && (k != 4 || e.stats.ForcedC4 == 0):
+						t.Errorf("%s %s: a pair was forced the other way, ForcedC4 = %d", label, order.name, e.stats.ForcedC4)
+					case !forced && e.conflict != want(k):
+						t.Errorf("%s %s: conflict %v, want %v", label, order.name, e.conflict, want(k))
+					}
+				}
+
+				if k != 5 {
+					continue
+				}
+				// The C5 structure with one open chord: Overlap there
+				// closes the 4-cycle 0-1-2-4 with Disjoint diagonals, so
+				// the C4 rule forces it Disjoint and Γ refutes the hole.
+				e = freshEngine(k, ordered)
+				for _, st := range cycleFirst {
+					if st.uv != [2]int{2, 4} {
+						e.setState(d, e.pidx[st.uv[0]][st.uv[1]], st.s, confSize)
+					}
+				}
+				e.propagate()
+				if e.conflict != confGamma || e.stats.ForcedC4 == 0 {
+					t.Errorf("%s one open chord: conflict %v, ForcedC4 %d; want gamma after a C4 forcing",
+						label, e.conflict, e.stats.ForcedC4)
+				}
+			}
+		}
 	}
 }
 
@@ -250,7 +329,6 @@ func TestHoleRuleConflictOnDecidedC5(t *testing.T) {
 		e.setState(d, e.pidx[ch[0]][ch[1]], Disjoint, confSize)
 	}
 	e.propagate()
-	e.holeCheck()
 	if e.conflict == noConflict {
 		t.Fatal("fully decided C5 hole not detected")
 	}
@@ -423,8 +501,8 @@ func TestEvenAntiholeIsInconclusive(t *testing.T) {
 	// cycle is a comparability graph, so with the chords still Unknown
 	// (and even with all of them Overlap, as far as Γ is concerned) the
 	// Γ classes must stay consistent and force nothing. (Fully deciding
-	// the chords Overlap is refuted — correctly — by the chordality
-	// hole rule instead: the complement of C6 contains an induced C4.)
+	// the chords Overlap is refuted — correctly — by the C4 rule
+	// instead: the complement of C6 contains an induced C4.)
 	e := freshEngine(6, false)
 	d := 0
 	for i := 0; i < 6; i++ {
@@ -434,20 +512,17 @@ func TestEvenAntiholeIsInconclusive(t *testing.T) {
 	if e.conflict != noConflict {
 		t.Fatal("cycle edges alone conflicted")
 	}
-	before := append([]EdgeState(nil), e.state[d]...)
-	e.holeCheck()
-	if e.conflict != noConflict {
-		t.Fatal("even antihole conflicted")
-	}
-	for p, s := range e.state[d] {
-		if s != before[p] {
-			t.Fatalf("even antihole changed pair %d", p)
+	for i := 0; i < 6; i++ {
+		for j := i + 2; j < 6; j++ {
+			if !(i == 0 && j == 5) && e.st(d, i, j) != Unknown {
+				t.Fatalf("even antihole decided chord {%d,%d}", i, j)
+			}
 		}
 	}
 	// Γ alone, with every chord Overlap: the classes link the whole
 	// cycle, consistently.
 	g := newEngine(prob(6, [3]int{100, 100, 100}, uniformSizes(2, 2, 2), false),
-		Options{DisableC4Rule: true, DisableHoleRule: true})
+		Options{DisableC4Rule: true})
 	for u := 0; u < 6; u++ {
 		for v := u + 1; v < 6; v++ {
 			s := Overlap
@@ -472,8 +547,8 @@ func TestEvenAntiholeIsInconclusive(t *testing.T) {
 func TestComplementC6IsRefutedByChordality(t *testing.T) {
 	// The observation behind the previous test: deciding every chord of
 	// the C6-of-disjoint-edges to Overlap yields an overlap graph equal
-	// to the complement of C6, which contains an induced C4 — the
-	// chordality machinery must refute the completed structure.
+	// to the complement of C6, which contains an induced C4 — the C4
+	// rule must refute the completed structure during propagation.
 	e := freshEngine(6, false)
 	d := 0
 	for i := 0; i < 6; i++ {
@@ -487,7 +562,6 @@ func TestComplementC6IsRefutedByChordality(t *testing.T) {
 		}
 	}
 	e.propagate()
-	e.holeCheck()
 	if e.conflict == noConflict {
 		t.Fatal("complement-of-C6 overlap graph not refuted")
 	}
@@ -508,10 +582,6 @@ func TestAntiholeForcing(t *testing.T) {
 		e.setState(d, e.pidx[ch[0]][ch[1]], Overlap, confSize)
 	}
 	e.propagate()
-	if e.conflict != noConflict {
-		t.Fatal("setup conflicted")
-	}
-	e.holeCheck()
 	if e.conflict != noConflict {
 		t.Fatal("conflicted with an open chord")
 	}

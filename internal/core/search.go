@@ -73,12 +73,17 @@ func (e *engine) applyRoot() bool {
 	for _, a := range p.Seeds {
 		e.setBefore(a.Dim, a.From, a.To, confOrient)
 	}
+	return e.settle()
+}
+
+// settle brings a node to its propagated fixpoint: the event queue,
+// then the clique-force pass unless disabled. The root, every dfs
+// branch and every stolen subtree settle through it alike; it reports
+// whether the node survived.
+func (e *engine) settle() bool {
 	e.propagate()
 	if e.conflict == noConflict && !e.opt.DisableCliqueForce {
 		e.cliqueForcePass()
-	}
-	if e.conflict == noConflict {
-		e.holeCheck()
 	}
 	return e.conflict == noConflict
 }
@@ -123,14 +128,7 @@ func (e *engine) dfs(depth int) Status {
 		// Branch assignments start from Unknown, so the rule tag below
 		// is never recorded as a conflict source.
 		e.setState(d, p, val, confSize)
-		e.propagate()
-		if e.conflict == noConflict && !e.opt.DisableCliqueForce {
-			e.cliqueForcePass()
-		}
-		if e.conflict == noConflict {
-			e.holeCheck()
-		}
-		if e.conflict == noConflict {
+		if e.settle() {
 			st := e.dfs(depth + 1)
 			if st != StatusInfeasible {
 				return st // feasible or aborted: unwind immediately

@@ -36,17 +36,15 @@ type Stats struct {
 	ConflictClique int64
 	ConflictArea   int64
 	ConflictC4     int64
-	ConflictHole   int64
 	ConflictOrient int64
 	// ConflictGamma counts states refuted by the Γ implication classes
-	// of an unordered dimension: one class holds both orientations of a
-	// disjoint edge, so the disjoint graph is not transitively
-	// orientable (D1 on the spatial axes, see gamma.go).
+	// of a dimension: one class holds both orientations of a disjoint
+	// edge, so the disjoint graph is not transitively orientable (D1,
+	// see gamma.go).
 	ConflictGamma int64
 
 	ForcedC3     int64
 	ForcedC4     int64
-	ForcedHole   int64
 	ForcedClique int64
 	ForcedArea   int64
 	ForcedOrient int64
@@ -74,12 +72,10 @@ func (s *Stats) Add(o Stats) {
 	s.ConflictClique += o.ConflictClique
 	s.ConflictArea += o.ConflictArea
 	s.ConflictC4 += o.ConflictC4
-	s.ConflictHole += o.ConflictHole
 	s.ConflictOrient += o.ConflictOrient
 	s.ConflictGamma += o.ConflictGamma
 	s.ForcedC3 += o.ForcedC3
 	s.ForcedC4 += o.ForcedC4
-	s.ForcedHole += o.ForcedHole
 	s.ForcedClique += o.ForcedClique
 	s.ForcedArea += o.ForcedArea
 	s.ForcedOrient += o.ForcedOrient
@@ -91,8 +87,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 // ConflictsByRule returns the Conflict* counters keyed by lower-cased
-// rule name ("c3", "size", "clique", "area", "c4", "hole", "orient",
-// "gamma").
+// rule name ("c3", "size", "clique", "area", "c4", "orient", "gamma").
 // The map is built by reflection over the field names, so counters
 // added later can never be silently missing from snapshots.
 func (s *Stats) ConflictsByRule() map[string]int64 { return s.byPrefix("Conflict") }

@@ -51,15 +51,15 @@ func TestStatsAddCoversAllFields(t *testing.T) {
 // TestStatsByRuleMaps: the reflection-built maps cover exactly the
 // prefixed counters, with lower-cased rule keys.
 func TestStatsByRuleMaps(t *testing.T) {
-	s := Stats{ConflictC3: 1, ConflictHole: 2, ForcedSize: 3, RejectChordal: 4, Nodes: 99}
+	s := Stats{ConflictC3: 1, ConflictGamma: 2, ForcedSize: 3, RejectChordal: 4, Nodes: 99}
 	conf := s.ConflictsByRule()
-	if conf["c3"] != 1 || conf["hole"] != 2 {
+	if conf["c3"] != 1 || conf["gamma"] != 2 {
 		t.Errorf("ConflictsByRule = %v", conf)
 	}
-	if len(conf) != 8 {
-		t.Errorf("ConflictsByRule has %d rules, want 8: %v", len(conf), conf)
+	if len(conf) != 7 {
+		t.Errorf("ConflictsByRule has %d rules, want 7: %v", len(conf), conf)
 	}
-	if f := s.ForcedByRule(); f["size"] != 3 || len(f) != 7 {
+	if f := s.ForcedByRule(); f["size"] != 3 || len(f) != 6 {
 		t.Errorf("ForcedByRule = %v", f)
 	}
 	if r := s.RejectsByReason(); r["chordal"] != 4 || len(r) != 4 {

@@ -155,32 +155,22 @@ func (w *wspool) runRecovered(t *task) {
 }
 
 // run executes one task to completion and records its outcome. Donated
-// tasks first apply their branch assignment with the same propagate /
-// clique-force / hole-check sequence the sequential loop uses, so the
-// shard's per-node work matches what the donor would have done in
-// place.
+// tasks first apply their branch assignment and settle it as the
+// sequential loop does, so the shard's per-node work matches what the
+// donor would have done in place.
 func (w *wspool) run(t *task) {
 	if w.stop.Load() {
 		return // queued before the pool stopped: nothing explored, nothing to merge
 	}
 	e := t.e
-	st := StatusInfeasible
 	if t.branch {
 		e.setState(t.dim, t.pair, t.val, confSize)
-		e.propagate()
-		if e.conflict == noConflict && !e.opt.DisableCliqueForce {
-			e.cliqueForcePass()
-		}
-		if e.conflict == noConflict {
-			e.holeCheck()
-		}
-		if e.conflict != noConflict {
+		if !e.settle() {
 			w.record(e, StatusInfeasible)
 			return
 		}
 	}
-	st = e.dfs(t.depth)
-	w.record(e, st)
+	w.record(e, e.dfs(t.depth))
 }
 
 // tryDonate offers the not-yet-explored sibling branch (val at

@@ -37,14 +37,7 @@ func descend(t *testing.T, e *engine, depth int) int {
 	for _, val := range [2]EdgeState{Disjoint, Overlap} {
 		m := e.mark()
 		e.setState(d, p, val, confSize)
-		e.propagate()
-		if e.conflict == noConflict && !e.opt.DisableCliqueForce {
-			e.cliqueForcePass()
-		}
-		if e.conflict == noConflict {
-			e.holeCheck()
-		}
-		if e.conflict == noConflict {
+		if e.settle() {
 			return depth + 1
 		}
 		e.undoTo(m)
@@ -64,7 +57,7 @@ func TestCloneExploresIdenticalSubtree(t *testing.T) {
 	hrng := rand.New(rand.NewSource(20260810))
 	clonedAt := 0
 	// The last trials draw frontier-scale instances, whose clones carry
-	// live clique-force snapshots and hole memos.
+	// live clique-force snapshots.
 	for trial := 0; trial < 92; trial++ {
 		var p *Problem
 		opt := Options{NodeLimit: 50_000}

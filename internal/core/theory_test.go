@@ -88,7 +88,6 @@ func TestSolutionsArePackingClasses(t *testing.T) {
 func TestSearchOnlySolutionsArePackingClasses(t *testing.T) {
 	opt := Options{
 		DisableC4Rule:      true,
-		DisableHoleRule:    true,
 		DisableCliqueForce: true,
 		DisableOrientRules: true,
 	}

@@ -102,12 +102,14 @@ func AnnealMinMakespan(ctx context.Context, in *model.Instance, W, H int, o *mod
 				prio[i], prio[j] = prio[j], prio[i]
 			}
 		}
+		// A decode's placement is the scheduler's, overwritten by the
+		// next one: only a new best is cloned.
 		cur, curMk, okr := sc.run(horizon, byPriority)
 		if !okr {
 			continue
 		}
 		if curMk < bestMk {
-			best, bestMk = cur, curMk
+			best, bestMk = cur.Clone(), curMk
 			report(opt, best, bestMk)
 		}
 		for it := 0; it < iters; it++ {
@@ -131,9 +133,9 @@ func AnnealMinMakespan(ctx context.Context, in *model.Instance, W, H int, o *mod
 				prio[i], prio[j] = prio[j], prio[i] // revert
 				continue
 			}
-			cur, curMk = cand, mk
+			curMk = mk
 			if curMk < bestMk {
-				best, bestMk = cur, curMk
+				best, bestMk = cand.Clone(), curMk
 				report(opt, best, bestMk)
 			}
 		}

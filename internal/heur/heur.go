@@ -67,7 +67,7 @@ func bestPlacement(in *model.Instance, W, H, T int, o *model.Order) (*model.Plac
 			return r.key(in, o, v)
 		})
 		if ok && mk < bestMk {
-			best, bestMk = p, mk
+			best, bestMk = p.Clone(), mk
 		}
 	}
 	if best == nil {
@@ -80,12 +80,15 @@ func bestPlacement(in *model.Instance, W, H, T int, o *model.Order) (*model.Plac
 // annealing placer: a precedence-respecting list scheduler that
 // repeatedly picks the ready task with the smallest key and places it
 // at the earliest-start bottom-left free position of the occupancy
-// grid. Its grid and scratch space are reused across passes over the
-// same instance and chip, so a pass allocates only its placement.
+// grid. Its grid, scratch space and placement are reused across passes
+// over the same instance and chip, so a pass allocates nothing.
 type scheduler struct {
 	in   *model.Instance
 	o    *model.Order
 	grid *occGrid
+	// place is the placement every pass fills and returns; a caller
+	// that keeps a result past the next pass clones it.
+	place *model.Placement
 	// Per-pass scratch, indexed by task.
 	keys    [][3]int
 	pending []int // closure predecessors not yet placed
@@ -100,6 +103,7 @@ func newScheduler(in *model.Instance, W, H, T int, o *model.Order) *scheduler {
 	return &scheduler{
 		in: in, o: o,
 		grid:    newOccGrid(W, H, T),
+		place:   model.NewPlacement(n),
 		keys:    make([][3]int, n),
 		pending: make([]int, n),
 		finish:  make([]int, n),
@@ -109,14 +113,15 @@ func newScheduler(in *model.Instance, W, H, T int, o *model.Order) *scheduler {
 
 // run performs one list-scheduling pass under the horizon T (at most
 // the scheduler's own). It fails (ok=false) when some task cannot be
-// placed within T cycles. Every key ends in a distinct component, so
+// placed within T cycles. The placement is the scheduler's own, valid
+// until the next pass. Every key ends in a distinct component, so
 // the keys are a total order and the ready task with the smallest key
 // is unique: a linear scan picks the task a sort would put first.
 func (sc *scheduler) run(T int, key func(v int) (int, int, int)) (*model.Placement, int, bool) {
 	in, closure := sc.in, sc.o.Closure()
 	n := in.N()
 	sc.grid.reset(T)
-	place := model.NewPlacement(n)
+	place := sc.place
 	ready := sc.ready[:0]
 	for v := 0; v < n; v++ {
 		k := &sc.keys[v]

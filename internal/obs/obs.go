@@ -49,7 +49,7 @@ type Snapshot struct {
 	// Elapsed is the wall-clock time since the search began.
 	Elapsed time.Duration
 	// Conflicts holds the per-rule conflict counters keyed by rule name
-	// ("c3", "size", "clique", "area", "c4", "hole", "orient", "gamma").
+	// ("c3", "size", "clique", "area", "c4", "orient", "gamma").
 	// The map is freshly built per snapshot; callbacks may retain it.
 	Conflicts map[string]int64
 

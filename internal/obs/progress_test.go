@@ -92,7 +92,7 @@ func TestPrinterFlush(t *testing.T) {
 }
 
 func TestSnapshotTotalConflicts(t *testing.T) {
-	s := Snapshot{Conflicts: map[string]int64{"c3": 1, "hole": 4}}
+	s := Snapshot{Conflicts: map[string]int64{"c3": 1, "gamma": 4}}
 	if s.TotalConflicts() != 5 {
 		t.Errorf("TotalConflicts = %d", s.TotalConflicts())
 	}

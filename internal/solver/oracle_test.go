@@ -96,14 +96,12 @@ func TestOracleAblations(t *testing.T) {
 	base := Options{SkipBounds: true, SkipHeuristic: true, TimeLimit: 20 * time.Second}
 	variants := map[string]func(*Options){
 		"no-c4":           func(o *Options) { o.DisableC4Rule = true },
-		"no-hole":         func(o *Options) { o.DisableHoleRule = true },
 		"no-clique":       func(o *Options) { o.DisableCliqueRule = true },
 		"no-clique-force": func(o *Options) { o.DisableCliqueForce = true },
 		"no-orient":       func(o *Options) { o.DisableOrientRules = true },
 		"disjoint-first":  func(o *Options) { o.TimeDisjointFirst = true },
 		"everything-off": func(o *Options) {
 			o.DisableC4Rule = true
-			o.DisableHoleRule = true
 			o.DisableCliqueRule = true
 			o.DisableCliqueForce = true
 			o.DisableOrientRules = true

@@ -84,11 +84,9 @@ type Options struct {
 	// SkipHeuristic disables stage 2 (the greedy placer).
 	SkipHeuristic bool
 
-	// DisableC4Rule, DisableHoleRule, DisableCliqueRule,
-	// DisableCliqueForce and DisableOrientRules are forwarded to the
-	// engine (ablations).
+	// DisableC4Rule, DisableCliqueRule, DisableCliqueForce and
+	// DisableOrientRules are forwarded to the engine (ablations).
 	DisableC4Rule      bool
-	DisableHoleRule    bool
 	DisableCliqueRule  bool
 	DisableCliqueForce bool
 	DisableOrientRules bool
@@ -211,7 +209,6 @@ func (o Options) coreOptions(ctx context.Context) core.Options {
 		NodeLimit:          o.NodeLimit,
 		Progress:           o.Progress,
 		DisableC4Rule:      o.DisableC4Rule,
-		DisableHoleRule:    o.DisableHoleRule,
 		DisableCliqueRule:  o.DisableCliqueRule,
 		DisableCliqueForce: o.DisableCliqueForce,
 		DisableOrientRules: o.DisableOrientRules,

@@ -167,8 +167,8 @@ func TestUnknownOnTinyLimits(t *testing.T) {
 	de := bench.DE()
 	opt := Options{
 		SkipBounds: true, SkipHeuristic: true,
-		NodeLimit:     1,
-		DisableC4Rule: true, DisableHoleRule: true,
+		NodeLimit:         1,
+		DisableC4Rule:     true,
 		DisableCliqueRule: true, DisableCliqueForce: true,
 	}
 	r, err := SolveOPP(de, model.Container{W: 32, H: 32, T: 6}, opt)
