@@ -9,6 +9,7 @@ package bounds
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // A dual feasible function (DFF) maps item sizes w ∈ [0, W] to scaled
@@ -143,27 +144,37 @@ func dffCandidates(W int, sizes []int) []dff {
 // saturated total exceeds only capacities that did not saturate, which
 // its true value exceeds too, and a saturated capacity is exceeded by
 // nothing: saturation can miss a proof but never invent one.
+//
+// When no sum can reach the top of uint64 and maxCombos admits every
+// combination, their order does not matter: then candidates that
+// another one of their dimension dominates are dropped
+// (dffTable.prune), and the dimension with the most candidates turns
+// fastest. Neither changes the verdict.
 func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
 	nd, n := len(caps), len(sizes[0])
-	scaled := make([][][]uint64, nd) // [d][candidate][box]
-	capOf := make([][]uint64, nd)    // [d][candidate]
+	dims := make([]dffTable, nd)
+	combos, bound := 1, uint64(n) // bound ≥ every sum of products
 	for d := range caps {
-		cands := dffCandidates(caps[d], sizes[d])
-		scaled[d] = make([][]uint64, len(cands))
-		capOf[d] = make([]uint64, len(cands))
-		flat := make([]uint64, len(cands)*n)
-		for k, f := range cands {
-			row := flat[k*n : (k+1)*n]
-			for b, w := range sizes[d] {
-				row[b] = uint64(f.scale(w))
+		dims[d] = newDFFTable(caps[d], sizes[d])
+		combos = SatMul(combos, len(dims[d].caps))
+		bound = satMul(bound, max(dims[d].top, 1))
+	}
+	if bound < math.MaxUint64 && (maxCombos == 0 || combos <= maxCombos) {
+		for d := range dims {
+			// Pruning costs up to k² row comparisons for k candidates;
+			// spend that only where evaluating every combination costs
+			// at least as much.
+			if k := len(dims[d].caps); SatMul(k, k) <= combos {
+				dims[d].prune(n)
 			}
-			scaled[d][k], capOf[d][k] = row, uint64(f.cap)
 		}
+		slices.SortStableFunc(dims, func(a, b dffTable) int { return len(b.caps) - len(a.caps) })
+		maxCombos = 0
 	}
 	pick := make([]int, nd) // outer picks; pick[0] is unused
 	rest := make([]uint64, n)
 	live := make([]int, 0, n)
-	combos := 0
+	tried := 0
 	for {
 		// Π over d ≥ 1 of the current outer pick, per box and for the
 		// capacity.
@@ -172,8 +183,8 @@ func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
 			rest[b] = 1
 		}
 		for d := 1; d < nd; d++ {
-			restCap = satMul(restCap, capOf[d][pick[d]])
-			for b, v := range scaled[d][pick[d]] {
+			restCap = satMul(restCap, dims[d].caps[pick[d]])
+			for b, v := range dims[d].row(pick[d], n) {
 				rest[b] = satMul(rest[b], v)
 			}
 		}
@@ -184,11 +195,12 @@ func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
 				live = append(live, b)
 			}
 		}
-		for k, row := range scaled[0] {
-			if maxCombos > 0 && combos >= maxCombos {
+		for k, c := range dims[0].caps {
+			if maxCombos > 0 && tried >= maxCombos {
 				return false
 			}
-			combos++
+			tried++
+			row := dims[0].row(k, n)
 			var total, over uint64
 			for _, b := range live {
 				total, over = mulAdd(total, over, row[b], rest[b])
@@ -196,7 +208,7 @@ func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
 			if over != 0 {
 				total = math.MaxUint64
 			}
-			if total > satMul(capOf[0][k], restCap) {
+			if total > satMul(c, restCap) {
 				return true
 			}
 		}
@@ -204,7 +216,7 @@ func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
 		d := 1
 		for d < nd {
 			pick[d]++
-			if pick[d] < len(scaled[d]) {
+			if pick[d] < len(dims[d].caps) {
 				break
 			}
 			pick[d] = 0
@@ -214,6 +226,81 @@ func dffInfeasible(caps []int, sizes [][]int, maxCombos int) bool {
 			return false
 		}
 	}
+}
+
+// dffTable is one dimension's candidate DFFs evaluated on the boxes:
+// candidate k scales the capacity to caps[k] and the boxes to
+// row(k, n). top is the largest capacity or scaled size.
+type dffTable struct {
+	rows []uint64
+	caps []uint64
+	top  uint64
+}
+
+func newDFFTable(W int, sizes []int) dffTable {
+	cands := dffCandidates(W, sizes)
+	n := len(sizes)
+	t := dffTable{rows: make([]uint64, len(cands)*n), caps: make([]uint64, len(cands))}
+	for k, f := range cands {
+		t.caps[k] = uint64(f.cap)
+		t.top = max(t.top, t.caps[k])
+		for b, w := range sizes {
+			v := uint64(f.scale(w))
+			t.rows[k*n+b] = v
+			t.top = max(t.top, v)
+		}
+	}
+	return t
+}
+
+func (t *dffTable) row(k, n int) []uint64 { return t.rows[k*n : (k+1)*n] }
+
+// prune drops every candidate that another one dominates, keeping the
+// first of equal ones. Candidate b dominates a when a scales no box to
+// a larger share of its capacity than b does: a(x)·F_b ≤ b(x)·F_a for
+// every box x, with F_a, F_b > 0. A combination that proves with a then
+// proves with b in a's place, since F_a·Σ b(x)·R(x) ≥ F_b·Σ a(x)·R(x) >
+// F_b·F_a·C, where R(x) and C are the other dimensions' products. The
+// argument needs exact sums: under saturation b's could saturate where
+// a's did not.
+func (t *dffTable) prune(n int) {
+	dominates := func(b, a int) bool {
+		if t.caps[a] == 0 || t.caps[b] == 0 {
+			return false
+		}
+		ra, rb := t.row(a, n), t.row(b, n)
+		for x := range ra {
+			if !mulLE(ra[x], t.caps[b], rb[x], t.caps[a]) {
+				return false
+			}
+		}
+		return true
+	}
+	dropped := make([]bool, len(t.caps))
+	for a := range t.caps {
+		for b := range t.caps {
+			if b != a && dominates(b, a) && (b < a || !dominates(a, b)) {
+				dropped[a] = true
+				break
+			}
+		}
+	}
+	keep := 0
+	for a, drop := range dropped {
+		if !drop {
+			copy(t.rows[keep*n:(keep+1)*n], t.row(a, n))
+			t.caps[keep] = t.caps[a]
+			keep++
+		}
+	}
+	t.rows, t.caps = t.rows[:keep*n], t.caps[:keep]
+}
+
+// mulLE reports whether a·b ≤ c·d, compared in 128 bits.
+func mulLE(a, b, c, d uint64) bool {
+	h1, l1 := bits.Mul64(a, b)
+	h2, l2 := bits.Mul64(c, d)
+	return h1 < h2 || h1 == h2 && l1 <= l2
 }
 
 // satMul returns a·b, or the largest uint64 if the product overflows.

@@ -291,20 +291,37 @@ func TestDFFSaturatesInsteadOfWrapping(t *testing.T) {
 	}
 }
 
-// BenchmarkDFFInfeasible times the DFF bound on the paper's DE
-// instance in containers it cannot refute, so every combination up to
-// the cut is evaluated.
+// BenchmarkDFFInfeasible times the DFF bound in containers it cannot
+// refute: the paper's DE instance, and 6–8 small random tasks on the
+// 6×6×16 chip that fpgaperf's serve workloads ask about, where the
+// bound is most of a solve.
 func BenchmarkDFFInfeasible(b *testing.B) {
 	in := bench.DE()
-	sizes := [][]int{make([]int, in.N()), make([]int, in.N()), make([]int, in.N())}
-	for i, t := range in.Tasks {
-		sizes[0][i], sizes[1][i], sizes[2][i] = t.W, t.H, t.Dur
-	}
 	for _, c := range []model.Container{{W: 17, H: 17, T: 13}, {W: 32, H: 32, T: 6}} {
+		sizes := dffSizes(in)
 		b.Run(c.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dffInfeasible([]int{c.W, c.H, c.T}, sizes, 4096)
 			}
 		})
 	}
+	rng := rand.New(rand.NewSource(1))
+	var small [][][]int
+	for len(small) < 64 {
+		small = append(small, dffSizes(bench.Random(rng, 6+rng.Intn(3), 3, 5, 0.3)))
+	}
+	b.Run("small-6x6x16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dffInfeasible([]int{6, 6, 16}, small[i%len(small)], 4096)
+		}
+	})
+}
+
+// dffSizes returns in's widths, heights and durations.
+func dffSizes(in *model.Instance) [][]int {
+	sizes := [][]int{make([]int, in.N()), make([]int, in.N()), make([]int, in.N())}
+	for i, t := range in.Tasks {
+		sizes[0][i], sizes[1][i], sizes[2][i] = t.W, t.H, t.Dur
+	}
+	return sizes
 }

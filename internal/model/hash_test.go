@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+
+	"fpga3d/internal/wire"
 )
 
 // hashDemoInstance builds a small instance with asymmetric structure:
@@ -363,14 +366,27 @@ func BenchmarkCanonicalHash(b *testing.B) {
 // FuzzInstanceCanonical pushes raw bytes through the instance front
 // door — ReadInstance, Order, CanonicalHash — where nothing may panic,
 // and hashes whatever decodes without validation too (cycles,
-// out-of-range arcs). For every input that decodes to a valid
-// instance, the hash must not change under a task permutation (arcs
-// remapped, arc order shuffled) or a WriteInstance/ReadInstance round
-// trip.
+// out-of-range arcs). The decoder must accept exactly the inputs
+// encoding/json's Decoder accepts with unknown fields disallowed, and
+// decode them to a DeepEqual Instance. For every input that decodes to
+// a valid instance, the hash must not change under a task permutation
+// (arcs remapped, arc order shuffled) or a WriteInstance/ReadInstance
+// round trip.
 func FuzzInstanceCanonical(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var raw Instance
-		if json.Unmarshal(data, &raw) == nil {
+		raw := new(Instance)
+		err := DecodeInstance(wire.NewDecoder(data), raw)
+		var ref Instance
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		refErr := dec.Decode(&ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder error %v, encoding/json error %v", err, refErr)
+		}
+		if err == nil {
+			if !reflect.DeepEqual(*raw, ref) {
+				t.Fatalf("decoded %#v, encoding/json decoded %#v", *raw, ref)
+			}
 			raw.CanonicalHash()
 		}
 		in, err := ReadInstance(bytes.NewReader(data))

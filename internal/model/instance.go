@@ -133,10 +133,48 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("model: self-precedence on task %d", a.From)
 		}
 	}
-	if !in.PrecDigraph().IsAcyclic() {
+	if !acyclic(len(in.Tasks), in.Prec) {
 		return fmt.Errorf("model: precedence constraints contain a cycle")
 	}
 	return nil
+}
+
+// acyclic reports whether arcs, each in range and none a self-arc,
+// form a DAG on n tasks: Kahn's algorithm over a compressed adjacency
+// list in one allocation, linear in n and the arc count.
+func acyclic(n int, arcs []Arc) bool {
+	buf := make([]int, 3*n+1+len(arcs))
+	indeg, start, fill, next := buf[:n], buf[n:2*n+1], buf[2*n+1:3*n+1], buf[3*n+1:]
+	for _, a := range arcs {
+		indeg[a.To]++
+		start[a.From+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	copy(fill, start[:n])
+	for _, a := range arcs {
+		next[fill[a.From]] = a.To
+		fill[a.From]++
+	}
+	ready := fill[:0] // fill is spent; each task enters ready at most once
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			ready = append(ready, v)
+		}
+	}
+	done := 0
+	for len(ready) > 0 {
+		v := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		done++
+		for _, w := range next[start[v]:start[v+1]] {
+			if indeg[w]--; indeg[w] == 0 {
+				ready = append(ready, w)
+			}
+		}
+	}
+	return done == n
 }
 
 // PrecDigraph returns the precedence arcs as a digraph.

@@ -1,16 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"fpga3d/internal/obs"
+	"fpga3d/internal/wire"
 )
 
 // maxBatchDefault bounds entries per /v1/solve-batch request when
@@ -30,13 +28,55 @@ type batchEntry struct {
 // -max-batch entries answered in one round trip. TimeoutMS and
 // Strategy are per-entry defaults for entries that do not set their
 // own; each entry still runs under its own deadline and admission
-// slot, so one slow instance cannot time out its siblings. Entries
-// stay raw until prepareEntry decodes each one, so an entry that fails
-// to decode fails alone.
+// slot, so one slow instance cannot time out its siblings. The
+// envelope decodes in one pass with its entries decoded in place; an
+// entry that is well-formed JSON but fails to decode keeps its error
+// and fails alone, while a syntax error anywhere fails the whole body.
 type batchRequest struct {
-	Requests  []json.RawMessage `json:"requests"`
-	TimeoutMS int64             `json:"timeout_ms,omitempty"`
-	Strategy  string            `json:"strategy,omitempty"`
+	Requests  []batchSlot
+	TimeoutMS int64
+	Strategy  string
+}
+
+// batchSlot is one decoded batch entry, or why it did not decode.
+type batchSlot struct {
+	entry batchEntry
+	err   error
+}
+
+// decode decodes a batchRequest body at d's cursor. A repeated
+// "requests" key replaces the entries of an earlier one.
+func (b *batchRequest) decode(d *wire.Decoder) error {
+	return d.Object(func(key []byte) error {
+		switch wire.Field(key, "requests", "timeout_ms", "strategy") {
+		case 0:
+			return wire.Slice(d, &b.Requests, func(slot *batchSlot) error {
+				*slot = batchSlot{}
+				failed, err := d.Isolated(func() error { return slot.entry.decode(d) })
+				slot.err = failed
+				return err
+			})
+		case 1:
+			return d.Int64(&b.TimeoutMS)
+		case 2:
+			return d.String(&b.Strategy)
+		}
+		return wire.UnknownField(key)
+	})
+}
+
+// decode decodes one batchEntry at d's cursor, as solveRequest.decode
+// does.
+func (e *batchEntry) decode(d *wire.Decoder) error {
+	return d.Object(func(key []byte) error {
+		if wire.Field(key, "mode") == 0 {
+			return d.String(&e.Mode)
+		}
+		if ok, err := e.decodeField(d, key); ok {
+			return err
+		}
+		return wire.UnknownField(key)
+	})
 }
 
 // batchError reports one failed batch entry: its position in the
@@ -114,8 +154,12 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Counter(obs.MetricRequests + ".solve_batch").Inc()
 
+	body, ok := s.readBody(w, r, maxRequestBytes)
+	if !ok {
+		return
+	}
 	var req batchRequest
-	if err := decodeStrict(io.LimitReader(r.Body, maxRequestBytes), &req); err != nil {
+	if err := req.decode(wire.NewDecoder(body)); err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
@@ -147,9 +191,9 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]*batchItem, 0, len(req.Requests))
 	byKey := make(map[string]*batchItem)  // cache key → leader
 	byHash := make(map[string]*batchItem) // canonical hash → first holder
-	for i, raw := range req.Requests {
+	for i := range req.Requests {
 		it := &batchItem{index: i}
-		task, err := s.prepareEntry(raw, &req)
+		task, err := s.prepareEntry(&req.Requests[i], &req)
 		if err != nil {
 			it.errMsg = err.Error()
 			items = append(items, it)
@@ -230,14 +274,14 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// prepareEntry decodes one raw batch entry, fills in the batch-level
-// defaults it does not set, and prepares it. Its errors fail only this
-// entry.
-func (s *Server) prepareEntry(raw json.RawMessage, b *batchRequest) (*solveTask, error) {
-	var e batchEntry
-	if err := decodeStrict(bytes.NewReader(raw), &e); err != nil {
-		return nil, fmt.Errorf("decoding entry: %w", err)
+// prepareEntry fills in the batch-level defaults a decoded entry does
+// not set, and prepares it. Its errors, a decode error included, fail
+// only this entry.
+func (s *Server) prepareEntry(slot *batchSlot, b *batchRequest) (*solveTask, error) {
+	if slot.err != nil {
+		return nil, fmt.Errorf("decoding entry: %w", slot.err)
 	}
+	e := slot.entry
 	if e.TimeoutMS == 0 {
 		e.TimeoutMS = b.TimeoutMS
 	}

@@ -151,7 +151,9 @@ func TestBatchBadRequests(t *testing.T) {
 		"empty":     `{"requests": []}`,
 		"oversized": fmt.Sprintf(`{"requests": [%s, %s, %s]}`, e, e, e),
 		"undecoded": `{"requests": [`,
-		"unknown":   `{"nope": true}`,
+		// An entry that fails alone does not hide a later syntax error.
+		"malformed after bad entry": `{"requests": [{"bogus": 1}, {"instance": }]}`,
+		"unknown":                   `{"nope": true}`,
 	}
 	for name, body := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/solve-batch", "application/json", strings.NewReader(body))

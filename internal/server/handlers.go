@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -15,6 +14,7 @@ import (
 	"fpga3d"
 	"fpga3d/internal/obs"
 	"fpga3d/internal/strategy"
+	"fpga3d/internal/wire"
 )
 
 // maxRequestBytes bounds a request body; a placement instance is a few
@@ -165,19 +165,41 @@ func (resp *solveResponse) fillMakespan(in *fpga3d.Instance) {
 	resp.Makespan = &m
 }
 
-// decodeStrict decodes one JSON value from r into v, rejecting fields
-// v does not have.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// readBody reads a request body of at most limit bytes. When it fails
+// it has answered the request — 413 naming the cap for a body over it,
+// 400 otherwise — and returns ok=false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	// The declared length presizes the buffer only up to 64 KiB: a
+	// client must send the bytes, not just announce them, to make the
+	// daemon hold more.
+	hint := int(min(max(r.ContentLength, 0), 64<<10))
+	body, err := wire.ReadAll(http.MaxBytesReader(w, r.Body, limit), hint)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %s limit", byteSize(limit)))
+		return nil, false
+	case err != nil:
+		s.writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
+// byteSize formats a body cap, a whole number of KiB, for an error.
+func byteSize(n int64) string {
+	if n%(1<<20) == 0 {
+		return fmt.Sprintf("%d MiB", n>>20)
+	}
+	return fmt.Sprintf("%d KiB", n>>10)
 }
 
 // decodeSolve decodes and prepares the body of a synchronous solve
 // request. Any error is a client error (400).
-func (s *Server) decodeSolve(r io.Reader, m *solveMode) (*solveTask, error) {
+func (s *Server) decodeSolve(body []byte, m *solveMode) (*solveTask, error) {
 	var req solveRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := req.decode(wire.NewDecoder(body)); err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
 	}
 	return s.prepareSolve(&req, m)
@@ -362,7 +384,11 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, m *solveMode
 	}
 	s.reg.Counter(obs.MetricRequests + "." + m.name).Inc()
 
-	task, err := s.decodeSolve(io.LimitReader(r.Body, maxRequestBytes), m)
+	body, ok := s.readBody(w, r, maxRequestBytes)
+	if !ok {
+		return
+	}
+	task, err := s.decodeSolve(body, m)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return

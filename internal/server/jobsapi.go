@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"time"
 
 	"fpga3d"
 	"fpga3d/internal/obs"
 	"fpga3d/internal/server/jobs"
+	"fpga3d/internal/wire"
 )
 
 // jobRequest is the JSON body of POST /v1/jobs: one solve submitted
@@ -27,6 +28,23 @@ type jobRequest struct {
 	Mode   string `json:"mode,omitempty"`
 	Client string `json:"client,omitempty"`
 	solveRequest
+}
+
+// decode decodes a jobRequest body at d's cursor, as
+// solveRequest.decode does.
+func (req *jobRequest) decode(d *wire.Decoder) error {
+	return d.Object(func(key []byte) error {
+		switch wire.Field(key, "mode", "client") {
+		case 0:
+			return d.String(&req.Mode)
+		case 1:
+			return d.String(&req.Client)
+		}
+		if ok, err := req.decodeField(d, key); ok {
+			return err
+		}
+		return wire.UnknownField(key)
+	})
 }
 
 // jobMeta is what the serving layer pins to a job at submission time.
@@ -158,7 +176,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "draining; not accepting new jobs")
 		return
 	}
-	task, requested, err := s.decodeJob(io.LimitReader(r.Body, maxRequestBytes))
+	body, ok := s.readBody(w, r, maxRequestBytes)
+	if !ok {
+		return
+	}
+	task, requested, err := s.decodeJob(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -198,6 +220,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobsWG.Add(1)
 	go s.executeJob(jctx, id, task, timeout, closeStream)
+	// Yield so the job starts on this processor before its 202 is
+	// written, not after: a client that polls as soon as it has the 202
+	// then finds a short job done more often, rather than seeing it
+	// running and waiting to poll again.
+	runtime.Gosched()
 
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	s.writeJSON(w, http.StatusAccepted, s.wireJob(job))
@@ -206,9 +233,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // decodeJob decodes and prepares one job submission body; it also
 // returns the client identity the body names, if any. Any error is a
 // client error (400).
-func (s *Server) decodeJob(r io.Reader) (*solveTask, string, error) {
+func (s *Server) decodeJob(body []byte) (*solveTask, string, error) {
 	var req jobRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := req.decode(wire.NewDecoder(body)); err != nil {
 		return nil, "", fmt.Errorf("decoding request: %w", err)
 	}
 	m, err := modeByName(req.Mode)

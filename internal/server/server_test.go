@@ -274,6 +274,41 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyOverCapIs413 pins the body caps at the door: one byte over
+// 8 MiB on a solve-shaped endpoint, or over 64 KiB on a session
+// endpoint, is a 413 naming the cap, while a body of exactly the cap
+// reaches the decoder.
+func TestBodyOverCapIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	padded := func(prefix string, n int) string {
+		return prefix + strings.Repeat(" ", n-len(prefix))
+	}
+	for _, tc := range []struct {
+		path, body string
+		want       int
+		cap        string
+	}{
+		{"/v1/solve", padded(`{"bogus":1}`, maxRequestBytes+1), http.StatusRequestEntityTooLarge, "8 MiB"},
+		{"/v1/solve-batch", padded(`{"requests":[]}`, maxRequestBytes+1), http.StatusRequestEntityTooLarge, "8 MiB"},
+		{"/v1/jobs", padded(`{}`, maxRequestBytes+1), http.StatusRequestEntityTooLarge, "8 MiB"},
+		{"/v1/solve", padded(`{"bogus":1}`, maxRequestBytes), http.StatusBadRequest, ""},
+		{"/v1/sessions", padded(`{"w":8,"h":8}`, maxSessionBytes+1), http.StatusRequestEntityTooLarge, "64 KiB"},
+		{"/v1/sessions", padded(`{"w":8,"h":8}`, maxSessionBytes), http.StatusCreated, ""},
+	} {
+		resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.want || !strings.Contains(e.Error, tc.cap) {
+			t.Errorf("%s with a %d-byte body: status %d error %q (%v), want %d naming %q",
+				tc.path, len(tc.body), resp.StatusCode, e.Error, err, tc.want, tc.cap)
+		}
+	}
+}
+
 func TestDeadlineReturns504WithPartialResult(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 2})
 	body := solveBody(t, hardInstance(), hardChipJSON, `"timeout_ms": 300`)
@@ -461,6 +496,44 @@ func BenchmarkSolveCacheHit(b *testing.B) {
 	}
 	if rec := post(); !strings.Contains(rec.Body.String(), `"cached":true`) {
 		b.Fatalf("second solve missed the cache: %s", rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+// BenchmarkSolveBatchCacheHit measures a /v1/solve-batch round trip of
+// eight entries that all hit the result cache: the envelope decode and
+// each entry's in-place decode, hashing and cache lookup, and the
+// response encoding, with the engine idle.
+func BenchmarkSolveBatchCacheHit(b *testing.B) {
+	// Room for all eight priming solves at once: a full admission
+	// queue would fail entries and leave them out of the cache.
+	s := New(Config{MaxConcurrent: 1, QueueDepth: 8})
+	h := s.Handler()
+	var entries []string
+	for i := 0; i < 8; i++ {
+		in := easyInstance()
+		in.Tasks = append(in.Tasks, model.Task{Name: "d", W: 1, H: 1, Dur: 1 + i})
+		var buf bytes.Buffer
+		if err := model.WriteInstance(&buf, in); err != nil {
+			b.Fatal(err)
+		}
+		entries = append(entries, `{"instance": `+buf.String()+`, "chip": {"w":4,"h":4,"t":16}}`)
+	}
+	body := []byte(`{"requests": [` + strings.Join(entries, ",") + `]}`)
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve-batch", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := post(); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"failed":0`) {
+		b.Fatalf("priming batch: %d %s", rec.Code, rec.Body)
+	}
+	if rec := post(); strings.Count(rec.Body.String(), `"cached":true`) != len(entries) {
+		b.Fatalf("second batch missed the cache: %s", rec.Body)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -161,8 +161,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Counter(obs.MetricRequests + ".sessions").Inc()
 	var req createSessionRequest
-	if err := json.NewDecoder(io64k(r)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeSessionBody(w, r, &req) {
 		return
 	}
 	strat := req.Strategy
@@ -260,8 +259,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 // hanging the session.
 func (s *Server) handleSessionAdmit(w http.ResponseWriter, r *http.Request, h *sessionHandle) {
 	var req admitWire
-	if err := json.NewDecoder(io64k(r)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeSessionBody(w, r, &req) {
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -289,8 +287,7 @@ func (s *Server) handleSessionAdmit(w http.ResponseWriter, r *http.Request, h *s
 // handleSessionDepart removes one module early.
 func (s *Server) handleSessionDepart(w http.ResponseWriter, r *http.Request, h *sessionHandle) {
 	var req departWire
-	if err := json.NewDecoder(io64k(r)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeSessionBody(w, r, &req) {
 		return
 	}
 	if err := h.eng.Depart(req.ID, req.At); err != nil {
@@ -308,8 +305,7 @@ func (s *Server) handleSessionDepart(w http.ResponseWriter, r *http.Request, h *
 // the validated (possibly empty) plan.
 func (s *Server) handleSessionDefrag(w http.ResponseWriter, r *http.Request, h *sessionHandle) {
 	var req defragWire
-	if err := json.NewDecoder(io64k(r)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeSessionBody(w, r, &req) {
 		return
 	}
 	plan, err := h.eng.Defrag(req.At)
@@ -350,9 +346,27 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request, id 
 // request-ID progress streams.
 func sessionStreamID(id string) string { return "session-" + id }
 
-// io64k bounds a session-API request body; session operations are tiny
-// compared to solve instances, so 64 KiB is generous.
-func io64k(r *http.Request) io.Reader { return io.LimitReader(r.Body, 64<<10) }
+// maxSessionBytes bounds a session-API request body; session
+// operations are tiny compared to solve instances, so 64 KiB is
+// generous.
+const maxSessionBytes = 64 << 10
+
+// decodeSessionBody decodes a session-API body into v, rejecting
+// unknown fields as the solve endpoints do. When it fails it has
+// answered the request (413 or 400) and returns false.
+func (s *Server) decodeSessionBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := s.readBody(w, r, maxSessionBytes)
+	if !ok {
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		return false
+	}
+	return true
+}
 
 // strconvQuote quotes a user-supplied string for an error message.
 func strconvQuote(s string) string { return strconv.Quote(s) }

@@ -383,3 +383,23 @@ func TestSessionEventsSSE(t *testing.T) {
 		t.Fatalf("events for unknown session: code=%d, want 404", missing.StatusCode)
 	}
 }
+
+// TestSessionBodiesRejectUnknownFields pins the session endpoints to
+// the strictness of the solve endpoints: a misspelled field is a 400,
+// not a silently ignored setting.
+func TestSessionBodiesRejectUnknownFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/sessions", `{"w":8,"h":8,"probe_nodes_limit":100}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("create with a misspelled field: code=%d, want 400", code)
+	}
+	id := createSession(t, ts, `{"w":8,"h":8,"probe_node_limit":100}`)
+	for op, body := range map[string]string{
+		"admit":  `{"name":"m","w":2,"h":2,"dur":3,"durr":4}`,
+		"depart": `{"id":0,"at":1,"when":2}`,
+		"defrag": `{"at":0,"moves":1}`,
+	} {
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/sessions/"+id+"/"+op, body, nil); code != http.StatusBadRequest {
+			t.Errorf("%s with an unknown field: code=%d, want 400", op, code)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"fpga3d"
 	"fpga3d/internal/model"
+	"fpga3d/internal/wire"
 )
 
 // solveRequest is the JSON body of every /v1/* solve endpoint. The
@@ -35,6 +36,59 @@ type solveRequest struct {
 	NoCache   bool            `json:"no_cache,omitempty"`
 	Strategy  string          `json:"strategy,omitempty"`
 	Anytime   bool            `json:"anytime,omitempty"`
+}
+
+// decode decodes a solveRequest body at d's cursor (see package wire
+// for the rules, which are encoding/json's with unknown fields
+// disallowed).
+func (req *solveRequest) decode(d *wire.Decoder) error {
+	return d.Object(func(key []byte) error {
+		if ok, err := req.decodeField(d, key); ok {
+			return err
+		}
+		return wire.UnknownField(key)
+	})
+}
+
+// decodeField decodes the member named key when it is a solveRequest
+// field, and reports whether it was; the request types that embed a
+// solveRequest decode their own fields first and then this.
+func (req *solveRequest) decodeField(d *wire.Decoder, key []byte) (bool, error) {
+	switch wire.Field(key, "instance", "chip", "w", "h", "t", "timeout_ms", "no_cache", "strategy", "anytime") {
+	case 0:
+		if d.Null() {
+			req.Instance = nil
+			return true, nil
+		}
+		if req.Instance == nil {
+			req.Instance = new(model.Instance)
+		}
+		return true, model.DecodeInstance(d, req.Instance)
+	case 1:
+		if d.Null() {
+			req.Chip = nil
+			return true, nil
+		}
+		if req.Chip == nil {
+			req.Chip = new(fpga3d.Chip)
+		}
+		return true, model.DecodeContainer(d, req.Chip)
+	case 2:
+		return true, d.Int(&req.W)
+	case 3:
+		return true, d.Int(&req.H)
+	case 4:
+		return true, d.Int(&req.T)
+	case 5:
+		return true, d.Int64(&req.TimeoutMS)
+	case 6:
+		return true, d.Bool(&req.NoCache)
+	case 7:
+		return true, d.String(&req.Strategy)
+	case 8:
+		return true, d.Bool(&req.Anytime)
+	}
+	return false, nil
 }
 
 // solveResponse is the JSON answer of every /v1/* solve endpoint.
