@@ -119,6 +119,31 @@ func (d *Digraph) TransitiveClosure() *Digraph {
 	return res
 }
 
+// ClosureOf returns the transitive closure of the acyclic digraph on
+// len(topo) vertices whose arcs run from each v to the vertices in
+// succ[start[v]:start[v+1]], given a topological order topo of it. Each
+// out-row is built once, in reverse topological order, as the union of
+// v's successors and their rows; all rows share one allocation.
+func ClosureOf(topo, start, succ []int) *Digraph {
+	n := len(topo)
+	rows := NewSets(2*n, n)
+	d := &Digraph{n: n, out: rows[:n:n], in: rows[n:]}
+	for i := n - 1; i >= 0; i-- {
+		v := topo[i]
+		for _, w := range succ[start[v]:start[v+1]] {
+			d.out[v].Add(w)
+			d.out[v].UnionWith(d.out[w])
+		}
+	}
+	for u := 0; u < n; u++ {
+		d.out[u].ForEach(func(v int) {
+			d.in[v].Add(u)
+			d.arcs++
+		})
+	}
+	return d
+}
+
 // IsTransitive reports whether for every pair of arcs u→v, v→w the arc
 // u→w is also present.
 func (d *Digraph) IsTransitive() bool {

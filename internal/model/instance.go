@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"fpga3d/internal/graph"
 )
 
 // Task is a hardware module: a w×h block of FPGA cells that computes for
@@ -133,63 +131,65 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("model: self-precedence on task %d", a.From)
 		}
 	}
-	if !acyclic(len(in.Tasks), in.Prec) {
+	if _, _, _, ok := topoOrder(len(in.Tasks), in.Prec); !ok {
 		return fmt.Errorf("model: precedence constraints contain a cycle")
 	}
 	return nil
 }
 
-// acyclic reports whether arcs, each in range and none a self-arc,
-// form a DAG on n tasks: Kahn's algorithm over a compressed adjacency
-// list in one allocation, linear in n and the arc count.
-func acyclic(n int, arcs []Arc) bool {
-	buf := make([]int, 3*n+1+len(arcs))
-	indeg, start, fill, next := buf[:n], buf[n:2*n+1], buf[2*n+1:3*n+1], buf[3*n+1:]
+// topoOrder sorts n tasks under arcs, each in range, by Kahn's
+// algorithm over a compressed adjacency list in one allocation, linear
+// in n and the arc count; self-arcs are ignored. It returns a
+// topological order and the successor lists (v's successors are
+// next[start[v]:start[v+1]]), and ok false when the arcs contain a
+// cycle.
+func topoOrder(n int, arcs []Arc) (topo, start, next []int, ok bool) {
+	m := 0
 	for _, a := range arcs {
-		indeg[a.To]++
-		start[a.From+1]++
+		if a.From != a.To {
+			m++
+		}
+	}
+	buf := make([]int, 3*n+1+m)
+	indeg, fill := buf[:n], buf[2*n+1:3*n+1]
+	start, next = buf[n:2*n+1], buf[3*n+1:]
+	for _, a := range arcs {
+		if a.From != a.To {
+			indeg[a.To]++
+			start[a.From+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		start[v+1] += start[v]
 	}
 	copy(fill, start[:n])
 	for _, a := range arcs {
-		next[fill[a.From]] = a.To
-		fill[a.From]++
-	}
-	ready := fill[:0] // fill is spent; each task enters ready at most once
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			ready = append(ready, v)
+		if a.From != a.To {
+			next[fill[a.From]] = a.To
+			fill[a.From]++
 		}
 	}
-	done := 0
-	for len(ready) > 0 {
-		v := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		done++
+	topo = fill[:0] // fill is spent; each task enters topo at most once
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			topo = append(topo, v)
+		}
+	}
+	for i := 0; i < len(topo); i++ {
+		v := topo[i]
 		for _, w := range next[start[v]:start[v+1]] {
 			if indeg[w]--; indeg[w] == 0 {
-				ready = append(ready, w)
+				topo = append(topo, w)
 			}
 		}
 	}
-	return done == n
-}
-
-// PrecDigraph returns the precedence arcs as a digraph.
-func (in *Instance) PrecDigraph() *graph.Digraph {
-	d := graph.NewDigraph(len(in.Tasks))
-	for _, a := range in.Prec {
-		d.AddArc(a.From, a.To)
-	}
-	return d
+	return topo, start, next, len(topo) == n
 }
 
 // Order returns the precedence relation of the instance prepared for the
 // solver: transitively closed, with cached earliest-start and tail data.
 func (in *Instance) Order() (*Order, error) {
-	return NewOrder(in.PrecDigraph(), in.Durations())
+	return newOrder(in.Prec, in.Durations())
 }
 
 // Clone returns a deep copy of the instance.

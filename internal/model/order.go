@@ -29,27 +29,48 @@ func NewOrder(prec *graph.Digraph, dur []int) (*Order, error) {
 	if prec.N() != len(dur) {
 		return nil, fmt.Errorf("model: %d durations for %d tasks", len(dur), prec.N())
 	}
-	if !prec.IsAcyclic() {
+	arcs := make([]Arc, 0, prec.Arcs())
+	for u := 0; u < prec.N(); u++ {
+		prec.Out(u).ForEach(func(v int) { arcs = append(arcs, Arc{From: u, To: v}) })
+	}
+	return newOrder(arcs, dur)
+}
+
+// newOrder builds the Order of arcs over len(dur) tasks in one
+// topological pass. Earliest starts and tails are longest paths over
+// the input arcs, which with non-negative durations equal those over
+// the closure; the closure is built in reverse topological order.
+func newOrder(arcs []Arc, dur []int) (*Order, error) {
+	n := len(dur)
+	topo, start, next, ok := topoOrder(n, arcs)
+	if !ok {
 		return nil, fmt.Errorf("model: precedence constraints contain a cycle")
 	}
-	cl := prec.TransitiveClosure()
-	est, _ := cl.LongestPathFrom(dur)
-	tail, _ := cl.LongestPathTo(dur)
-	crit := 0
-	for v := 0; v < cl.N(); v++ {
-		if c := est[v] + dur[v] + tail[v]; c > crit {
-			crit = c
+	buf := make([]int, 3*n)
+	o := &Order{n: n, dur: buf[:n:n], est: buf[n : 2*n : 2*n], tail: buf[2*n:]}
+	copy(o.dur, dur)
+	for _, v := range topo {
+		for _, w := range next[start[v]:start[v+1]] {
+			o.est[w] = max(o.est[w], o.est[v]+dur[v])
 		}
 	}
-	return &Order{n: prec.N(), closure: cl, dur: append([]int(nil), dur...), est: est, tail: tail, crit: crit}, nil
+	for i := n - 1; i >= 0; i-- {
+		v := topo[i]
+		for _, w := range next[start[v]:start[v+1]] {
+			o.tail[v] = max(o.tail[v], o.tail[w]+dur[w])
+		}
+		o.crit = max(o.crit, o.est[v]+dur[v]+o.tail[v])
+	}
+	o.closure = graph.ClosureOf(topo, start, next)
+	return o, nil
 }
 
 // EmptyOrder returns the trivial order with no constraints over n tasks
 // with the given durations.
 func EmptyOrder(dur []int) *Order {
-	o, err := NewOrder(graph.NewDigraph(len(dur)), dur)
+	o, err := newOrder(nil, dur)
 	if err != nil {
-		panic(err) // empty digraph is always acyclic
+		panic(err) // no arcs are always acyclic
 	}
 	return o
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/rand"
 	"testing"
 
 	"fpga3d/internal/graph"
@@ -98,5 +99,122 @@ func TestInstanceOrderDiamond(t *testing.T) {
 	}
 	if !o.Precedes(0, 3) {
 		t.Fatal("closure missing 0→3")
+	}
+}
+
+// refOrder is the construction NewOrder replaced, kept as the
+// reference: an acyclicity check, a Floyd–Warshall style closure and
+// longest paths over the closure.
+func refOrder(prec *graph.Digraph, dur []int) (cl *graph.Digraph, est, tail []int, crit int, ok bool) {
+	if !prec.IsAcyclic() {
+		return nil, nil, nil, 0, false
+	}
+	cl = prec.TransitiveClosure()
+	est, _ = cl.LongestPathFrom(dur)
+	tail, _ = cl.LongestPathTo(dur)
+	for v := range dur {
+		crit = max(crit, est[v]+dur[v]+tail[v])
+	}
+	return cl, est, tail, crit, true
+}
+
+// randomArcs draws arcs over n tasks: forward along a random
+// permutation (a DAG), with repeated and self arcs, and with back arcs
+// too when cyclic is set.
+func randomArcs(rng *rand.Rand, n int, p float64, cyclic bool) []Arc {
+	perm := rng.Perm(n)
+	var arcs []Arc
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < p {
+				arcs = append(arcs, Arc{From: perm[i], To: perm[j]})
+			}
+		}
+	}
+	for k := 0; k < len(arcs)/8; k++ {
+		arcs = append(arcs, arcs[rng.Intn(len(arcs))]) // repeat an arc
+	}
+	if n > 0 && rng.Intn(4) == 0 {
+		v := rng.Intn(n)
+		arcs = append(arcs, Arc{From: v, To: v})
+	}
+	if cyclic && len(arcs) > 0 {
+		a := arcs[rng.Intn(len(arcs))]
+		arcs = append(arcs, Arc{From: a.To, To: a.From})
+	}
+	rng.Shuffle(len(arcs), func(i, j int) { arcs[i], arcs[j] = arcs[j], arcs[i] })
+	return arcs
+}
+
+// TestNewOrderMatchesReference holds the one-pass construction to
+// refOrder on random DAGs (more than 64 tasks included, so the closure
+// rows span several words) with non-negative durations, through both
+// NewOrder and Instance.Order: the same closure, in- and out-rows, arc
+// count, earliest starts, tails and critical path, and the same
+// rejection of cycles.
+func TestNewOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 400; iter++ {
+		n := rng.Intn(24)
+		if iter%10 == 0 {
+			n = 60 + rng.Intn(80)
+		}
+		arcs := randomArcs(rng, n, rng.Float64()*0.4, iter%5 == 4)
+		dur := make([]int, n)
+		for v := range dur {
+			dur[v] = rng.Intn(6) // zero included: only non-negativity is assumed
+		}
+		prec := graph.NewDigraph(n)
+		for _, a := range arcs {
+			prec.AddArc(a.From, a.To)
+		}
+		cl, est, tail, crit, ok := refOrder(prec, dur)
+		in := &Instance{Tasks: make([]Task, n), Prec: arcs}
+		for v := range in.Tasks {
+			in.Tasks[v] = Task{W: 1, H: 1, Dur: dur[v]}
+		}
+		fromArcs, err := in.Order()
+		fromDigraph, err2 := NewOrder(prec, dur)
+		if (err == nil) != ok || (err2 == nil) != ok {
+			t.Fatalf("iter %d: reference acyclic %v, Order error %v, NewOrder error %v", iter, ok, err, err2)
+		}
+		if !ok {
+			continue
+		}
+		for name, o := range map[string]*Order{"Instance.Order": fromArcs, "NewOrder": fromDigraph} {
+			got := o.Closure()
+			if got.N() != n || got.Arcs() != cl.Arcs() || o.N() != n {
+				t.Fatalf("iter %d %s: %d vertices %d arcs, reference %d arcs", iter, name, got.N(), got.Arcs(), cl.Arcs())
+			}
+			for v := 0; v < n; v++ {
+				if !got.Out(v).Equal(cl.Out(v)) || !got.In(v).Equal(cl.In(v)) {
+					t.Fatalf("iter %d %s: task %d out %v in %v, reference out %v in %v",
+						iter, name, v, got.Out(v), got.In(v), cl.Out(v), cl.In(v))
+				}
+				if o.EST(v) != est[v] || o.Tail(v) != tail[v] {
+					t.Fatalf("iter %d %s: task %d est %d tail %d, reference %d %d",
+						iter, name, v, o.EST(v), o.Tail(v), est[v], tail[v])
+				}
+			}
+			if o.CriticalPath() != crit {
+				t.Fatalf("iter %d %s: critical path %d, reference %d", iter, name, o.CriticalPath(), crit)
+			}
+		}
+	}
+}
+
+// BenchmarkNewOrder times Instance.Order, the per-question preparation
+// of the precedence relation, on a 40-task random DAG.
+func BenchmarkNewOrder(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	in := &Instance{Tasks: make([]Task, 40), Prec: randomArcs(rng, 40, 0.1, false)}
+	for v := range in.Tasks {
+		in.Tasks[v] = Task{W: 1, H: 1, Dur: 1 + rng.Intn(5)}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := in.Order(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

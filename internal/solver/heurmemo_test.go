@@ -45,14 +45,15 @@ func TestMinTimeHeuristicMemoOnDE(t *testing.T) {
 // successive time budgets, so the per-footprint memo must be shared
 // across the whole run, not rebuilt per step.
 func TestParetoHeuristicMemoAcrossSteps(t *testing.T) {
-	// Five independent 2×2 unit-duration blocks: the minimal square
-	// side decreases slowly in T (6, 4, 4, 3, 2, …), so successive BMP
-	// ascents re-probe chips the previous step already visited.
+	// The minimal square side is 4 for T in [3, 6] and 3 at T = 7. Each
+	// step from T = 5 on probes the 3×3 chip just below the carried
+	// incumbent, and stage 1 refutes none of those probes, so stage 2
+	// runs on the same footprint at three successive budgets.
 	in := &model.Instance{
 		Name: "pareto-memo",
 		Tasks: []model.Task{
-			{W: 2, H: 2, Dur: 1}, {W: 2, H: 2, Dur: 1}, {W: 2, H: 2, Dur: 1},
-			{W: 2, H: 2, Dur: 1}, {W: 2, H: 2, Dur: 1},
+			{W: 3, H: 1, Dur: 3}, {W: 3, H: 2, Dur: 1}, {W: 2, H: 3, Dur: 2},
+			{W: 1, H: 3, Dur: 2}, {W: 1, H: 3, Dur: 2},
 		},
 	}
 	reg := obs.NewRegistry()
@@ -70,5 +71,5 @@ func TestParetoHeuristicMemoAcrossSteps(t *testing.T) {
 	if hits < 1 {
 		t.Errorf("pareto walk recorded %d memo hits, want ≥ 1 (computes=%d)", hits, computes)
 	}
-	t.Logf("pareto: probes=%d computes=%d hits=%d", r.Probes, computes, hits)
+	t.Logf("pareto: probes=%d computes=%d hits=%d curve=%v", r.Probes, computes, hits, r.Curve)
 }

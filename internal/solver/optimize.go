@@ -176,10 +176,13 @@ func MinBaseCtx(ctx context.Context, in *model.Instance, T int, opt Options) (*O
 	if err != nil {
 		return nil, err
 	}
-	return minBase(ctx, in, T, order, opt)
+	return minBase(ctx, in, T, order, opt, 0, nil)
 }
 
-func minBase(ctx context.Context, in *model.Instance, T int, order *model.Order, opt Options) (*OptResult, error) {
+// minBase runs the h-ascent at T. A non-nil prev is a witness on the
+// prevH×prevH chip that finishes within T (the Pareto walk's previous
+// point); it is verified and seeds the ascent as its incumbent.
+func minBase(ctx context.Context, in *model.Instance, T int, order *model.Order, opt Options, prevH int, prev *model.Placement) (*OptResult, error) {
 	ctx, run := opt.begin(ctx, "bmp", in, map[string]any{"T": T})
 	if order.CriticalPath() > T {
 		// No chip of any size can beat the dependency chains.
@@ -196,6 +199,12 @@ func minBase(ctx context.Context, in *model.Instance, T int, order *model.Order,
 		return model.Container{W: h, H: h, T: T}
 	}))
 	s.raced = true
+	if prev != nil {
+		if err := prev.Verify(in, model.Container{W: prevH, H: prevH, T: T}, order); err != nil {
+			return run.finish(Unknown, 0, 0, nil), fmt.Errorf("solver: carried pareto witness fails at h=%d, T=%d: %w", prevH, T, err)
+		}
+		s.improve(prevH, prev, struct{}{}, "pareto")
+	}
 	res, err := s.finish(s.search(ctx))
 	if res.Decision == Infeasible {
 		return nil, fmt.Errorf("solver: no feasible chip up to %dx%d for instance %q (internal bound error)",

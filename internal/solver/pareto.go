@@ -43,10 +43,12 @@ func ParetoFront(in *model.Instance, opt Options) (*ParetoResult, error) {
 }
 
 // ParetoFrontCtx is ParetoFront under a context. The T-walk is
-// inherently sequential (each point's chip bound seeds the next), but
-// each BMP ascent inside it races its h-probes on Options.Workers
-// goroutines; cancellation aborts the walk promptly and returns the
-// partial curve together with ctx.Err().
+// inherently sequential: a chip that fits within T−1 also fits within
+// T, so each step's BMP ascent starts with the previous step's chip and
+// witness as its incumbent and probes just below it first. Each ascent
+// races its h-probes on Options.Workers goroutines; cancellation aborts
+// the walk promptly and returns the partial curve together with
+// ctx.Err().
 func ParetoFrontCtx(ctx context.Context, in *model.Instance, opt Options) (*ParetoResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -72,9 +74,11 @@ func ParetoFrontCtx(ctx context.Context, in *model.Instance, opt Options) (*Pare
 	tMin := order.CriticalPath()
 	tCap := tMin + in.TotalDuration() // every instance serializes by then
 
-	prevH := -1
+	// prevH and prev are the previous step's optimum and its witness:
+	// h never grows with T, so prevH is also the last point's side.
+	prevH, prev := -1, (*model.Placement)(nil)
 	for T := tMin; T <= tCap; T++ {
-		r, err := minBase(ctx, in, T, order, opt)
+		r, err := minBase(ctx, in, T, order, opt, prevH, prev)
 		if r != nil {
 			run.Probes += r.Probes
 			run.Stats.Add(r.Stats)
@@ -89,9 +93,9 @@ func ParetoFrontCtx(ctx context.Context, in *model.Instance, opt Options) (*Pare
 		res.Curve = append(res.Curve, ParetoPoint{T: T, H: r.Value})
 		if prevH == -1 || r.Value < prevH {
 			res.Points = append(res.Points, ParetoPoint{T: T, H: r.Value})
-			prevH = r.Value
 			opt.Trace.Emit("pareto_point", map[string]any{"T": T, "h": r.Value})
 		}
+		prevH, prev = r.Value, r.Placement
 		if r.Value == hFloor {
 			break
 		}

@@ -3,11 +3,15 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"fpga3d/internal/bench"
 	"fpga3d/internal/model"
 	"fpga3d/internal/obs"
+	"fpga3d/internal/strategy"
 )
 
 // cancelOnEvent is a trace sink that cancels a context the first time a
@@ -109,5 +113,55 @@ func TestParetoCancellationMidWalk(t *testing.T) {
 	}
 	if r.Probes == 0 {
 		t.Fatal("partial result lost its probe accounting")
+	}
+}
+
+// TestParetoWalkMatchesPerStepMinBase holds the seeded walk, where each
+// step's chip ascent starts from the previous point, to independent
+// per-step MinBase runs: every curve point is MinBase at its T, and the
+// Pareto points are the curve's strict improvements. It covers the DE
+// instance with and without precedence, the video codec and seeded
+// random instances under every preset at Workers 1 and 2, and pins the
+// sequential DE walk to at most 12 probes (79 when every step ascended
+// from its own lower bound).
+func TestParetoWalkMatchesPerStepMinBase(t *testing.T) {
+	instances := []*model.Instance{bench.DE(), bench.DE().WithoutPrec(), bench.VideoCodec()}
+	for _, seed := range []int64{3, 5, 11, 12, 14, 16} {
+		in := bench.Random(rand.New(rand.NewSource(seed)), 6+int(seed%4), 3, 3, 0.2)
+		in.Name = fmt.Sprintf("random%d", seed)
+		instances = append(instances, in)
+	}
+	for _, in := range instances {
+		for _, preset := range strategy.Names() {
+			for _, workers := range []int{1, 2} {
+				opt := Options{Strategy: preset, Workers: workers}
+				name := fmt.Sprintf("%s/%s/workers=%d", in.Name, preset, workers)
+				pr, err := ParetoFront(in, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var points []ParetoPoint
+				for _, p := range pr.Curve {
+					r, err := MinBase(in, p.T, opt)
+					if err != nil {
+						t.Fatalf("%s: MinBase(T=%d): %v", name, p.T, err)
+					}
+					if r.Decision != Feasible || r.Value != p.H {
+						t.Errorf("%s: curve has h=%d at T=%d, MinBase says %v h=%d", name, p.H, p.T, r.Decision, r.Value)
+					}
+					if len(points) == 0 || p.H < points[len(points)-1].H {
+						points = append(points, p)
+					}
+				}
+				if fmt.Sprint(points) != fmt.Sprint(pr.Points) {
+					t.Errorf("%s: points %v, the curve's improvements are %v", name, pr.Points, points)
+				}
+				// A race also counts the speculative probes it cancels,
+				// so the probe budget is pinned on the sequential walk.
+				if in.Name == "DE" && workers == 1 && pr.Probes > 12 {
+					t.Errorf("%s: %d probes, want ≤ 12", name, pr.Probes)
+				}
+			}
+		}
 	}
 }

@@ -27,7 +27,12 @@ import (
 //     and payload, and the merged effort of every probe.
 //   - Order: ascend probes the bound itself, the paper's linear ascent;
 //     bisect probes the midpoint between the bound and the incumbent,
-//     or the top of the interval while there is no incumbent.
+//     or the top of the interval while there is no incumbent. An ascent
+//     seeded with an incumbent (each Pareto step starts from the
+//     previous step's chip) first probes just below it: infeasible
+//     there settles the sweep in one probe, feasible lowers the
+//     incumbent and the ascent goes on from the bound, and a limit
+//     there is one-shot, so the ascent goes on too.
 //   - Executor: each probe runs inline on the caller's goroutine, and
 //     at Workers > 1 it explores its tree on a work-stealing pool of
 //     Workers engines. A raced sweep (MinTime, MinBase and
@@ -55,7 +60,8 @@ import (
 // returns.
 //
 // A probe that hits a node or time limit leaves its value undecided.
-// The sweep gives up once its order would probe such a value next: the
+// The sweep gives up once its order would probe such a value next
+// (the probe just below the incumbent aside, which is one-shot): the
 // inline executor stops at its first undecided probe, a race may get
 // further, so racing matches the inline answer only when no probe hits
 // a limit. Either way a partial result carries the best proven pair.
@@ -250,23 +256,24 @@ func (s *sweep[P]) fold(v int, r *OPPResult, p P) {
 // pick is the value the order probes next. A bisection first raises
 // the bound past its points below floor.
 func (s *sweep[P]) pick() int {
+	if !s.ascend && s.best <= s.hi {
+		for s.bound < s.best && s.bound+(s.best-s.bound)/2 < s.floor {
+			s.bound += (s.best-s.bound)/2 + 1
+		}
+	}
+	if s.belowTop && s.decided == 0 && s.bound < s.best-1 && !slices.Contains(s.stuck, s.best-1) {
+		// Incumbent-optimality probe: if the point just below the
+		// incumbent is infeasible, one probe closes the interval. It is
+		// one-shot: once a limit leaves it undecided, the order goes on.
+		return s.best - 1
+	}
 	switch {
 	case s.ascend:
 		return s.bound
 	case s.best > s.hi:
 		return s.hi // no incumbent yet: establish the top of the interval
 	}
-	mid := s.bound + (s.best-s.bound)/2
-	for mid < s.floor && s.bound < s.best {
-		s.bound = mid + 1
-		mid = s.bound + (s.best-s.bound)/2
-	}
-	if s.belowTop && s.decided == 0 && mid < s.best-1 {
-		// Incumbent-optimality probe: if the point just below the
-		// incumbent is infeasible, one probe closes the interval.
-		return s.best - 1
-	}
-	return mid
+	return s.bound + (s.best-s.bound)/2
 }
 
 // picks yields up to k values to probe, none of them busy: the order's
@@ -281,7 +288,7 @@ func (s *sweep[P]) picks(k int, busy func(int) bool) []int {
 	}
 	take(s.pick())
 	if s.ascend {
-		for v := s.bound + 1; v < s.best && v <= s.hi && len(out) < k; v++ {
+		for v := s.bound; v < s.best && v <= s.hi && len(out) < k; v++ {
 			take(v)
 		}
 		return out
@@ -321,11 +328,12 @@ func (s *sweep[P]) decision() Decision {
 // fails. It returns the probe's error, or ctx.Err() when the sweep
 // stopped undecided.
 func (s *sweep[P]) search(ctx context.Context) error {
-	// The order extras apply to sweeps over a witness objective, and
-	// this is the one place they are resolved: the portfolio preset
-	// probes just below the incumbent first and jumps to each witness's
-	// objective; a streamed (anytime) run always jumps, so every update
-	// reports the best point known.
+	// The order extras are resolved here and only here. An ascent
+	// seeded with an incumbent probes just below it first. On a sweep
+	// over a witness objective, the portfolio preset does the same and
+	// jumps to each witness's objective; a streamed (anytime) run
+	// always jumps, so every update reports the best point known.
+	s.belowTop = s.ascend && s.best <= s.hi
 	if s.objective != nil {
 		portfolio := s.opt.Strategy == strategy.NamePortfolio
 		s.belowTop = portfolio && s.observe == nil

@@ -133,7 +133,10 @@ func sweepGoldenLines(t *testing.T) []string {
 
 // TestSweepGolden pins every optimization driver's answer, proven
 // bound, effort and witness on the seeded corpus against a recording
-// made before the drivers shared one sweep.
+// made before the drivers shared one sweep. The ParetoFront rows were
+// re-recorded when each walk step began seeding its ascent with the
+// previous point: their points and curves did not change, their
+// effort did.
 func TestSweepGolden(t *testing.T) {
 	got := sweepGoldenLines(t)
 	raw, err := os.ReadFile(sweepGoldenPath)

@@ -75,19 +75,30 @@ func TestRacePartialKeepsProgress(t *testing.T) {
 // 40–45, and checks it against a linear scan: a decided answer is the
 // scan's, nothing below the floor is probed, every probe is merged
 // exactly once, an undecided sweep still carries a sound (incumbent,
-// bound) pair, and no goroutine outlives it.
+// bound) pair, and no goroutine outlives it. With seeded set the sweep
+// starts from a feasible incumbent at hi, or as far below hi as bits
+// 46–51 say, which makes an ascent probe just below it first (the
+// Pareto walk's seeded ascent). That probe is one-shot, so a limit
+// there never stops an ascent that the unseeded ascent decides: a
+// seeded ascent must decide whenever no value up to the optimum is
+// flagged.
 func FuzzSweep(f *testing.F) {
 	f.Add(uint8(3), uint8(17), uint8(9), uint64(0), false, uint8(2), true)
 	f.Add(uint8(0), uint8(30), uint8(12), uint64(1<<12|1<<20), true, uint8(4), false)
 	f.Add(uint8(5), uint8(9), uint8(60), uint64(0), true, uint8(3), false)
 	f.Add(uint8(2), uint8(10), uint8(7), uint64(1<<3), false, uint8(1), false)
 	f.Add(uint8(1), uint8(33), uint8(20), uint64(9<<40|1<<30), false, uint8(1), true)
+	f.Add(uint8(2), uint8(20), uint8(5), uint64(1<<19), true, uint8(0), true)
+	f.Add(uint8(2), uint8(20), uint8(5), uint64(6<<46|1<<13), true, uint8(2), true)
+	f.Add(uint8(2), uint8(20), uint8(16), uint64(6<<46|1<<13), true, uint8(0), true)
 	f.Fuzz(func(t *testing.T, lo8, width, threshold8 uint8, limits uint64, ascend bool, workers8 uint8, seeded bool) {
 		lo := int(lo8 % 32)
 		hi := lo + int(width%40)
 		threshold := int(threshold8 % 80)
+		seedAt := hi
 		if seeded {
-			threshold = min(threshold, hi) // the seed at hi is feasible
+			threshold = min(threshold, hi)
+			seedAt = max(hi-int(limits>>46&63), threshold, lo) // feasible
 		}
 		undecided := func(v int) bool { return v-lo < 40 && limits>>(v-lo)&1 == 1 }
 		floor := 0
@@ -119,23 +130,26 @@ func FuzzSweep(f *testing.F) {
 		s := testSweep(1+int(workers8%4), lo, hi, ascend, probe)
 		s.floor = floor
 		if seeded {
-			s.improve(hi, &model.Placement{X: []int{hi}}, struct{}{}, "heuristic")
+			s.improve(seedAt, &model.Placement{X: []int{seedAt}}, struct{}{}, "heuristic")
 		}
 		if err := s.search(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 
 		// The linear scan lo, lo+1, …, hi answers at max(lo, threshold).
-		opt, want, limited := max(lo, threshold), Feasible, false
+		opt, want, limited, limitedToOpt := max(lo, threshold), Feasible, false, false
 		if opt > hi {
 			want = Infeasible
 		}
 		for v := lo; v <= hi; v++ {
 			limited = limited || undecided(v)
+			limitedToOpt = limitedToOpt || v <= opt && undecided(v)
 		}
 		switch d := s.decision(); {
 		case d == Unknown && !limited:
 			t.Fatalf("undecided without a limit hit (bound %d, best %d)", s.bound, s.best)
+		case d == Unknown && ascend && !limitedToOpt:
+			t.Fatalf("undecided ascent with no limit up to the optimum %d (bound %d, best %d)", opt, s.bound, s.best)
 		case d != Unknown && d != want:
 			t.Fatalf("decided %v, the scan says %v", d, want)
 		case d == Feasible && s.best != opt:
