@@ -1,6 +1,7 @@
 package fpga3d
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -335,7 +336,7 @@ func BenchmarkExtension_Rotation_DE(b *testing.B) {
 	de := bench.DE()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := solver.SolveOPPWithRotation(de, model.Container{W: 32, H: 32, T: 6}, solver.Options{})
+		r, err := solver.SolveOPPWithRotationCtx(context.Background(), de, model.Container{W: 32, H: 32, T: 6}, solver.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -394,7 +395,7 @@ func BenchmarkFixedSchedule_DE(b *testing.B) {
 	starts := []int{0, 0, 2, 4, 5, 0, 2, 0, 2, 0, 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := solver.MinBaseFixedSchedule(de, starts, solver.Options{})
+		r, err := solver.MinBaseFixedScheduleCtx(context.Background(), de, starts, solver.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

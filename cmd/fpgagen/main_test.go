@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"fpga3d/internal/model"
@@ -77,8 +78,9 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 }
 
-// TestOnlineScriptRoundTrip: the -online path emits a valid script that
-// ReadScript accepts byte-identically, reproducible per seed.
+// TestOnlineScriptRoundTrip: the -online path emits a script that
+// decodes (unknown fields disallowed) and validates, reproducible per
+// seed.
 func TestOnlineScriptRoundTrip(t *testing.T) {
 	p := online.GenParams{Seed: 7, W: 10, H: 10, Events: 16, MaxSize: 4, MaxDur: 6, DepartFrac: 0.4, DefragEvery: 5}
 	a, b := online.Generate(p), online.Generate(p)
@@ -92,9 +94,14 @@ func TestOnlineScriptRoundTrip(t *testing.T) {
 	if ja.String() != jb.String() {
 		t.Fatal("seed 7 generated two different scripts")
 	}
-	back, err := online.ReadScript(&ja)
-	if err != nil {
-		t.Fatalf("emitted script does not round-trip: %v", err)
+	var back online.Script
+	dec := json.NewDecoder(&ja)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&back); err != nil {
+		t.Fatalf("emitted script does not decode: %v", err)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("emitted script does not validate: %v", err)
 	}
 	if len(back.Events) != len(a.Events) {
 		t.Fatalf("round-trip lost events: %d vs %d", len(back.Events), len(a.Events))

@@ -27,9 +27,6 @@ func (g *Grid) Clone() *Grid {
 	return c
 }
 
-// Occupied reports whether cell (x, y) is owned by a module.
-func (g *Grid) Occupied(x, y int) bool { return g.cells[y*g.W+x] }
-
 // Fill marks the w×h region at (x, y) occupied.
 func (g *Grid) Fill(x, y, w, h int) {
 	for r := y; r < y+h; r++ {

@@ -85,7 +85,7 @@ func TestMaximalFreeRectsRandomInvariants(t *testing.T) {
 		}
 		for yy := 0; yy < h; yy++ {
 			for xx := 0; xx < w; xx++ {
-				if !g.Occupied(xx, yy) && !covered[[2]int{xx, yy}] {
+				if !g.cells[yy*g.W+xx] && !covered[[2]int{xx, yy}] {
 					t.Fatalf("trial %d: free cell (%d,%d) covered by no maximal rect", trial, xx, yy)
 				}
 			}

@@ -163,16 +163,6 @@ func (s Set) SubsetOf(o Set) bool {
 	return true
 }
 
-// Intersects reports whether s and o share at least one vertex.
-func (s Set) Intersects(o Set) bool {
-	for i := range s.words {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // IntersectionCount returns |s ∩ o| without materializing the
 // intersection.
 func (s Set) IntersectionCount(o Set) int {
@@ -234,16 +224,6 @@ func (s Set) Next(v int) int {
 		}
 		w = s.words[i]
 	}
-}
-
-// Min returns the smallest vertex in the set, or -1 if the set is empty.
-func (s Set) Min() int {
-	for i, w := range s.words {
-		if w != 0 {
-			return i<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // ForEach calls f for every vertex in the set, in increasing order.

@@ -24,12 +24,12 @@ func TestSetBasics(t *testing.T) {
 	if got := s.Count(); got != 8 {
 		t.Fatalf("Count = %d, want 8", got)
 	}
-	if s.Min() != 0 {
-		t.Fatalf("Min = %d, want 0", s.Min())
+	if s.Next(0) != 0 {
+		t.Fatalf("Next(0) = %d, want 0", s.Next(0))
 	}
 	s.Remove(0)
-	if s.Has(0) || s.Min() != 1 {
-		t.Fatalf("Remove(0) failed: min=%d", s.Min())
+	if s.Has(0) || s.Next(0) != 1 {
+		t.Fatalf("Remove(0) failed: Next(0) = %d", s.Next(0))
 	}
 	if s.Cap() != 130 {
 		t.Fatalf("Cap = %d", s.Cap())
@@ -83,10 +83,10 @@ func TestSetOps(t *testing.T) {
 	if a.SubsetOf(b) {
 		t.Fatal("a should not be subset of b")
 	}
-	if !a.Intersects(b) {
+	if a.IntersectionCount(b) == 0 {
 		t.Fatal("a and b share 5, 70")
 	}
-	if d.Intersects(b) {
+	if d.IntersectionCount(b) != 0 {
 		t.Fatal("difference should not intersect b")
 	}
 }
@@ -122,8 +122,8 @@ func TestSetEqualAndClear(t *testing.T) {
 	if !a.Empty() {
 		t.Fatal("Clear left elements")
 	}
-	if a.Min() != -1 {
-		t.Fatalf("Min of empty = %d, want -1", a.Min())
+	if a.Next(0) != -1 {
+		t.Fatalf("Next(0) of empty = %d, want -1", a.Next(0))
 	}
 }
 

@@ -181,27 +181,6 @@ func (d *Digraph) LongestPathFrom(weight []int) (dist []int, ok bool) {
 	return dist, true
 }
 
-// LongestPathTo computes, for every vertex v, the maximum total weight of
-// the vertices on a directed path starting just after v (v excluded).
-// In scheduling terms this is the "tail" of v. The digraph must be
-// acyclic; ok is false otherwise.
-func (d *Digraph) LongestPathTo(weight []int) (tail []int, ok bool) {
-	order, ok := d.TopoSort()
-	if !ok {
-		return nil, false
-	}
-	tail = make([]int, d.n)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		d.out[v].ForEach(func(w int) {
-			if c := tail[w] + weight[w]; c > tail[v] {
-				tail[v] = c
-			}
-		})
-	}
-	return tail, true
-}
-
 // CriticalPath returns the maximum total vertex weight over all directed
 // paths (the makespan lower bound of the order). ok is false if cyclic.
 func (d *Digraph) CriticalPath(weight []int) (int, bool) {

@@ -140,10 +140,6 @@ func TestLongestPaths(t *testing.T) {
 	if est[0] != 0 || est[1] != 2 || est[2] != 2 || est[3] != 7 {
 		t.Fatalf("EST = %v", est)
 	}
-	tail, _ := d.LongestPathTo(w)
-	if tail[3] != 0 || tail[1] != 1 || tail[2] != 1 || tail[0] != 6 {
-		t.Fatalf("tails = %v", tail)
-	}
 	cp, _ := d.CriticalPath(w)
 	if cp != 8 { // 0(2) → 1(5) → 3(1)
 		t.Fatalf("critical path = %d, want 8", cp)
@@ -152,9 +148,6 @@ func TestLongestPaths(t *testing.T) {
 	d.AddArc(3, 0)
 	if _, ok := d.LongestPathFrom(w); ok {
 		t.Fatal("cycle accepted by LongestPathFrom")
-	}
-	if _, ok := d.LongestPathTo(w); ok {
-		t.Fatal("cycle accepted by LongestPathTo")
 	}
 	if _, ok := d.CriticalPath(w); ok {
 		t.Fatal("cycle accepted by CriticalPath")

@@ -7,7 +7,6 @@ import "fmt"
 type Undirected struct {
 	n   int
 	adj []Set
-	m   int // number of edges
 }
 
 // NewUndirected returns an edgeless graph on n vertices.
@@ -18,31 +17,14 @@ func NewUndirected(n int) *Undirected {
 // N returns the number of vertices.
 func (g *Undirected) N() int { return g.n }
 
-// M returns the number of edges.
-func (g *Undirected) M() int { return g.m }
-
 // AddEdge inserts the edge {u, v}. Adding an existing edge is a no-op;
 // adding a self-loop panics (it always indicates a logic error upstream).
 func (g *Undirected) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at vertex %d", u))
 	}
-	if g.adj[u].Has(v) {
-		return
-	}
 	g.adj[u].Add(v)
 	g.adj[v].Add(u)
-	g.m++
-}
-
-// RemoveEdge deletes the edge {u, v} if present.
-func (g *Undirected) RemoveEdge(u, v int) {
-	if !g.adj[u].Has(v) {
-		return
-	}
-	g.adj[u].Remove(v)
-	g.adj[v].Remove(u)
-	g.m--
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -52,12 +34,9 @@ func (g *Undirected) HasEdge(u, v int) bool { return u != v && g.adj[u].Has(v) }
 // with the graph; callers must not modify it.
 func (g *Undirected) Neighbors(v int) Set { return g.adj[v] }
 
-// Degree returns the number of neighbors of v.
-func (g *Undirected) Degree(v int) int { return g.adj[v].Count() }
-
 // Clone returns a deep copy of the graph.
 func (g *Undirected) Clone() *Undirected {
-	c := &Undirected{n: g.n, adj: make([]Set, g.n), m: g.m}
+	c := &Undirected{n: g.n, adj: make([]Set, g.n)}
 	for i := range g.adj {
 		c.adj[i] = g.adj[i].Clone()
 	}
@@ -76,39 +55,4 @@ func (g *Undirected) Complement() *Undirected {
 		}
 	}
 	return c
-}
-
-// Edges calls f for every edge {u, v} with u < v.
-func (g *Undirected) Edges(f func(u, v int)) {
-	for u := 0; u < g.n; u++ {
-		g.adj[u].ForEach(func(v int) {
-			if v > u {
-				f(u, v)
-			}
-		})
-	}
-}
-
-// IsStableSet reports whether the vertices of s are pairwise non-adjacent.
-func (g *Undirected) IsStableSet(s Set) bool {
-	ok := true
-	s.ForEach(func(v int) {
-		if ok && g.adj[v].Intersects(s) {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// IsClique reports whether the vertices of s are pairwise adjacent.
-func (g *Undirected) IsClique(s Set) bool {
-	vs := s.Slice()
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if !g.HasEdge(vs[i], vs[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }

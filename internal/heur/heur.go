@@ -23,17 +23,6 @@ import (
 	"fpga3d/internal/model"
 )
 
-// Place attempts to find a feasible placement of in inside c under o.
-// It returns the placement and true on success; a false result is
-// inconclusive (the instance may still be feasible).
-func Place(in *model.Instance, c model.Container, o *model.Order) (*model.Placement, bool) {
-	best, makespan := bestPlacement(in, c.W, c.H, c.T, o)
-	if best == nil || makespan > c.T {
-		return nil, false
-	}
-	return best, true
-}
-
 // MinMakespan greedily minimizes the makespan of in on a W×H chip under
 // o, returning the placement and its makespan. ok is false only if some
 // task does not fit the chip spatially.

@@ -17,6 +17,13 @@ func mustOrder(t *testing.T, in *model.Instance) *model.Order {
 	return o
 }
 
+// place runs the greedy placer under c's horizon, returning the
+// placement and true when one fits c.
+func place(in *model.Instance, c model.Container, o *model.Order) (*model.Placement, bool) {
+	p, mk := bestPlacement(in, c.W, c.H, c.T, o)
+	return p, p != nil && mk <= c.T
+}
+
 // TestPlacementsAlwaysValid: whatever the heuristic returns must verify
 // geometrically and against the precedence order.
 func TestPlacementsAlwaysValid(t *testing.T) {
@@ -25,7 +32,7 @@ func TestPlacementsAlwaysValid(t *testing.T) {
 		in := bench.Random(rng, 2+rng.Intn(6), 4, 4, 0.3)
 		c := model.Container{W: 3 + rng.Intn(4), H: 3 + rng.Intn(4), T: 3 + rng.Intn(6)}
 		o := mustOrder(t, in)
-		p, ok := Place(in, c, o)
+		p, ok := place(in, c, o)
 		if !ok {
 			continue
 		}
@@ -73,10 +80,10 @@ func TestPlaceRespectsHorizon(t *testing.T) {
 		Prec:  []model.Arc{{From: 0, To: 1}},
 	}
 	o := mustOrder(t, in)
-	if _, ok := Place(in, model.Container{W: 2, H: 2, T: 3}, o); ok {
+	if _, ok := place(in, model.Container{W: 2, H: 2, T: 3}, o); ok {
 		t.Fatal("chain of length 4 placed in horizon 3")
 	}
-	p, ok := Place(in, model.Container{W: 2, H: 2, T: 4}, o)
+	p, ok := place(in, model.Container{W: 2, H: 2, T: 4}, o)
 	if !ok {
 		t.Fatal("chain of length 4 not placed in horizon 4")
 	}
@@ -90,7 +97,7 @@ func TestHeuristicFindsDEOptimum(t *testing.T) {
 	o := mustOrder(t, de)
 	// The greedy placer with tail priority finds the paper's optimal
 	// T=6 schedule on the 32×32 chip.
-	if _, ok := Place(de, model.Container{W: 32, H: 32, T: 6}, o); !ok {
+	if _, ok := place(de, model.Container{W: 32, H: 32, T: 6}, o); !ok {
 		t.Fatal("heuristic misses the DE optimum at 32x32x6")
 	}
 	_, mk, ok := MinMakespan(de, 64, 64, o)
@@ -111,7 +118,7 @@ func TestWideChipFallback(t *testing.T) {
 	}
 	o := mustOrder(t, in)
 	c := model.Container{W: 80, H: 6, T: 4}
-	p, ok := Place(in, c, o)
+	p, ok := place(in, c, o)
 	if !ok {
 		t.Fatal("wide-chip placement failed")
 	}
@@ -131,8 +138,8 @@ func TestFastPathMatchesFallback(t *testing.T) {
 		cNarrow := model.Container{W: 5, H: 5, T: 5}
 		// The same instance on a ≥65-wide chip cannot be harder.
 		cWide := model.Container{W: 65, H: 5, T: 5}
-		_, okNarrow := Place(in, cNarrow, o)
-		_, okWide := Place(in, cWide, o)
+		_, okNarrow := place(in, cNarrow, o)
+		_, okWide := place(in, cWide, o)
 		if okNarrow && !okWide {
 			t.Fatalf("seed %d: wider chip failed where narrow succeeded", seed)
 		}

@@ -24,6 +24,3 @@ func (o *Occupancy) Fill(x, y, s, w, h, dur int) { o.g.fill(x, y, s, w, h, dur) 
 func (o *Occupancy) FindSlot(w, h, dur, est int) (x, y, s int, ok bool) {
 	return o.g.findSlot(w, h, dur, est)
 }
-
-// Horizon returns the grid's time extent T.
-func (o *Occupancy) Horizon() int { return o.g.T }

@@ -69,30 +69,3 @@ func IsChordal(g *graph.Undirected) bool {
 	}
 	return true
 }
-
-// FindChordlessC4 searches g for an induced chordless 4-cycle
-// a–b–c–d–a (edges ab, bc, cd, da present; chords ac, bd absent).
-// It returns the four vertices in cycle order and true, or false if none
-// exists. Used by tests to cross-check the C4 propagation rule.
-func FindChordlessC4(g *graph.Undirected) ([4]int, bool) {
-	n := g.N()
-	for a := 0; a < n; a++ {
-		for c := a + 1; c < n; c++ {
-			if g.HasEdge(a, c) {
-				continue
-			}
-			// common neighbors of a and c
-			common := g.Neighbors(a).Clone()
-			common.IntersectWith(g.Neighbors(c))
-			vs := common.Slice()
-			for i := 0; i < len(vs); i++ {
-				for j := i + 1; j < len(vs); j++ {
-					if !g.HasEdge(vs[i], vs[j]) {
-						return [4]int{a, vs[i], c, vs[j]}, true
-					}
-				}
-			}
-		}
-	}
-	return [4]int{}, false
-}

@@ -12,7 +12,6 @@ import (
 // arise from module sets.
 func MaxWeightClique(g *graph.Undirected, w []int) (graph.Set, int) {
 	s := newCliqueSearch(g, w)
-	s.target = -1 // find the true maximum
 	cand := graph.NewSet(g.N())
 	for v := 0; v < g.N(); v++ {
 		cand.Add(v)
@@ -27,37 +26,12 @@ func MaxWeightStableSet(g *graph.Undirected, w []int) (graph.Set, int) {
 	return MaxWeightClique(g.Complement(), w)
 }
 
-// CliqueHeavierThan reports whether g contains a clique that includes all
-// vertices of must (which callers guarantee to be a clique) and whose
-// total weight exceeds cap. The search stops as soon as one is found.
-func CliqueHeavierThan(g *graph.Undirected, w []int, cap int, must graph.Set) bool {
-	base := 0
-	cand := graph.NewSet(g.N())
-	for v := 0; v < g.N(); v++ {
-		cand.Add(v)
-	}
-	must.ForEach(func(v int) {
-		base += w[v]
-		cand.IntersectWith(g.Neighbors(v))
-	})
-	if base > cap {
-		return true
-	}
-	s := newCliqueSearch(g, w)
-	s.target = cap // succeed on weight > cap
-	s.bestW = cap  // prune anything not exceeding cap
-	s.expand(must.Clone(), cand, base)
-	return s.found
-}
-
 type cliqueSearch struct {
-	g      *graph.Undirected
-	w      []int
-	order  []int // vertices sorted by weight descending
-	best   graph.Set
-	bestW  int
-	target int // if ≥ 0, stop once a clique with weight > target is found
-	found  bool
+	g     *graph.Undirected
+	w     []int
+	order []int // vertices sorted by weight descending
+	best  graph.Set
+	bestW int
 }
 
 func newCliqueSearch(g *graph.Undirected, w []int) *cliqueSearch {
@@ -70,16 +44,9 @@ func newCliqueSearch(g *graph.Undirected, w []int) *cliqueSearch {
 }
 
 func (s *cliqueSearch) expand(cur, cand graph.Set, curW int) {
-	if s.found {
-		return
-	}
 	if curW > s.bestW {
 		s.bestW = curW
 		s.best = cur.Clone()
-		if s.target >= 0 && curW > s.target {
-			s.found = true
-			return
-		}
 	}
 	// Bound: current weight plus all remaining candidates.
 	rem := 0
@@ -88,9 +55,6 @@ func (s *cliqueSearch) expand(cur, cand graph.Set, curW int) {
 		return
 	}
 	for _, v := range s.order {
-		if s.found {
-			return
-		}
 		if !cand.Has(v) {
 			continue
 		}

@@ -182,15 +182,3 @@ func ExtendTransitive(g *graph.Undirected, seeds *graph.Digraph) (*graph.Digraph
 	}
 	return out, nil
 }
-
-// TransitiveOrient computes any transitive orientation of g, or
-// ErrNotExtendable if g is not a comparability graph.
-func TransitiveOrient(g *graph.Undirected) (*graph.Digraph, error) {
-	return ExtendTransitive(g, nil)
-}
-
-// IsComparability reports whether g admits a transitive orientation.
-func IsComparability(g *graph.Undirected) bool {
-	_, err := TransitiveOrient(g)
-	return err == nil
-}

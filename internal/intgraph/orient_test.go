@@ -25,15 +25,15 @@ func TestTransitiveOrientKnownGraphs(t *testing.T) {
 		{"C7", cycle(7), false},
 		{"empty", graph.NewUndirected(4), true},
 	} {
-		if got := IsComparability(tc.g); got != tc.want {
-			t.Errorf("IsComparability(%s) = %v, want %v", tc.name, got, tc.want)
+		if _, err := ExtendTransitive(tc.g, nil); (err == nil) != tc.want {
+			t.Errorf("ExtendTransitive(%s, nil) = %v, want comparability %v", tc.name, err, tc.want)
 		}
 	}
 }
 
 func TestTransitiveOrientProducesValidOrientation(t *testing.T) {
 	g := cycle(6)
-	o, err := TransitiveOrient(g)
+	o, err := ExtendTransitive(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,15 @@ func TestIsComparabilityQuickAgainstBruteForce(t *testing.T) {
 	brute := func(g *graph.Undirected) bool {
 		type edge struct{ u, v int }
 		var edges []edge
-		g.Edges(func(u, v int) { edges = append(edges, edge{u, v}) })
+		for u := 0; u < g.N(); u++ {
+			for v := u + 1; v < g.N(); v++ {
+				if g.HasEdge(u, v) {
+					edges = append(edges, edge{u, v})
+				}
+			}
+		}
 		if len(edges) > 12 {
-			return true // skip, too big (caller restricts)
+			return true // too big to enumerate: skip
 		}
 		for mask := 0; mask < 1<<len(edges); mask++ {
 			d := graph.NewDigraph(g.N())
@@ -195,14 +201,27 @@ func TestIsComparabilityQuickAgainstBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(5) // up to 6 vertices
 		g := randGraph(rng, n, 0.45)
-		if g.M() > 12 {
-			return true
-		}
-		return IsComparability(g) == brute(g)
+		_, err := ExtendTransitive(g, nil)
+		return (err == nil) == brute(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// realize lays out intervals of the given lengths as Theorem 1 does
+// (core.extract in production): a transitive orientation of g's
+// complement that extends seeds, then longest-path positions over it.
+func realize(g *graph.Undirected, lengths []int, seeds *graph.Digraph) ([]int, error) {
+	orient, err := ExtendTransitive(g.Complement(), seeds)
+	if err != nil {
+		return nil, err
+	}
+	pos, ok := orient.LongestPathFrom(lengths)
+	if !ok {
+		return nil, errors.New("orientation is cyclic")
+	}
+	return pos, nil
 }
 
 func TestRealize(t *testing.T) {
@@ -215,7 +234,7 @@ func TestRealize(t *testing.T) {
 	seeds := graph.NewDigraph(4)
 	seeds.AddArc(0, 3) // 3 comes after 0
 
-	pos, err := Realize(g, lengths, seeds)
+	pos, err := realize(g, lengths, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +264,7 @@ func TestRealizeQuickOnIntervalGraphs(t *testing.T) {
 			lengths[i] = 1 + rng.Intn(6)
 		}
 		g := intervalGraph(starts, lengths)
-		pos, err := Realize(g, lengths, nil)
+		pos, err := realize(g, lengths, nil)
 		if err != nil {
 			return false
 		}
@@ -262,11 +281,5 @@ func TestRealizeQuickOnIntervalGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRealizeLengthMismatch(t *testing.T) {
-	if _, err := Realize(graph.NewUndirected(3), []int{1, 2}, nil); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // The paper's first preprocessing step — "we compute the transitive
 // closure of all data dependencies to allow our algorithm to find
 // contradictions to feasible packings already in the input" — happens in
-// NewOrder.
+// Instance.Order.
 type Order struct {
 	n       int
 	closure *graph.Digraph
@@ -21,19 +21,6 @@ type Order struct {
 	est     []int // earliest start = longest duration path strictly before v
 	tail    []int // longest duration path strictly after v
 	crit    int   // critical path length
-}
-
-// NewOrder builds an Order from precedence arcs and task durations.
-// The arcs must form a DAG.
-func NewOrder(prec *graph.Digraph, dur []int) (*Order, error) {
-	if prec.N() != len(dur) {
-		return nil, fmt.Errorf("model: %d durations for %d tasks", len(dur), prec.N())
-	}
-	arcs := make([]Arc, 0, prec.Arcs())
-	for u := 0; u < prec.N(); u++ {
-		prec.Out(u).ForEach(func(v int) { arcs = append(arcs, Arc{From: u, To: v}) })
-	}
-	return newOrder(arcs, dur)
 }
 
 // newOrder builds the Order of arcs over len(dur) tasks in one

@@ -32,7 +32,7 @@ func staticFeasible(t *testing.T, snap *Snapshot, ev Event) bool {
 	}
 	in.Tasks = append(in.Tasks, model.Task{Name: "cand", W: ev.W, H: ev.H, Dur: ev.Dur})
 	starts = append(starts, 0)
-	res, err := solver.FeasibleFixedSchedule(in, model.Container{W: snap.W, H: snap.H, T: T}, starts, solver.Options{})
+	res, err := solver.FeasibleFixedScheduleCtx(context.Background(), in, model.Container{W: snap.W, H: snap.H, T: T}, starts, solver.Options{})
 	if err != nil {
 		t.Fatalf("static solve: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestDifferentialAdmitMatchesStatic(t *testing.T) {
 					delete(live, ev.Name)
 					_ = s.Depart(id, ev.At) // may already have expired
 				} else {
-					s.Advance(ev.At)
+					advance(s, ev.At)
 				}
 			case EventDefrag:
 				plan, err := s.Defrag(ev.At)

@@ -75,7 +75,7 @@ type Config struct {
 	// W, H are the device's spatial cell dimensions.
 	W, H int
 	// Strategy selects the solve strategy for exact probes ("",
-	// "staged" or "portfolio" — see solver.Options.Strategy).
+	// "staged", "portfolio" or "anneal" — see solver.Options.Strategy).
 	Strategy string
 	// Workers is forwarded to solver.Options.Workers for exact probes.
 	Workers int
@@ -337,16 +337,9 @@ func (s *Session) Depart(id, at int) error {
 	return nil
 }
 
-// Advance moves the logical clock forward to cycle `to` (no-op when
-// behind), unloading modules that finish and loading reserved ones
-// whose start arrives.
-func (s *Session) Advance(to int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advanceLocked(to)
-}
-
-// advanceLocked is Advance under the session lock.
+// advanceLocked moves the logical clock forward to cycle `to` (no-op
+// when behind), unloading modules that finish and loading reserved ones
+// whose start arrives. The caller holds s.mu.
 func (s *Session) advanceLocked(to int) {
 	if to <= s.now {
 		return

@@ -17,6 +17,14 @@ func mustSession(t *testing.T, cfg Config) *Session {
 	return s
 }
 
+// advance moves the session clock forward to cycle to, as every
+// session call does first.
+func advance(s *Session, to int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.advanceLocked(to)
+}
+
 func mustAdmit(t *testing.T, s *Session, req AdmitRequest) *AdmitResult {
 	t.Helper()
 	res, err := s.Admit(context.Background(), req)
@@ -44,7 +52,7 @@ func TestAdmitDepartLifecycle(t *testing.T) {
 
 	// b finishes at cycle 4; the vacated half must be coalesced back
 	// into one maximal free rectangle.
-	s.Advance(5)
+	advance(s, 5)
 	snap = s.State(5)
 	if len(snap.Residents) != 1 || snap.Free.FreeCells != 32 {
 		t.Fatalf("after expiry: %d residents, %d free cells, want 1 and 32", len(snap.Residents), snap.Free.FreeCells)
@@ -285,7 +293,7 @@ func TestConcurrentSessionAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s.Advance(1 << 20)
+	advance(s, 1<<20)
 	if n := len(s.State(1 << 20).Residents); n != 0 {
 		t.Fatalf("%d residents after the far future, want 0", n)
 	}

@@ -106,20 +106,6 @@ func WriteScript(w io.Writer, s *Script) error {
 	return enc.Encode(s)
 }
 
-// ReadScript parses and validates a script.
-func ReadScript(r io.Reader) (*Script, error) {
-	var s Script
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("online: parse script: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
 // GenParams tunes the seeded script generator.
 type GenParams struct {
 	// Name labels the script (defaults to "online-<seed>").

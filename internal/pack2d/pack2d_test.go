@@ -207,7 +207,7 @@ func TestPackStepLimitThenEngine(t *testing.T) {
 		}
 		in, c, _, starts := probe(W, W, ws, hs)
 		reg := obs.NewRegistry()
-		res, err := solver.FeasibleFixedSchedule(in, c, starts, solver.Options{NodeLimit: nodeLimit, SkipBounds: true, SkipHeuristic: true, Metrics: reg})
+		res, err := solver.FeasibleFixedScheduleCtx(context.Background(), in, c, starts, solver.Options{NodeLimit: nodeLimit, SkipBounds: true, SkipHeuristic: true, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestPackOnlyPure2D(t *testing.T) {
 		in, c, _, _ := probe(q.W, q.H, []int{4, 4, 8}, []int{7, 7, 1})
 		c.T = 2
 		reg := obs.NewRegistry()
-		res, err := solver.FeasibleFixedSchedule(in, c, q.starts, solver.Options{SkipBounds: true, SkipHeuristic: true, Metrics: reg})
+		res, err := solver.FeasibleFixedScheduleCtx(context.Background(), in, c, q.starts, solver.Options{SkipBounds: true, SkipHeuristic: true, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -77,7 +78,7 @@ const fixedNodeLimit = 200_000
 func checkFixedCase(t *testing.T, q fixedCase, label string) (Decision, string, bool) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	full, err := FeasibleFixedSchedule(q.in, q.c, q.starts, Options{NodeLimit: fixedNodeLimit, Metrics: reg})
+	full, err := FeasibleFixedScheduleCtx(context.Background(), q.in, q.c, q.starts, Options{NodeLimit: fixedNodeLimit, Metrics: reg})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

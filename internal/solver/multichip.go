@@ -39,13 +39,8 @@ type MultiChipResult struct {
 	Elapsed time.Duration
 }
 
-// SolveMultiChip decides whether the instance fits k identical W×H
-// chips within T cycles under its precedence constraints.
-func SolveMultiChip(in *model.Instance, chipW, chipH, T, k int, opt Options) (*MultiChipResult, error) {
-	return SolveMultiChipCtx(context.Background(), in, chipW, chipH, T, k, opt)
-}
-
-// SolveMultiChipCtx is SolveMultiChip under a context; cancellation
+// SolveMultiChipCtx decides whether the instance fits k identical W×H
+// chips within T cycles under its precedence constraints. Cancellation
 // semantics match SolveOPPCtx (Decision Unknown, partial statistics,
 // nil error).
 func SolveMultiChipCtx(ctx context.Context, in *model.Instance, chipW, chipH, T, k int, opt Options) (*MultiChipResult, error) {

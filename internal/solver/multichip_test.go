@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,14 +16,14 @@ func TestMultiChipSimple(t *testing.T) {
 		Tasks: []model.Task{{W: 2, H: 2, Dur: 2}, {W: 2, H: 2, Dur: 2}},
 	}
 	opt := Options{TimeLimit: 30 * time.Second}
-	r, err := SolveMultiChip(in, 2, 2, 2, 1, opt)
+	r, err := SolveMultiChipCtx(context.Background(), in, 2, 2, 2, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Decision != Infeasible {
 		t.Fatalf("one chip: %v, want infeasible", r.Decision)
 	}
-	r, err = SolveMultiChip(in, 2, 2, 2, 2, opt)
+	r, err = SolveMultiChipCtx(context.Background(), in, 2, 2, 2, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestMultiChipInfeasibleCases(t *testing.T) {
 	}
 	opt := Options{}
 	// Module wider than the chip: no k helps.
-	r, err := SolveMultiChip(in, 2, 2, 4, 5, opt)
+	r, err := SolveMultiChipCtx(context.Background(), in, 2, 2, 4, 5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +96,14 @@ func TestMultiChipInfeasibleCases(t *testing.T) {
 		Tasks: []model.Task{{W: 1, H: 1, Dur: 2}, {W: 1, H: 1, Dur: 2}},
 		Prec:  []model.Arc{{From: 0, To: 1}},
 	}
-	r, err = SolveMultiChip(chain, 2, 2, 3, 4, opt)
+	r, err = SolveMultiChipCtx(context.Background(), chain, 2, 2, 3, 4, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Decision != Infeasible {
 		t.Fatalf("short horizon: %v", r.Decision)
 	}
-	if _, err := SolveMultiChip(chain, 2, 2, 4, 0, opt); err == nil {
+	if _, err := SolveMultiChipCtx(context.Background(), chain, 2, 2, 4, 0, opt); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -120,7 +121,7 @@ func TestMultiChipPrecedenceAcrossChips(t *testing.T) {
 	}
 	// T=4 on two chips: the chain occupies cycles 0-4 (either chip),
 	// task 2 runs anywhere on the other chip.
-	r, err := SolveMultiChip(in, 2, 2, 4, 2, Options{TimeLimit: 30 * time.Second})
+	r, err := SolveMultiChipCtx(context.Background(), in, 2, 2, 4, 2, Options{TimeLimit: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestMultiChipPrecedenceAcrossChips(t *testing.T) {
 		t.Fatal("cross-chip precedence violated")
 	}
 	// On one chip, T=4 cannot host 6 cycles of full-chip work.
-	r1, err := SolveMultiChip(in, 2, 2, 4, 1, Options{})
+	r1, err := SolveMultiChipCtx(context.Background(), in, 2, 2, 4, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestMultiChipAgainstSingleChip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := SolveMultiChip(in, c.W, c.H, c.T, 1, opt)
+		multi, err := SolveMultiChipCtx(context.Background(), in, c.W, c.H, c.T, 1, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestMinTimeMultiChip(t *testing.T) {
 func TestMultiChipHugeChips(t *testing.T) {
 	de := bench.DE()
 	for _, side := range []int{1 << 30, 1 << 31, 1 << 32, 1 << 33} {
-		r, err := SolveMultiChip(de, side, side, 20, 1, Options{})
+		r, err := SolveMultiChipCtx(context.Background(), de, side, side, 20, 1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

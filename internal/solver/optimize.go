@@ -224,19 +224,14 @@ func maxSideSum(in *model.Instance) int {
 	return h
 }
 
-// FeasibleFixedSchedule solves FeasA&FixedS: given start times for every
-// task, decide whether a non-overlapping spatial placement on the W×H
-// chip exists. With the time dimension fully decided, the packing-class
-// search degenerates to the two spatial dimensions — the simplification
-// highlighted in Section 4 of the paper. Every strategy preset tries
-// per-slice area and conservative-scale bounds and a fixed-start placer
-// before that search (see strategy.Pipeline.Solve).
-func FeasibleFixedSchedule(in *model.Instance, c model.Container, starts []int, opt Options) (*OPPResult, error) {
-	return FeasibleFixedScheduleCtx(context.Background(), in, c, starts, opt)
-}
-
-// FeasibleFixedScheduleCtx is FeasibleFixedSchedule under a context;
-// cancellation semantics match SolveOPPCtx.
+// FeasibleFixedScheduleCtx solves FeasA&FixedS: given start times for
+// every task, decide whether a non-overlapping spatial placement on the
+// W×H chip exists. With the time dimension fully decided, the
+// packing-class search degenerates to the two spatial dimensions — the
+// simplification highlighted in Section 4 of the paper. Every strategy
+// preset tries per-slice area and conservative-scale bounds and a
+// fixed-start placer before that search (see strategy.Pipeline.Solve).
+// Cancellation semantics match SolveOPPCtx.
 func FeasibleFixedScheduleCtx(ctx context.Context, in *model.Instance, c model.Container, starts []int, opt Options) (*OPPResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -255,14 +250,9 @@ func FeasibleFixedScheduleCtx(ctx context.Context, in *model.Instance, c model.C
 	return solveOPP(ctx, &strategy.Problem{In: in, C: c, Order: order, FixedStarts: starts}, opt)
 }
 
-// MinBaseFixedSchedule solves MinA&FixedS: the smallest square chip that
-// admits a spatial placement for the prescribed start times.
-func MinBaseFixedSchedule(in *model.Instance, starts []int, opt Options) (*OptResult, error) {
-	return MinBaseFixedScheduleCtx(context.Background(), in, starts, opt)
-}
-
-// MinBaseFixedScheduleCtx is MinBaseFixedSchedule under a context,
-// racing the h-ascent on Options.Workers goroutines like MinBaseCtx.
+// MinBaseFixedScheduleCtx solves MinA&FixedS: the smallest square chip
+// that admits a spatial placement for the prescribed start times. It
+// races the h-ascent on Options.Workers goroutines like MinBaseCtx.
 func MinBaseFixedScheduleCtx(ctx context.Context, in *model.Instance, starts []int, opt Options) (*OptResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

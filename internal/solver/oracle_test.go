@@ -147,7 +147,7 @@ func TestFixedScheduleAgainstFreeSolve(t *testing.T) {
 			continue
 		}
 		found++
-		fr, err := FeasibleFixedSchedule(in, c, r.Placement.S, opt)
+		fr, err := FeasibleFixedScheduleCtx(context.Background(), in, c, r.Placement.S, opt)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

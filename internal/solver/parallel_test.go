@@ -15,6 +15,7 @@ import (
 	"fpga3d/internal/core"
 	"fpga3d/internal/model"
 	"fpga3d/internal/obs"
+	"fpga3d/internal/strategy"
 )
 
 // fakeProbe builds a probeFunc over a synthetic monotone predicate:
@@ -474,7 +475,7 @@ func TestCoreSolveCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob := buildProblem(in, model.Container{W: 32, H: 32, T: 6}, order, nil)
+	prob := strategy.BuildProblem(in, model.Container{W: 32, H: 32, T: 6}, order, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := core.Solve(prob, Options{}.searchOptions(ctx))

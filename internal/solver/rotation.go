@@ -32,14 +32,8 @@ type RotationResult struct {
 	Oriented *model.Instance
 }
 
-// SolveOPPWithRotation decides feasibility when every module may be
-// rotated by 90°.
-func SolveOPPWithRotation(in *model.Instance, c model.Container, opt Options) (*RotationResult, error) {
-	return SolveOPPWithRotationCtx(context.Background(), in, c, opt)
-}
-
-// SolveOPPWithRotationCtx is SolveOPPWithRotation under a context. Once
-// ctx is done the mask enumeration stops and the aggregate comes back
+// SolveOPPWithRotationCtx decides feasibility when every module may be
+// rotated by 90°. Once ctx is done the mask enumeration stops and the aggregate comes back
 // with Decision Unknown and DecidedBy "canceled" (nil error), matching
 // SolveOPPCtx.
 func SolveOPPWithRotationCtx(ctx context.Context, in *model.Instance, c model.Container, opt Options) (*RotationResult, error) {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestRotationEnablesPlacement(t *testing.T) {
 	if plain.Decision != Infeasible {
 		t.Fatalf("unrotated: %v, want infeasible", plain.Decision)
 	}
-	rot, err := SolveOPPWithRotation(in, c, Options{})
+	rot, err := SolveOPPWithRotationCtx(context.Background(), in, c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRotationPrefersUnrotated(t *testing.T) {
 	// A single 2×3 module in a 3×3 chip fits both ways; the solver must
 	// report the unrotated witness first.
 	in := &model.Instance{Tasks: []model.Task{{W: 2, H: 3, Dur: 1}}}
-	r, err := SolveOPPWithRotation(in, model.Container{W: 3, H: 3, T: 1}, Options{})
+	r, err := SolveOPPWithRotationCtx(context.Background(), in, model.Container{W: 3, H: 3, T: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRotationPrefersUnrotated(t *testing.T) {
 
 func TestRotationInfeasibleEitherWay(t *testing.T) {
 	in := &model.Instance{Tasks: []model.Task{{W: 2, H: 5, Dur: 1}}}
-	r, err := SolveOPPWithRotation(in, model.Container{W: 4, H: 4, T: 1}, Options{})
+	r, err := SolveOPPWithRotationCtx(context.Background(), in, model.Container{W: 4, H: 4, T: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestRotationInfeasibleEitherWay(t *testing.T) {
 func TestRotationSquareModulesSkipEnumeration(t *testing.T) {
 	// All-square instances have exactly one orientation assignment.
 	de := bench.DE() // multipliers are square; ALUs are 16×1 — 5 rotatable
-	r, err := SolveOPPWithRotation(de, model.Container{W: 32, H: 32, T: 6}, Options{TimeLimit: 60 * time.Second})
+	r, err := SolveOPPWithRotationCtx(context.Background(), de, model.Container{W: 32, H: 32, T: 6}, Options{TimeLimit: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRotationTooManyRotatable(t *testing.T) {
 	for i := 0; i < maxRotatable+1; i++ {
 		in.Tasks = append(in.Tasks, model.Task{W: 1, H: 2, Dur: 1})
 	}
-	if _, err := SolveOPPWithRotation(in, model.Container{W: 10, H: 10, T: 100}, Options{}); err == nil {
+	if _, err := SolveOPPWithRotationCtx(context.Background(), in, model.Container{W: 10, H: 10, T: 100}, Options{}); err == nil {
 		t.Fatal("rotation explosion not refused")
 	}
 }
@@ -193,7 +194,7 @@ func TestRotationOracle(t *testing.T) {
 				want = true
 			}
 		}
-		got, err := SolveOPPWithRotation(in, c, opt)
+		got, err := SolveOPPWithRotationCtx(context.Background(), in, c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -317,9 +317,3 @@ func solveOPP(ctx context.Context, p *strategy.Problem, opt Options) (*OPPResult
 	}
 	return pl.Solve(ctx, p)
 }
-
-// buildProblem translates an instance+container into the engine's
-// three-dimensional problem; see strategy.BuildProblem.
-func buildProblem(in *model.Instance, c model.Container, order *model.Order, fixedStarts []int) *core.Problem {
-	return strategy.BuildProblem(in, c, order, fixedStarts)
-}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -186,11 +187,11 @@ func TestFixedScheduleValidation(t *testing.T) {
 		Prec:  []model.Arc{{From: 0, To: 1}},
 	}
 	// Schedule violating the precedence must be rejected up front.
-	if _, err := FeasibleFixedSchedule(in, model.Container{W: 2, H: 2, T: 4}, []int{0, 1}, Options{}); err == nil {
+	if _, err := FeasibleFixedScheduleCtx(context.Background(), in, model.Container{W: 2, H: 2, T: 4}, []int{0, 1}, Options{}); err == nil {
 		t.Fatal("precedence-violating schedule accepted")
 	}
 	// Valid schedule.
-	r, err := FeasibleFixedSchedule(in, model.Container{W: 2, H: 2, T: 4}, []int{0, 2}, Options{})
+	r, err := FeasibleFixedScheduleCtx(context.Background(), in, model.Container{W: 2, H: 2, T: 4}, []int{0, 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestFixedScheduleValidation(t *testing.T) {
 func TestMinBaseFixedScheduleDE(t *testing.T) {
 	de := bench.DE()
 	starts := []int{0, 0, 2, 4, 5, 0, 2, 0, 2, 0, 1}
-	r, err := MinBaseFixedSchedule(de, starts, Options{TimeLimit: 60 * time.Second})
+	r, err := MinBaseFixedScheduleCtx(context.Background(), de, starts, Options{TimeLimit: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"fpga3d/internal/core"
 	"fpga3d/internal/heur"
 	"fpga3d/internal/model"
+	"fpga3d/internal/strategy"
 )
 
 // legacyOPP reimplements the pre-strategy-layer OPP pipeline verbatim —
@@ -38,16 +39,16 @@ func legacyOPP(ctx context.Context, in *model.Instance, c model.Container, order
 			return res
 		}
 	}
-	prob := buildProblem(in, c, order, nil)
+	prob := strategy.BuildProblem(in, c, order, nil)
 	greedyFits := false
 	if !opt.SkipHeuristic {
-		if pl, ok := heur.Place(in, c, order); ok {
-			res.Decision = Feasible
-			res.Placement = pl
-			res.DecidedBy = "heuristic"
-			return res
-		}
-		if pl, _, ok := heur.MinMakespan(in, c.W, c.H, order); ok {
+		if pl, mk, ok := heur.MinMakespan(in, c.W, c.H, order); ok {
+			if mk <= c.T {
+				res.Decision = Feasible
+				res.Placement = pl
+				res.DecidedBy = "heuristic"
+				return res
+			}
 			prob.Dims[2].Hint = pl.S
 			greedyFits = true
 		}
@@ -320,7 +321,7 @@ func TestStrategyUnknownRejected(t *testing.T) {
 	if _, err := ParetoFront(in, bad); err == nil {
 		t.Error("ParetoFront accepted an unknown strategy")
 	}
-	if _, err := SolveMultiChip(in, 1, 1, 1, 1, bad); err == nil {
+	if _, err := SolveMultiChipCtx(context.Background(), in, 1, 1, 1, 1, bad); err == nil {
 		t.Error("SolveMultiChip accepted an unknown strategy")
 	}
 	if _, err := MinChips(in, 1, 1, 1, bad); err == nil {
@@ -332,7 +333,7 @@ func TestStrategyUnknownRejected(t *testing.T) {
 	if _, err := MinTimeMultiChip(in, 1, 1, 1, bad); err == nil {
 		t.Error("MinTimeMultiChip accepted an unknown strategy")
 	}
-	if _, err := FeasibleFixedSchedule(in, model.Container{W: 1, H: 1, T: 1}, []int{0}, bad); err == nil {
+	if _, err := FeasibleFixedScheduleCtx(context.Background(), in, model.Container{W: 1, H: 1, T: 1}, []int{0}, bad); err == nil {
 		t.Error("FeasibleFixedSchedule accepted an unknown strategy")
 	}
 }

@@ -40,7 +40,8 @@ import (
 //     comparable cost) instead races up to Workers probes on a pool of
 //     goroutines at Workers > 1: the order's next value plus
 //     speculative ones (the next values of the ascent, or the bisection
-//     points of the halves the midpoint splits off). Each decision is a
+//     points of the halves the midpoint splits off); the probe just
+//     below an incumbent runs alone. Each decision is a
 //     self-contained certificate — a fresh engine over an immutable
 //     instance — so the probes need not communicate, and each runs a
 //     sequential engine, so a sweep uses at most Workers goroutines.
@@ -261,10 +262,7 @@ func (s *sweep[P]) pick() int {
 			s.bound += (s.best-s.bound)/2 + 1
 		}
 	}
-	if s.belowTop && s.decided == 0 && s.bound < s.best-1 && !slices.Contains(s.stuck, s.best-1) {
-		// Incumbent-optimality probe: if the point just below the
-		// incumbent is infeasible, one probe closes the interval. It is
-		// one-shot: once a limit leaves it undecided, the order goes on.
+	if s.probesBelowTop() {
 		return s.best - 1
 	}
 	switch {
@@ -276,9 +274,19 @@ func (s *sweep[P]) pick() int {
 	return s.bound + (s.best-s.bound)/2
 }
 
+// probesBelowTop reports whether the order's next probe is the
+// incumbent-optimality probe: if the point just below the incumbent is
+// infeasible, one probe closes the interval. It is one-shot: once a
+// limit leaves it undecided, the order goes on.
+func (s *sweep[P]) probesBelowTop() bool {
+	return s.belowTop && s.decided == 0 && s.bound < s.best-1 && !slices.Contains(s.stuck, s.best-1)
+}
+
 // picks yields up to k values to probe, none of them busy: the order's
 // pick first, then the next values of the ascent, or the bisection
-// points of the halves the midpoint splits off, breadth-first.
+// points of the halves the midpoint splits off, breadth-first. The
+// incumbent-optimality probe runs alone, since it usually settles the
+// sweep and would leave probes beside it to be canceled.
 func (s *sweep[P]) picks(k int, busy func(int) bool) []int {
 	var out []int
 	take := func(v int) {
@@ -287,6 +295,9 @@ func (s *sweep[P]) picks(k int, busy func(int) bool) []int {
 		}
 	}
 	take(s.pick())
+	if s.probesBelowTop() {
+		return out
+	}
 	if s.ascend {
 		for v := s.bound; v < s.best && v <= s.hi && len(out) < k; v++ {
 			take(v)

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -93,7 +94,7 @@ func sweepGoldenLines(t *testing.T) []string {
 			if !ok {
 				t.Fatalf("%s: greedy placer found no schedule", name)
 			}
-			r, err = MinBaseFixedSchedule(in, greedy.S, opt(preset))
+			r, err = MinBaseFixedScheduleCtx(context.Background(), in, greedy.S, opt(preset))
 			optRes("MinBaseFixedSchedule", name, r, "", err)
 			ra, err := MinArea(in, T, opt(preset))
 			if err != nil {

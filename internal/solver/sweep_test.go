@@ -190,7 +190,10 @@ func TestTraceEveryDriverBracketsItsRun(t *testing.T) {
 	}{
 		{"spp", func(o Options) error { _, err := MinTime(de, 17, 17, o); return err }},
 		{"bmp", func(o Options) error { _, err := MinBase(de, 13, o); return err }},
-		{"bmp_fixed", func(o Options) error { _, err := MinBaseFixedSchedule(de, greedy.S, o); return err }},
+		{"bmp_fixed", func(o Options) error {
+			_, err := MinBaseFixedScheduleCtx(context.Background(), de, greedy.S, o)
+			return err
+		}},
 		{"minarea", func(o Options) error { _, err := MinArea(de, 13, o); return err }},
 		{"multichip", func(o Options) error { _, err := MinChips(de, 16, 16, 14, o); return err }},
 		{"spp_multichip", func(o Options) error { _, err := MinTimeMultiChip(de, 33, 16, 2, o); return err }},

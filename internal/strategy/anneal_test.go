@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fpga3d/internal/bench"
+	"fpga3d/internal/core"
 	"fpga3d/internal/model"
 )
 
@@ -76,7 +77,7 @@ func TestAnnealStrategyRecordsWitnesses(t *testing.T) {
 	// Force the annealing stage on a tight-but-generous-enough repeat:
 	// record the witness by hand if stage 2 answered, then check that a
 	// dominated container is served from the store.
-	if env.Inc.Witnesses() == 0 {
+	if witnesses(env.Inc) == 0 {
 		env.Inc.RecordWitness(in, r1.Placement, "anneal")
 	}
 	r2, err := a.Solve(context.Background(), &Problem{In: in, C: c, Order: order})
@@ -139,5 +140,40 @@ func TestAnnealStageDecides(t *testing.T) {
 	}
 	if !found {
 		t.Skip("no seed produced an anneal-decided probe; annealer quality covered elsewhere")
+	}
+}
+
+// TestParallelSearchRecordsOnlyUnderDominance: a parallel search's
+// OnSolution hook feeds the incumbent store only under a preset that
+// answers probes by dominance. A staged, Workers 4 probe decided by the
+// search leaves the store empty; the same probe under anneal records
+// the search's witness.
+func TestParallelSearchRecordsOnlyUnderDominance(t *testing.T) {
+	in := bench.Random(rand.New(rand.NewSource(654)), 9, 4, 4, 0.15)
+	order, err := in.Order()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Problem{In: in, C: model.Container{W: 6, H: 6, T: 6}, Order: order}
+	for _, tc := range []struct {
+		preset string
+		want   int
+	}{{NameStaged, 0}, {NameAnneal, 1}} {
+		env := testEnv()
+		env.SkipBounds, env.SkipHeuristic = true, true
+		env.SearchOpts = func(ctx context.Context) core.Options { return core.Options{Ctx: ctx, Workers: 4} }
+		r, err := mustParse(t, tc.preset, env).Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Decision != Feasible || r.DecidedBy != "search" {
+			t.Fatalf("%s: %v by %q, want feasible by search", tc.preset, r.Decision, r.DecidedBy)
+		}
+		if n := witnesses(env.Inc); n != tc.want {
+			t.Errorf("%s: %d stored witnesses, want %d", tc.preset, n, tc.want)
+		}
+		if tc.want > 0 && env.Inc.wits[0].source != "search-parallel" {
+			t.Errorf("%s: witness source %q, want search-parallel", tc.preset, env.Inc.wits[0].source)
+		}
 	}
 }

@@ -25,15 +25,12 @@ type Incumbents struct {
 	heur   map[[2]int]heurEntry
 	anneal map[[2]int]heurEntry
 	wits   []witnessEntry
-
-	heurComputes int64
-	heurHits     int64
 }
 
-// heurEntry memoizes heur.MinMakespan for one chip footprint. The
-// equivalence with per-probe heur.Place holds because the list
-// scheduler's slot scan is horizon-truncated: Place(W, H, T) succeeds
-// iff T ≥ mk, and then returns exactly this placement.
+// heurEntry memoizes heur.MinMakespan for one chip footprint. It
+// answers every horizon T of that chip because the list scheduler's
+// slot scan is horizon-truncated: the greedy placer under horizon T
+// succeeds iff T ≥ mk, and then returns exactly this placement.
 type heurEntry struct {
 	place *model.Placement
 	mk    int
@@ -64,7 +61,6 @@ func (s *Incumbents) MinMakespan(in *model.Instance, W, H int, o *model.Order) (
 	key := [2]int{W, H}
 	s.mu.Lock()
 	if e, found := s.heur[key]; found {
-		s.heurHits++
 		s.mu.Unlock()
 		return e.place, e.mk, e.ok, true
 	}
@@ -75,7 +71,6 @@ func (s *Incumbents) MinMakespan(in *model.Instance, W, H int, o *model.Order) (
 	p, m, k := heur.MinMakespan(in, W, H, o)
 	s.mu.Lock()
 	s.heur[key] = heurEntry{place: p, mk: m, ok: k}
-	s.heurComputes++
 	s.mu.Unlock()
 	return p, m, k, false
 }
@@ -107,14 +102,6 @@ func (s *Incumbents) Anneal(ctx context.Context, in *model.Instance, W, H int, o
 	s.anneal[key] = heurEntry{place: p, mk: m, ok: k}
 	s.mu.Unlock()
 	return p, m, k, false
-}
-
-// HeurStats returns how often the stage-2 memo computed an entry and
-// how often it answered from one.
-func (s *Incumbents) HeurStats() (computes, hits int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.heurComputes, s.heurHits
 }
 
 // RecordWitness stores a feasible placement together with its bounding
@@ -165,11 +152,4 @@ func (s *Incumbents) Dominating(c model.Container) (place *model.Placement, sour
 		}
 	}
 	return nil, "", false
-}
-
-// Witnesses returns the number of stored (non-dominated) witnesses.
-func (s *Incumbents) Witnesses() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.wits)
 }

@@ -65,8 +65,6 @@ func TestIncumbentsRaceStress(t *testing.T) {
 					}
 				}
 				s.Dominating(model.Container{W: w, H: w, T: 10 + i%7})
-				s.HeurStats()
-				s.Witnesses()
 			}
 		}(g)
 	}
@@ -77,8 +75,8 @@ func TestIncumbentsRaceStress(t *testing.T) {
 	// surviving witness verifies on a container matching its own
 	// bounding box, and none dominates another (the pruner's
 	// invariant).
-	if n := s.Witnesses(); n < 1 {
-		t.Fatalf("Witnesses() = %d, want ≥ 1", n)
+	if n := witnesses(s); n < 1 {
+		t.Fatalf("witnesses = %d, want ≥ 1", n)
 	}
 	s.mu.Lock()
 	wits := append([]witnessEntry(nil), s.wits...)

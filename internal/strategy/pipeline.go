@@ -143,7 +143,7 @@ func (pl *Pipeline) Solve(ctx context.Context, p *Problem) (*Result, error) {
 		c.res.Stages.Search = st.end()
 		return c.decide(Infeasible, "search", "search", nil)
 	}
-	co := e.searchOpts(ctx, p)
+	co := pl.searchOpts(ctx, p)
 	if fixed {
 		// A pure 2D packing goes to the bit-grid packer first; when it
 		// runs out of steps the engine runs as it would without it.
@@ -369,20 +369,22 @@ func (e *Env) annealWitness(ctx context.Context, p *Problem) (*model.Placement, 
 }
 
 // searchOpts returns the stage-3 engine options for problem p. When the
-// engine will run a parallel (work-stealing) search and an incumbent
-// store is attached, the pool's OnSolution hook broadcasts the winning
-// witness into the store the moment a worker finds it — so concurrent
-// sweep probes can already prune on it while this probe is still
-// assembling its result. The hook verifies before recording; an invalid
-// witness is dropped here and surfaces as an error on the main path.
-func (e *Env) searchOpts(ctx context.Context, p *Problem) core.Options {
+// engine will run a parallel (work-stealing) search, an incumbent store
+// is attached and the preset answers probes by dominance, the pool's
+// OnSolution hook broadcasts the winning witness into the store the
+// moment a worker finds it — so concurrent sweep probes can already
+// prune on it while this probe is still assembling its result. The hook
+// verifies before recording; an invalid witness is dropped here and
+// surfaces as an error on the main path.
+func (pl *Pipeline) searchOpts(ctx context.Context, p *Problem) core.Options {
+	e := pl.env
 	co := e.SearchOpts(ctx)
-	if co.Workers > 1 && e.Inc != nil && p.FixedStarts == nil {
+	if pl.dominance && co.Workers > 1 && e.Inc != nil && p.FixedStarts == nil {
 		in, c, order, inc := p.In, p.C, p.Order, e.Inc
 		co.OnSolution = func(sol *core.Solution) {
-			pl := SolutionToPlacement(sol)
-			if pl.Verify(in, c, order) == nil {
-				inc.RecordWitness(in, pl, "search-parallel")
+			w := SolutionToPlacement(sol)
+			if w.Verify(in, c, order) == nil {
+				inc.RecordWitness(in, w, "search-parallel")
 			}
 		}
 	}
